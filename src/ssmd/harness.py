@@ -181,23 +181,30 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("iterations must be >= 1")
     if cfg.regime == STRONGLY_CONVEX and cfg.reg_weight <= 0.0:
         errors.append("strongly_convex requires lambda > 0")
-    if cfg.reg_weight < 0.0:
-        errors.append("lambda must be nonnegative")
+    # written so that nan fails every check
+    if not 0.0 <= cfg.reg_weight < np.inf:
+        errors.append("lambda must be nonnegative and finite")
     if cfg.schedule not in _SCHEDULES:
         errors.append(f"schedule must be one of {sorted(_SCHEDULES)}")
-    if any(a <= 0.0 for a in cfg.a_values):
-        errors.append("all a values must be positive")
+    if not all(0.0 < a < np.inf for a in cfg.a_values):
+        errors.append("every a must be positive and finite")
     if cfg.instance == "inline":
         if cfg.n is None or cfg.cap is None or cfg.budget is None:
             errors.append("inline instance requires n, cap and budget")
+        else:
+            errors += [f"{key} must be positive and finite" for key in ("n", "cap", "budget")
+                       if not 0 < getattr(cfg, key) < np.inf]
     elif cfg.instance not in _INSTANCE_LABELS:
         errors.append(f"instance must be one of {list(_INSTANCE_LABELS)} or 'inline'")
+    else:
+        errors += [f"{key} applies only to instance = inline"
+                   for key in ("n", "cap", "budget") if key in values]
     if cfg.eval_samples < 1:
         errors.append("eval_samples must be >= 1")
     if cfg.workers < 1:
         errors.append("workers must be >= 1")
-    if cfg.reference_tol <= 0.0:
-        errors.append("reference_tol must be positive")
+    if not 0.0 < cfg.reference_tol < np.inf:
+        errors.append("reference_tol must be positive and finite")
     if errors:
         raise ConfigError("; ".join(errors))
     return cfg
@@ -295,12 +302,14 @@ def bound_curve(cfg: ExperimentConfig, a: float, constants: dict) -> np.ndarray:
 
 
 def run_experiment(cfg: ExperimentConfig, a: Optional[float] = None,
-                   workers: Optional[int] = None) -> McSummary:
+                   workers: Optional[int] = None,
+                   constants: Optional[dict] = None) -> McSummary:
     """Execute `runs` independent runs and aggregate, ordered by run index."""
     a = cfg.a_values[0] if a is None else float(a)
     workers = cfg.workers if workers is None else int(workers)
     instance = build_instance(cfg)
-    constants = instance_constants(cfg)
+    if constants is None:
+        constants = instance_constants(cfg)
 
     seeds = [(cfg.base_seed + r) % (1 << 64) for r in range(cfg.runs)]
     tasks = [(cfg, a, s) for s in seeds]
@@ -342,8 +351,10 @@ def run_experiment(cfg: ExperimentConfig, a: Optional[float] = None,
 
 
 def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None):
-    """run_experiment for every configured a value, in order."""
-    return [(a, run_experiment(cfg, a=a, workers=workers)) for a in cfg.a_values]
+    """run_experiment for every configured a value, in order, with one set of constants."""
+    constants = instance_constants(cfg)
+    return [(a, run_experiment(cfg, a=a, workers=workers, constants=constants))
+            for a in cfg.a_values]
 
 
 def _fmt(v: float) -> str:

@@ -55,21 +55,28 @@ class CappedBox:
         y = np.clip(x, 0.0, self.cap)
         if y.sum() <= self.budget:
             return y
-        tau = self._budget_tau(x)
-        p = np.clip(x - tau, 0.0, self.cap)
-        # nudge tau up by ulps if roundoff left the sum a hair over budget,
-        # so the result is exactly feasible and projection is idempotent
+        # tau lies in [r - cap, r] for r the (q+1)-th largest component,
+        # q = floor(budget/cap); solving on x - r clipped to [-cap, cap] keeps
+        # huge components from cancelling small ones in the sums.
+        q = min(int(self.budget // self.cap), self.n - 1)
+        r = np.partition(x, self.n - 1 - q)[self.n - 1 - q]
+        s = np.clip(x - r, -self.cap, self.cap)
+        tau = self._budget_tau(s, max(-self.cap, -r))
+        # nudge tau up by doubling ulps if roundoff left the sum a hair over
+        # budget, so the result is exactly feasible and projection is idempotent
+        step = np.spacing(self.cap)
         for _ in range(64):
+            p = np.clip(s - tau, 0.0, self.cap)
             if p.sum() <= self.budget:
-                break
-            tau = np.nextafter(tau, np.inf)
-            p = np.clip(x - tau, 0.0, self.cap)
-        return p
+                return p
+            tau += step
+            step *= 2.0
+        raise ArithmeticError("capped-box projection stayed over budget")
 
-    def _budget_tau(self, x: np.ndarray) -> float:
+    def _budget_tau(self, x: np.ndarray, t0: float) -> float:
         # h(t) = sum clip(x - t, 0, cap) is piecewise linear, non-increasing,
         # with kinks at x_i and x_i - cap.  Solve h(tau) = budget on the
-        # segment where it crosses; h(0) > budget is guaranteed by the caller.
+        # segment where it crosses, for tau >= t0; h(t0) > budget up to roundoff.
         xs = np.sort(x)
         tail = np.concatenate([(xs[::-1].cumsum())[::-1], [0.0]])
 
@@ -81,7 +88,7 @@ class CappedBox:
             return above - above_c
 
         kinks = np.unique(np.concatenate([x, x - self.cap]))
-        ts = np.concatenate([[0.0], kinks[kinks > 0.0]])
+        ts = np.concatenate([[t0], kinks[kinks > t0]])
         vals = h(ts)
         i = int(np.argmax(vals <= self.budget))
         if vals[i] > self.budget:

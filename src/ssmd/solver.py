@@ -36,6 +36,11 @@ from .stepsizes import InverseSqrtStepsize
 TRACE_FEAS_TOL = 1e-8
 
 
+def block_rows(n: int) -> int:
+    """Rows per evaluation block of n-vector pairs: at most 8192 floats, or one row."""
+    return max(1, 4096 // n)
+
+
 @dataclass
 class OracleSample:
     """One stochastic subgradient draw; g carries the exact subgradient when known."""
@@ -46,15 +51,16 @@ class OracleSample:
 
 @dataclass
 class ProblemHandle:
-    """Everything an engine needs to run on one problem instance."""
+    """Everything an engine needs to run on one problem instance.  f_exact and
+    f_sampler map a stack of points (..., n) to one value per point (...)."""
 
     oracle: Callable[[np.ndarray, np.random.Generator], OracleSample]
     feasible_set: object
     mirror_map: MirrorMap
     x0: np.ndarray
     mu_f: float = 0.0
-    f_exact: Optional[Callable[[np.ndarray], float]] = None
-    f_sampler: Optional[Callable[[np.ndarray, np.random.Generator], float]] = None
+    f_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    f_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     f_star: Optional[float] = None
     x_star: Optional[np.ndarray] = None
     f_eval_samples: int = 10_000
@@ -77,32 +83,29 @@ class RunTrace:
 
 
 def _f_evaluator(problem: ProblemHandle):
+    """f on a stack of points (m, n) -> (m,), and the run's f metadata."""
     if problem.f_exact is not None:
         return problem.f_exact, {"f_mode": "exact"}
     if problem.f_sampler is None:
         return None, {"f_mode": "none"}
 
-    def estimate(x):
+    def estimate(points):
+        # every point sees the same f_eval_samples draws from f_eval_seed
         rng = rng_from_seed(problem.f_eval_seed)
-        total = 0.0
+        total = np.zeros(points.shape[0])
         for _ in range(problem.f_eval_samples):
-            total += problem.f_sampler(x, rng)
+            total += _checked_rows(problem.f_sampler(points, rng), points)
         return total / problem.f_eval_samples
 
     return estimate, {"f_mode": "sample_average", "f_eval_samples": problem.f_eval_samples,
                       "f_eval_seed": problem.f_eval_seed}
 
 
-def _eval_mask(num_iterations: int) -> np.ndarray:
-    # Full fidelity up to K = 1000; geometric spacing beyond that.
-    if num_iterations <= 1000:
-        return np.ones(num_iterations + 1, dtype=bool)
-    ks = np.unique(np.round(np.geomspace(1, num_iterations, 1000)).astype(int))
-    mask = np.zeros(num_iterations + 1, dtype=bool)
-    mask[0] = True
-    mask[ks] = True
-    mask[num_iterations] = True
-    return mask
+def _checked_rows(values, points: np.ndarray):
+    if np.shape(values) != points.shape[:1]:
+        raise ValueError(f"f must map a stack of shape {points.shape} to one value "
+                         f"per point, got shape {np.shape(values)}")
+    return values
 
 
 def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: int,
@@ -115,20 +118,18 @@ def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: in
         raise ValueError("initial point is infeasible")
 
     f, meta = _f_evaluator(problem)
-    mask = _eval_mask(num_iterations)
     m = num_iterations + 1
-    f_iter = np.full(m, np.nan)
-    f_avg = np.full(m, np.nan)
-    f_min = np.full(m, np.nan)
-    track_dist = problem.x_star is not None
-    dist_iter = np.empty(m) if track_dist else None
-    dist_avg = np.empty(m) if track_dist else None
+    n = x.shape[0]
+    # x_k and x_hat_k are copied into a block of B iterations, and f and the
+    # distances are evaluated once per block on its (2B, n) stack
+    block = np.empty((block_rows(n), 2, n))
+    f_vals = np.full((m, 2), np.nan)
     x_star = None if problem.x_star is None else np.asarray(problem.x_star, dtype=float)
+    dist = None if x_star is None else np.empty((m, 2))
 
     state = AverageState.empty()
     run_sum = np.zeros_like(x)
     x_hat = x
-    best = np.inf
     for k in range(m):
         a_k = float(alpha_fn(k))
         if uniform_average:
@@ -137,14 +138,16 @@ def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: in
         else:
             state = state.absorb(x, a_k)
             x_hat = state.x_hat
-        if f is not None and mask[k]:
-            f_iter[k] = f(x)
-            f_avg[k] = f(x_hat)
-            best = min(best, f_iter[k])
-        f_min[k] = best
-        if track_dist:
-            dist_iter[k] = float(np.sum((x - x_star) ** 2))
-            dist_avg[k] = float(np.sum((x_hat - x_star) ** 2))
+        j = k % block.shape[0]
+        block[j, 0] = x
+        block[j, 1] = x_hat
+        if j == block.shape[0] - 1 or k == num_iterations:
+            done = block[:j + 1]
+            if f is not None:
+                points = done.reshape(-1, n)
+                f_vals[k - j:k + 1] = _checked_rows(f(points), points).reshape(-1, 2)
+            if dist is not None:
+                dist[k - j:k + 1] = np.sum((done - x_star) ** 2, axis=-1)
         if k < num_iterations:
             sample = problem.oracle(x, rng)
             step = a_k * step_scale
@@ -160,11 +163,13 @@ def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: in
                         raise AssertionError("prox step disagrees with bisection projection")
             x = x_next
 
+    f_iter, f_avg = f_vals.T.copy()
+    dist_iter, dist_avg = (None, None) if dist is None else dist.T.copy()
     return RunTrace(
         k=np.arange(m),
         f_iter=f_iter,
         f_avg=f_avg,
-        f_min=f_min,
+        f_min=np.minimum.accumulate(f_iter),
         dist_iter_sq=dist_iter,
         dist_avg_sq=dist_avg,
         x_hat_final=x_hat.copy(),

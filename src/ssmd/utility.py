@@ -23,10 +23,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gaussian import norm_cdf_interval, norm_pdf, rng_from_seed, standard_normals
+from .gaussian import (norm_cdf_interval, norm_pdf, norm_ppf, rng_from_seed,
+                       standard_normals, uniform_open)
 from .sets import CappedBox
 from .mirror import MirrorMap
-from .solver import OracleSample, ProblemHandle
+from .solver import OracleSample, ProblemHandle, block_rows
 
 # Seed for the one-time draw of the linear coefficients a (kept in the
 # instance and its serialized metadata so runs are reproducible).
@@ -235,19 +236,30 @@ def default_instance(label: str, reg_weight: float) -> UtilityInstance:
                          reg_weight=reg_weight, x0=x0)
 
 
-def f_value(instance: UtilityInstance, x, check_feasible: bool = True) -> float:
-    """Exact objective value via the closed-form Gaussian integral."""
+def _moments(instance: UtilityInstance, x: np.ndarray):
+    """Per row: mean a'x and std ||x|| of (a + xi)'x, and the regularizer.  Row
+    sums, not BLAS products, so no row depends on the rows stacked with it."""
+    mu = np.sum(instance.coeffs * x, axis=-1)
+    sigma = np.sqrt(np.sum(x * x, axis=-1))
+    reg = 0.5 * instance.reg_weight * np.sum((x - instance.anchor) ** 2, axis=-1)
+    return mu, sigma, reg
+
+
+def f_value(instance: UtilityInstance, x, check_feasible: bool = True):
+    """Exact objective value via the closed-form Gaussian integral, for one
+    point (n,) or per row of a stack (..., n), each row as if alone."""
     x = np.asarray(x, dtype=float)
-    if check_feasible and not instance.feasible_set.contains(x, F_FEAS_TOL):
+    if check_feasible and not all(instance.feasible_set.contains(row, F_FEAS_TOL)
+                                  for row in x.reshape(-1, instance.n)):
         raise ValueError("x is infeasible")
-    mu = float(instance.coeffs @ x)
-    sigma = float(np.sqrt(x @ x))
-    reg = 0.5 * instance.reg_weight * float(np.sum((x - instance.anchor) ** 2))
-    return expected_phi_gaussian(instance.envelope, mu, sigma) + reg
+    mu, sigma, reg = _moments(instance, x)
+    out = expected_phi_gaussian(instance.envelope, mu, sigma) + reg
+    return float(out) if out.ndim == 0 else out
 
 
 def grad_f(instance: UtilityInstance, x) -> np.ndarray:
-    """Gradient of the smoothed objective (subgradient selection at x = 0).
+    """Gradient of the smoothed objective (subgradient selection at x = 0),
+    per row of x.
 
     For sigma = ||x|| > 0 the Gaussian smoothing makes the utility term
     differentiable: d/dmu E[phi] = E[phi'] and d/dsigma E[phi] = E[phi' Z],
@@ -255,19 +267,27 @@ def grad_f(instance: UtilityInstance, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     env = instance.envelope
-    mu = float(instance.coeffs @ x)
-    sigma = float(np.sqrt(x @ x))
-    reg_grad = instance.reg_weight * (x - instance.anchor)
-    if sigma == 0.0:
-        return phi_slope(env, mu) * instance.coeffs + reg_grad
+    mu, sigma, _ = _moments(instance, x[..., None, :])  # shapes (..., 1)
+    zero = sigma == 0.0
+    sigma = np.where(zero, 1.0, sigma)
     z = (env.breakpoints - mu) / sigma
-    lo = np.concatenate([[-np.inf], z])
-    hi = np.concatenate([z, [np.inf]])
+    inf = np.full(z.shape[:-1] + (1,), np.inf)
+    lo = np.concatenate([-inf, z], axis=-1)
+    hi = np.concatenate([z, inf], axis=-1)
     prob = norm_cdf_interval(lo, hi)
     pdf_diff = norm_pdf(lo) - norm_pdf(hi)
-    e_slope = float(env.slopes @ prob)
-    e_slope_z = float(env.slopes @ pdf_diff)
-    return e_slope * instance.coeffs + e_slope_z * (x / sigma) + reg_grad
+    e_slope = np.where(zero, env.slopes[_active_piece(env, mu)],
+                       np.sum(env.slopes * prob, axis=-1, keepdims=True))
+    e_slope_z = np.where(zero, 0.0, np.sum(env.slopes * pdf_diff, axis=-1, keepdims=True))
+    return e_slope * instance.coeffs + e_slope_z * (x / sigma) \
+        + instance.reg_weight * (x - instance.anchor)
+
+
+def _subgradient(instance: UtilityInstance, x: np.ndarray, noisy: np.ndarray) -> np.ndarray:
+    """phi'((a+xi)'x) (a+xi) + reg term per row, given noisy = a + xi."""
+    t = np.sum(noisy * x, axis=-1)
+    return instance.envelope.slopes[_active_piece(instance.envelope, t)][..., None] * noisy \
+        + instance.reg_weight * (x - instance.anchor)
 
 
 def stochastic_subgradient(instance: UtilityInstance, x,
@@ -277,21 +297,15 @@ def stochastic_subgradient(instance: UtilityInstance, x,
     if not instance.feasible_set.contains(x, F_FEAS_TOL):
         raise ValueError("x is infeasible")
     noisy = instance.coeffs + standard_normals(rng, instance.n)
-    t = float(noisy @ x)
-    g_tilde = phi_slope(instance.envelope, t) * noisy \
-        + instance.reg_weight * (x - instance.anchor)
-    return OracleSample(g_tilde=g_tilde)
+    return OracleSample(g_tilde=_subgradient(instance, x, noisy))
 
 
 def mc_estimate_f(instance: UtilityInstance, x, n_samples: int,
                   rng: np.random.Generator) -> tuple[float, float]:
     """Monte-Carlo estimate (mean, stderr) of f using the scalar reduction
     (a + xi)'x ~ N(a'x, ||x||^2)."""
-    x = np.asarray(x, dtype=float)
-    mu = float(instance.coeffs @ x)
-    sigma = float(np.sqrt(x @ x))
+    mu, sigma, reg = _moments(instance, np.asarray(x, dtype=float))
     vals = phi(instance.envelope, mu + sigma * standard_normals(rng, n_samples))
-    reg = 0.5 * instance.reg_weight * float(np.sum((x - instance.anchor) ** 2))
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
     return float(vals.mean()) + reg, stderr
 
@@ -302,20 +316,20 @@ def mc_estimate_f_dense(instance: UtilityInstance, x, n_samples: int,
     """Monte-Carlo estimate drawing full xi vectors (validates the scalar
     reduction in :func:`mc_estimate_f`); slower, for tests."""
     x = np.asarray(x, dtype=float)
+    mu, _, reg = _moments(instance, x)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_samples:
         b = min(batch, n_samples - done)
         xi = standard_normals(rng, (b, instance.n))
-        t = xi @ x + float(instance.coeffs @ x)
+        t = xi @ x + mu
         vals = phi(instance.envelope, t)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += b
     mean = total / n_samples
     var = (total_sq - n_samples * mean * mean) / (n_samples - 1)
-    reg = 0.5 * instance.reg_weight * float(np.sum((x - instance.anchor) ** 2))
     return mean + reg, float(np.sqrt(max(var, 0.0) / n_samples))
 
 
@@ -379,19 +393,23 @@ def reference_solution(instance: UtilityInstance, tol: float,
 def estimate_constants(instance: UtilityInstance, sample_count: int,
                        rng: np.random.Generator) -> tuple[float, float]:
     """Empirical (C, nu): max deterministic-subgradient norm over uniformly
-    sampled feasible points, and the RMS noise norm of the stochastic oracle."""
+    sampled feasible points, and the RMS noise norm of the stochastic oracle.
+    Each sample draws its point, then its oracle noise, as one oracle call
+    would; the gradients are computed per block of samples."""
     if sample_count < 1000:
         raise ValueError("sample_count must be at least 1000")
-    set_ = instance.feasible_set
-    c_max = 0.0
-    noise_sq = 0.0
-    for _ in range(sample_count):
-        x = set_.project(set_.cap * rng.random(instance.n))
+    set_, n = instance.feasible_set, instance.n
+    rows = block_rows(n)
+    c_sq = noise_sq = 0.0
+    for start in range(0, sample_count, rows):
+        draws = np.array([(set_.project(set_.cap * rng.random(n)), uniform_open(rng, n))
+                          for _ in range(min(rows, sample_count - start))])
+        x = draws[:, 0]
         g = grad_f(instance, x)
-        c_max = max(c_max, float(np.sqrt(g @ g)))
-        d = stochastic_subgradient(instance, x, rng).g_tilde - g
-        noise_sq += float(d @ d)
-    return c_max, float(np.sqrt(noise_sq / sample_count))
+        d = _subgradient(instance, x, instance.coeffs + norm_ppf(draws[:, 1])) - g
+        c_sq = max(c_sq, float(np.max(np.sum(g * g, axis=-1))))
+        noise_sq += float(np.sum(d * d))
+    return float(np.sqrt(c_sq)), float(np.sqrt(noise_sq / sample_count))
 
 
 def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
@@ -405,10 +423,9 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
         return f_value(instance, x, check_feasible=False)
 
     def f_sampler(x, rng):
-        mu = float(instance.coeffs @ x)
-        sigma = float(np.sqrt(x @ x))
-        reg = 0.5 * instance.reg_weight * float(np.sum((x - instance.anchor) ** 2))
-        return float(phi(instance.envelope, mu + sigma * standard_normals(rng, 1)[0])) + reg
+        # one draw of xi, shared by every row of x
+        mu, sigma, reg = _moments(instance, x)
+        return phi(instance.envelope, mu + sigma * standard_normals(rng, 1)[0]) + reg
 
     return ProblemHandle(
         oracle=oracle,

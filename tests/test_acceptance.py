@@ -156,7 +156,7 @@ def c6_problem():
     return ProblemHandle(
         oracle=oracle, feasible_set=C6_BOX, mirror_map=EU, x0=C6_X0,
         mu_f=C6_MU,
-        f_exact=lambda x: 0.5 * C6_MU * float(np.sum((x - C6_XSTAR) ** 2)),
+        f_exact=lambda x: 0.5 * C6_MU * np.sum((x - C6_XSTAR) ** 2, axis=-1),
         f_star=0.0, x_star=C6_XSTAR)
 
 
@@ -230,7 +230,7 @@ def c7_problem(setup):
 
     return ProblemHandle(
         oracle=oracle, feasible_set=box, mirror_map=EU, x0=setup["x0"],
-        f_exact=lambda x: float(np.sum(np.abs(x - x_star))),
+        f_exact=lambda x: np.sum(np.abs(x - x_star), axis=-1),
         f_star=0.0, x_star=x_star)
 
 
@@ -403,7 +403,7 @@ def test_criterion_12_averaging():
 
     problem = ProblemHandle(
         oracle=drift_oracle, feasible_set=CappedBox(1, 1000.0, 1000.0),
-        mirror_map=EU, x0=np.array([0.0]), f_exact=lambda x: float(x[0]))
+        mirror_map=EU, x0=np.array([0.0]), f_exact=lambda x: x[..., 0])
     trace = run_baseline_uniform(problem, 1.0, 100, rng_from_seed(0))
     assert trace.x_hat_final[0] == 50.0
     print("\nPASS criterion 12: recursive average matches direct weighted sums "

@@ -1,3 +1,5 @@
+import pytest
+
 from ssmd.cli import main
 
 SMALL = """regime = compact
@@ -92,3 +94,29 @@ def test_bounds_command(tmp_path, capsys):
     assert "k,bound" in out
     rows = [line for line in out.splitlines() if line and line[0].isdigit()]
     assert len(rows) == 2 * 11  # two a values, k = 0..10 each
+
+
+INLINE = "regime = compact\ninstance = inline\nn = 4\ncap = 1.0\nbudget = 1.5\n"
+NAMED = "regime = compact\ninstance = test1\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param(NAMED + "lambda = nan\n", "lambda", id="lambda-nan"),
+    pytest.param(NAMED + "lambda = inf\n", "lambda", id="lambda-inf"),
+    pytest.param(NAMED + "a = nan\n", "a", id="a-nan"),
+    pytest.param(NAMED + "a = 1, inf\n", "a", id="a-inf"),
+    pytest.param(NAMED + "reference_tol = nan\n", "reference_tol", id="reference_tol-nan"),
+    pytest.param(INLINE.replace("cap = 1.0", "cap = inf"), "cap", id="cap-inf"),
+    pytest.param(INLINE.replace("budget = 1.5", "budget = nan"), "budget", id="budget-nan"),
+    pytest.param(INLINE.replace("n = 4", "n = 0"), "n", id="n-0"),
+    pytest.param(NAMED + "n = 100\n", "n", id="n-named"),
+    pytest.param(NAMED + "cap = 10\n", "cap", id="cap-named"),
+    pytest.param(NAMED + "budget = 10\n", "budget", id="budget-named"),
+])
+def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text(text)
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"{key} must be" in err or f"{key} applies only" in err

@@ -96,6 +96,60 @@ def test_projection_matches_bisection(rng):
         assert np.max(np.abs(box.project(x) - project_bisection(box, x, 1e-14))) < 1e-10
 
 
+def kkt_residual_any_scale(cap, budget, x, p):
+    """Max KKT violation of p as the projection of x onto the capped box,
+    measured against a component of x near the threshold tau: with
+    x_j - p_j = tau, x_i - tau = (x_i - x_j) + p_j, and x_i - x_j is exact
+    wherever it is small, however large x itself is."""
+    res = max(-float(p.min()), float(p.max()) - cap, float(p.sum()) - budget, 0.0)
+    tol = 1e-9 * cap
+    if p.sum() < budget * (1.0 - 1e-12):  # budget slack: tau = 0
+        return max(res, float(np.max(np.abs(np.clip(x, 0.0, cap) - p))))
+    inner = np.flatnonzero((p > tol) & (p < cap - tol))
+    if inner.size:
+        j = inner[0]
+        res = max(res, p[j] - x[j])  # tau >= 0
+        return max(res, float(np.max(np.abs(np.clip((x - x[j]) + p[j], 0.0, cap) - p))))
+    # every component at 0 or cap: some tau >= 0 must separate them
+    capped, zero = x[p >= cap - tol], x[p <= tol]
+    if capped.size:
+        res = max(res, cap - float(capped.min()))
+        if zero.size:
+            res = max(res, cap - (float(capped.min()) - float(zero.max())))
+    return res
+
+
+def test_projection_huge_component_regression():
+    # one component 1.5e19 used to cancel the others in a tail cumsum: the
+    # threshold came out 0 and the result summed to 74.4 > budget
+    box = CappedBox(9, 9.840435159562496, 6.2653341663840205)
+    x = np.array([11.248204482103883, 6.334669745461344, 11.696341825012299,
+                  6.6503870085824905, 7.707402763900083, 17.52137407024935,
+                  4.470659140334952, 12.264865379111784, 1.4561990328251615e+19])
+    p = box.project(x)
+    assert box.contains(p, 0.0)
+    assert np.array_equal(p[:8], np.zeros(8))
+    assert abs(p[8] - box.budget) <= 1e-15 * box.budget
+    assert kkt_residual_any_scale(box.cap, box.budget, x, p) < 1e-12
+
+
+def test_projection_kkt_any_magnitude(rng):
+    for _ in range(3000):
+        n = int(rng.integers(1, 13))
+        cap = 10.0 ** rng.uniform(-3, 3)
+        budget = cap * rng.uniform(0.2, n + 0.5)
+        box = CappedBox(n, cap, budget)
+        x = np.sign(rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 300, n)
+        if rng.random() < 0.5:
+            # a cluster around one large value, resolved only in differences
+            near = rng.random(n) < 0.5
+            x[near] = 10.0 ** rng.uniform(0, 300) + cap * rng.uniform(-3, 3, near.sum())
+        p = box.project(x)
+        assert box.contains(p, 0.0), (cap, budget, x)
+        assert kkt_residual_any_scale(cap, budget, x, p) < 1e-9 * max(cap, budget), \
+            (cap, budget, x)
+
+
 def test_simplex_projection(rng):
     sim = Simplex(4)
     for _ in range(300):

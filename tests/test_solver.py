@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ssmd.averaging import AverageState
 from ssmd.gaussian import rng_from_seed
 from ssmd.mirror import MirrorMap
 from ssmd.sets import CappedBox
 from ssmd.solver import (
     OracleSample,
     ProblemHandle,
+    block_rows,
     combined_second_moment,
     compact_rate_bound,
     noiseless_compact_rate_bound,
@@ -17,6 +21,7 @@ from ssmd.solver import (
     strongly_convex_rate_bounds,
 )
 from ssmd.stepsizes import InverseSqrtStepsize, NesterovStepsize, TsengStepsize
+from ssmd.utility import default_instance, f_value, make_instance, make_problem
 
 EU = MirrorMap.euclidean()
 UNIT_INTERVAL = CappedBox(1, 1.0, 1.0)
@@ -40,7 +45,7 @@ def quadratic_problem(mu_f, x_star, box, x0, noise_halfwidth=0.0):
         mirror_map=EU,
         x0=np.asarray(x0, dtype=float),
         mu_f=mu_f,
-        f_exact=lambda x: 0.5 * mu_f * float(np.sum((x - x_star) ** 2)),
+        f_exact=lambda x: 0.5 * mu_f * np.sum((x - x_star) ** 2, axis=-1),
         f_star=0.0,
         x_star=x_star,
     )
@@ -64,7 +69,7 @@ def l1_problem(x_star, box, x0, noise_halfwidth=0.0):
         mirror_map=EU,
         x0=np.asarray(x0, dtype=float),
         mu_f=0.0,
-        f_exact=lambda x: float(np.sum(np.abs(x - x_star))),
+        f_exact=lambda x: np.sum(np.abs(x - x_star), axis=-1),
         f_star=0.0,
         x_star=x_star,
     )
@@ -209,7 +214,7 @@ def test_compact_entropy_on_simplex():
         feasible_set=Simplex(3),
         mirror_map=MirrorMap.negative_entropy(),
         x0=np.full(3, 1.0 / 3.0),
-        f_exact=lambda x: float(cost @ x),
+        f_exact=lambda x: np.sum(cost * x, axis=-1),
         f_star=0.2)
     trace = run_compact(problem, 1.0, 2000, rng_from_seed(0))
     assert Simplex(3).contains(trace.x_hat_final, 1e-9)
@@ -222,7 +227,7 @@ def test_baseline_uniform_examples():
     const = ProblemHandle(
         oracle=lambda x, rng: OracleSample(g_tilde=np.zeros(1)),
         feasible_set=UNIT_INTERVAL, mirror_map=EU, x0=np.array([0.5]),
-        f_exact=lambda x: 0.0)
+        f_exact=lambda x: np.zeros(x.shape[:-1]))
     trace = run_baseline_uniform(const, 1.0, 50, rng_from_seed(0))
     assert np.array_equal(trace.x_hat_final, [0.5])
 
@@ -237,7 +242,7 @@ def test_baseline_uniform_examples():
 
     drift = ProblemHandle(oracle=drift_oracle, feasible_set=box,
                           mirror_map=EU, x0=np.array([0.0]),
-                          f_exact=lambda x: float(x[0]))
+                          f_exact=lambda x: x[..., 0])
     trace = run_baseline_uniform(drift, 1.0, 4, rng_from_seed(0))
     assert trace.x_hat_final[0] == 2.0
 
@@ -251,7 +256,7 @@ def test_baseline_average_feasible(rng):
 
 def test_sampled_f_fallback():
     def sampler(x, rng):
-        return float(x[0] ** 2 + rng.random() - 0.5)
+        return x[..., 0] ** 2 + rng.random() - 0.5
 
     problem = ProblemHandle(
         oracle=lambda x, rng: OracleSample(g_tilde=np.array([2.0 * x[0]])),
@@ -265,13 +270,74 @@ def test_sampled_f_fallback():
 
 
 def test_eval_mask_beyond_1000():
+    # every iterate is evaluated, also beyond K = 1000
     problem = quadratic_problem(10.0, [0.5], UNIT_INTERVAL, [0.0],
                                 noise_halfwidth=0.5)
     trace = run_strongly_convex(problem, TsengStepsize(), 1500, rng_from_seed(1))
-    assert np.isfinite(trace.f_avg[0]) and np.isfinite(trace.f_avg[-1])
-    assert np.isnan(trace.f_avg).any()
-    finite_min = trace.f_min[np.isfinite(trace.f_min)]
-    assert np.all(np.diff(finite_min) <= 1e-15)
+    assert trace.f_iter.shape == trace.f_avg.shape == (1501,)
+    assert np.all(np.isfinite(trace.f_iter)) and np.all(np.isfinite(trace.f_avg))
+    assert np.all(np.diff(trace.f_min) <= 0.0)
+
+
+def replay_iterates(problem, a, num_iterations):
+    """x_k and x_hat_k, k = 0..K, of run_compact with seed 0, recorded from
+    the oracle's inputs of a run one step longer."""
+    xs = []
+    oracle = problem.oracle
+
+    def recording(x, rng):
+        xs.append(np.array(x))
+        return oracle(x, rng)
+
+    run_compact(replace(problem, oracle=recording), a, num_iterations + 1,
+                rng_from_seed(0))
+    xs = xs[:num_iterations + 1]
+    state, x_hats = AverageState.empty(), []
+    for k, x in enumerate(xs):
+        state = state.absorb(x, InverseSqrtStepsize(a).alpha(k))
+        x_hats.append(state.x_hat)
+    return xs, x_hats
+
+
+@pytest.mark.parametrize("n, num_iterations", [(100, 100), (1000, 10)])
+def test_blocked_f_equals_pointwise_f_value(n, num_iterations):
+    # 101 = 2 * 40 + 21 and 11 = 2 * 4 + 3 iterates: the last block is partial
+    assert num_iterations + 1 > block_rows(n) and (num_iterations + 1) % block_rows(n)
+    inst = make_instance("inline", n=n, cap=1.0, budget=1.0, reg_weight=0.0)
+    problem = make_problem(inst)
+    trace = run_compact(problem, 1.0, num_iterations, rng_from_seed(0))
+    xs, x_hats = replay_iterates(problem, 1.0, num_iterations)
+    assert np.array_equal(trace.f_iter, [f_value(inst, x, False) for x in xs])
+    assert np.array_equal(trace.f_avg, [f_value(inst, x, False) for x in x_hats])
+    assert np.array_equal(trace.f_min, np.minimum.accumulate(trace.f_iter))
+
+
+def test_blocked_sample_average_equals_per_point_estimator():
+    inst = default_instance("test1", reg_weight=0.0)
+    problem = make_problem(inst, f_eval_samples=50, analytic_f=False)
+    trace = run_compact(problem, 10.0, 45, rng_from_seed(0))  # 46 = 40 + 6
+
+    def per_point(x):
+        rng = rng_from_seed(problem.f_eval_seed)
+        total = 0.0
+        for _ in range(problem.f_eval_samples):
+            total += float(problem.f_sampler(x, rng))
+        return total / problem.f_eval_samples
+
+    xs, x_hats = replay_iterates(problem, 10.0, 45)
+    assert np.array_equal(trace.f_iter, [per_point(x) for x in xs])
+    assert np.array_equal(trace.f_avg, [per_point(x) for x in x_hats])
+
+
+def test_scalar_valued_f_is_rejected():
+    problem = l1_problem([0.25, 0.5], CappedBox(2, 1.0, 1.0), [0.0, 0.0])
+    problem.f_exact = lambda x: float(np.sum(np.abs(x - 0.25)))
+    with pytest.raises(ValueError, match="f must map"):
+        run_compact(problem, 1.0, 10, rng_from_seed(0))
+    problem.f_exact = None
+    problem.f_sampler = lambda x, rng: float(np.sum(x)) + rng.random()
+    with pytest.raises(ValueError, match="f must map"):
+        run_compact(problem, 1.0, 10, rng_from_seed(0))
 
 
 def test_rate_bound_values():

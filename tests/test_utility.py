@@ -14,6 +14,7 @@ from ssmd.utility import (
     grad_f,
     instance_metadata,
     make_instance,
+    make_problem,
     mc_estimate_f,
     mc_estimate_f_dense,
     phi,
@@ -139,6 +140,39 @@ def test_f_value_at_origin():
     assert f_value(inst0, x) == phi(env, 0.0)
     inst = default_instance("test1", reg_weight=100.0)
     assert abs(f_value(inst, x) - (phi(env, 0.0) + 12.5)) < 1e-12
+
+
+def test_f_value_stack_equals_rows(rng):
+    inst = default_instance("test1", reg_weight=100.0)
+    box = inst.feasible_set
+    rows = [box.project(box.cap * rng.random(100) - 2.0) for _ in range(11)]
+    rows[3] = np.zeros(100)  # sigma = 0 takes the plain envelope path
+    stack = np.array(rows)
+    want = [f_value(inst, x) for x in rows]
+    assert all(isinstance(v, float) for v in want)
+    assert np.array_equal(f_value(inst, stack), want)
+    assert np.array_equal(f_value(inst, stack[:10].reshape(5, 2, 100)),
+                          np.reshape(want[:10], (5, 2)))
+    assert np.array_equal(grad_f(inst, stack), [grad_f(inst, x) for x in rows])
+    with pytest.raises(ValueError):
+        f_value(inst, np.vstack([stack, np.full(100, 1.0)]))  # last row infeasible
+
+
+def test_f_sampler_shares_one_draw_across_rows(rng):
+    inst = default_instance("test1", reg_weight=100.0)
+    sampler = make_problem(inst, analytic_f=False).f_sampler
+    box = inst.feasible_set
+    stack = np.array([box.project(box.cap * rng.random(100)) for _ in range(4)])
+    r1, r2 = rng_from_seed(5), rng_from_seed(5)
+    for _ in range(3):
+        got = sampler(stack, r1)
+        assert got.shape == (4,)
+        z = standard_normals(r2, 1)[0]
+        want = [phi(inst.envelope, np.sum(inst.coeffs * x) + np.sqrt(np.sum(x * x)) * z)
+                + 50.0 * np.sum((x - inst.anchor) ** 2) for x in stack]
+        assert np.array_equal(got, want)
+    single = sampler(stack[0], rng_from_seed(5))
+    assert np.ndim(single) == 0 and single == sampler(stack, rng_from_seed(5))[0]
 
 
 def test_f_value_feasibility_check():
@@ -306,6 +340,24 @@ def test_estimate_constants_zero_envelope():
                          pieces=[AffinePiece(0.0, 0.0)])
     c_est, nu_est = estimate_constants(inst, 1000, rng_from_seed(8))
     assert c_est == 0.0 and nu_est == 0.0
+
+
+def test_estimate_constants_matches_per_sample_oracle():
+    # the blocked estimate draws each sample's point, then its oracle noise,
+    # from one stream: the same values as grad_f and the oracle per sample
+    inst = default_instance("test1", reg_weight=100.0)
+    box = inst.feasible_set
+    rng = rng_from_seed(3)
+    c_max, noise_sq = 0.0, 0.0
+    for _ in range(1000):
+        x = box.project(box.cap * rng.random(100))
+        g = grad_f(inst, x)
+        c_max = max(c_max, float(np.sqrt(g @ g)))
+        d = stochastic_subgradient(inst, x, rng).g_tilde - g
+        noise_sq += float(d @ d)
+    c_est, nu_est = estimate_constants(inst, 1000, rng_from_seed(3))
+    assert abs(c_est - c_max) <= 1e-14 * c_max
+    assert abs(nu_est - np.sqrt(noise_sq / 1000)) <= 1e-12 * nu_est
 
 
 def test_estimate_constants_self_consistent():
