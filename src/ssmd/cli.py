@@ -39,6 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _load_config(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -120,7 +127,7 @@ def main(argv=None) -> int:
 
     p_ref = sub.add_parser("reference", help="print the reference optimal value")
     p_ref.add_argument("--config", required=True)
-    p_ref.add_argument("--tol", type=float, default=1e-6)
+    p_ref.add_argument("--tol", type=positive_float, default=1e-6)
     p_ref.set_defaults(func=_cmd_reference)
 
     p_bnd = sub.add_parser("bounds", help="print the theoretical bound curve")

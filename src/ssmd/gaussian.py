@@ -1,8 +1,8 @@
 """Standard-normal primitives and the reproducible sampling contract.
 
-The CDF goes through the complementary error function of the platform math
-library (via scipy.special), which is accurate to a few ulp in double
-precision; the quantile function is Wichura's rational approximation
+The CDF goes through the complementary error function of the platform libm
+(``math.erfc``, applied elementwise), which is accurate to a few ulp in
+double precision; the quantile function is Wichura's rational approximation
 AS 241 (PPND16), accurate to about 1e-15 relative over the full range.
 
 Normal variates are produced by inverse-CDF transform of uniforms drawn
@@ -13,8 +13,9 @@ depends on how many variates earlier callers consumed from other streams.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erfc
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = 1.0 / float(np.sqrt(2.0 * np.pi))
@@ -22,6 +23,12 @@ _INV_SQRT_2PI = 1.0 / float(np.sqrt(2.0 * np.pi))
 # 2**53; uniforms are midpoints of the 2**53 dyadic cells of (0, 1), so the
 # inverse CDF never sees 0 or 1 exactly.
 _CELLS = 9007199254740992
+
+
+def erfc(x):
+    """Complementary error function, elementwise, from libm's ``math.erfc``."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def norm_pdf(x):
@@ -46,6 +53,18 @@ def norm_cdf_interval(lo, hi):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     return 0.5 * (erfc(lo / _SQRT2) - erfc(hi / _SQRT2))
+
+
+def norm_cells(z):
+    """Mass P(z_{j-1} < Z <= z_j) and pdf(z_{j-1}) - pdf(z_j) of the cells cut
+    by sorted points z (last axis), outer ends -inf and +inf.  erfc and the pdf
+    are evaluated once per point; the ends take the exact limits, so each mass
+    equals :func:`norm_cdf_interval` at the cell's ends, bit for bit."""
+    z = np.asarray(z, dtype=float)
+    pad = np.zeros(z.shape[:-1] + (1,))
+    e = np.concatenate([pad + 2.0, erfc(z / _SQRT2), pad], axis=-1)
+    p = np.concatenate([pad, norm_pdf(z), pad], axis=-1)
+    return 0.5 * (e[..., :-1] - e[..., 1:]), p[..., :-1] - p[..., 1:]
 
 
 # AS 241 (PPND16) rational-function coefficients.

@@ -154,22 +154,23 @@ def bregman_diameter_sq(feasible_set, mirror_map: MirrorMap) -> float:
     """max over pairs x, y in the set of D_w(x, y).
 
     Closed forms for the Euclidean map only.  For the capped box the maximum
-    of ||x - y||^2 is attained by two greedy vectors with disjoint supports
-    (q = floor(budget/cap) components at cap plus a remainder r), which
-    requires n >= 2*(q + 1).
+    of ||x - y||^2 is attained by two greedy vectors with disjoint supports of
+    sizes m and n - m, where g(m), the largest ||x||^2 on m components, is
+    m cap^2 up to q = floor(budget/cap) and q cap^2 + r^2 beyond (r the
+    remainder).  g has non-increasing increments, so g(m) + g(n - m) peaks at
+    m = n // 2.
     """
     if mirror_map.kind != EUCLIDEAN:
         raise ValueError("diameter closed form is only available for the euclidean map")
     if isinstance(feasible_set, Simplex):
         return 1.0 if feasible_set.n >= 2 else 0.0
     if isinstance(feasible_set, CappedBox):
-        q = int(np.floor(feasible_set.budget / feasible_set.cap + 1e-12))
-        r = feasible_set.budget - q * feasible_set.cap
-        if r < 0.0:
-            r = 0.0
-        if feasible_set.n < 2 * (q + 1):
-            raise ValueError(
-                "disjoint-support diameter formula needs n >= 2*(floor(budget/cap) + 1)"
-            )
-        return q * feasible_set.cap**2 + r * r
+        cap, n = feasible_set.cap, feasible_set.n
+        q = int(np.floor(feasible_set.budget / cap + 1e-12))
+        r = max(feasible_set.budget - q * cap, 0.0)
+
+        def g(m):
+            return m * cap**2 if m <= q else q * cap**2 + r * r
+
+        return 0.5 * (g(n // 2) + g(n - n // 2))
     raise ValueError(f"unsupported set type: {type(feasible_set).__name__}")

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gaussian import (norm_cdf_interval, norm_pdf, norm_ppf, rng_from_seed,
-                       standard_normals, uniform_open)
+from .gaussian import (norm_cells, norm_ppf, rng_from_seed, standard_normals,
+                       uniform_open)
 from .sets import CappedBox
 from .mirror import MirrorMap
 from .solver import OracleSample, ProblemHandle, block_rows
@@ -145,13 +145,7 @@ def expected_phi_gaussian(envelope: Envelope, mu, sigma):
     if np.any(pos):
         mp = mu[pos][..., None]
         sp = sigma[pos][..., None]
-        z = (envelope.breakpoints[None, :] - mp) / sp
-        ninf = np.full((z.shape[0], 1), -np.inf)
-        pinf = np.full((z.shape[0], 1), np.inf)
-        lo = np.concatenate([ninf, z], axis=-1)
-        hi = np.concatenate([z, pinf], axis=-1)
-        prob = norm_cdf_interval(lo, hi)
-        pdf_diff = norm_pdf(lo) - norm_pdf(hi)
+        prob, pdf_diff = norm_cells((envelope.breakpoints[None, :] - mp) / sp)
         c = envelope.intercepts[None, :]
         d = envelope.slopes[None, :]
         out[pos] = np.sum((c + d * mp) * prob + d * sp * pdf_diff, axis=-1)
@@ -270,12 +264,7 @@ def grad_f(instance: UtilityInstance, x) -> np.ndarray:
     mu, sigma, _ = _moments(instance, x[..., None, :])  # shapes (..., 1)
     zero = sigma == 0.0
     sigma = np.where(zero, 1.0, sigma)
-    z = (env.breakpoints - mu) / sigma
-    inf = np.full(z.shape[:-1] + (1,), np.inf)
-    lo = np.concatenate([-inf, z], axis=-1)
-    hi = np.concatenate([z, inf], axis=-1)
-    prob = norm_cdf_interval(lo, hi)
-    pdf_diff = norm_pdf(lo) - norm_pdf(hi)
+    prob, pdf_diff = norm_cells((env.breakpoints - mu) / sigma)
     e_slope = np.where(zero, env.slopes[_active_piece(env, mu)],
                        np.sum(env.slopes * prob, axis=-1, keepdims=True))
     e_slope_z = np.where(zero, 0.0, np.sum(env.slopes * pdf_diff, axis=-1, keepdims=True))
@@ -354,8 +343,8 @@ def reference_solution(instance: UtilityInstance, tol: float,
     the unit-step projected-gradient residual to drop below tol; hitting the
     iteration cap raises :class:`ConvergenceError`.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     proj = instance.feasible_set.project
 
     def f(v):

@@ -85,6 +85,23 @@ def test_reference_command(tmp_path, capsys):
     assert val < 1.0  # utility minimum sits below the flat envelope level
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_reference_bad_tol_exits_1(tmp_path, capsys, tol):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SC)
+    assert main(["reference", "--config", str(cfg), "--tol", tol]) == 1
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_strongly_convex_small_n_exits_0(tmp_path):
+    # n = 3 < 2(floor(budget/cap) + 1): the diameter still has a closed form
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SC.replace("n = 4", "n = 3").replace("budget = 1.5", "budget = 2"))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "experiment.csv").exists()
+
+
 def test_bounds_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SMALL)

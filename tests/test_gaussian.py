@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
+import ssmd
 from ssmd.gaussian import (
+    erfc,
     norm_cdf,
     norm_cdf_interval,
     norm_pdf,
@@ -32,6 +40,27 @@ def test_interval_matches_difference():
     got = norm_cdf_interval(lo, hi)
     want = norm_cdf(hi) - norm_cdf(lo)
     assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_erfc_within_4_ulp_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.linspace(-8.0, 26.5, 3451)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.erfc(mpmath.mpf(float(v)))) for v in x])
+    got = erfc(x)
+    assert np.max(np.abs(got - want) / np.spacing(want)) <= 4
+    assert erfc(-np.inf) == 2.0 and erfc(np.inf) == 0.0
+    assert norm_cdf(-np.inf) == 0.0 and norm_cdf(np.inf) == 1.0
+
+
+def test_import_cli_loads_no_scipy():
+    # the library needs numpy alone; scipy is a test dependency
+    code = "import sys, ssmd.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(Path(ssmd.__file__).parents[1])),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ppf_inverts_cdf():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import (
@@ -170,8 +172,11 @@ def test_diameter_formula_examples():
 
 
 def test_diameter_against_vertex_enumeration():
+    # the grid includes n < 2(floor(budget/cap) + 1), where the two farthest
+    # vertices cannot both fill the budget
+    grid = itertools.product(range(1, 7), (0.7, 1.0, 2.5), (0.3, 0.7, 1.0, 2.1, 2.5, 3.5, 20.0))
     for n, cap, budget in [(4, 1.0, 1.0), (4, 1.0, 1.5), (5, 2.0, 3.0),
-                           (6, 1.0, 2.0), (4, 1.0, 0.7)]:
+                           (6, 1.0, 2.0), (4, 1.0, 0.7), *grid]:
         box = CappedBox(n, cap, budget)
         want = 0.5 * max_pairwise_sq_distance(capped_box_vertices(cap, budget, n))
         got = bregman_diameter_sq(box, EU)
@@ -179,8 +184,7 @@ def test_diameter_against_vertex_enumeration():
 
 
 def test_diameter_preconditions():
-    with pytest.raises(ValueError):
-        bregman_diameter_sq(CappedBox(3, 1.0, 2.0), EU)  # n < 2(q+1)
+    assert bregman_diameter_sq(CappedBox(3, 1.0, 2.0), EU) == 1.5  # n < 2(q+1)
     with pytest.raises(ValueError):
         bregman_diameter_sq(CappedBox(100, 10.0, 10.0), MirrorMap.negative_entropy())
     assert bregman_diameter_sq(Simplex(3), EU) == 1.0

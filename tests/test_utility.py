@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import piecewise_gaussian_quadrature
 
-from ssmd.gaussian import rng_from_seed, standard_normals
+from ssmd.gaussian import norm_cdf_interval, norm_pdf, rng_from_seed, standard_normals
 from ssmd.utility import (
     AffinePiece,
     build_envelope,
@@ -131,6 +131,37 @@ def test_expected_phi_broadcasts():
     got = expected_phi_gaussian(env, mus, sigmas)
     want = [expected_phi_gaussian(env, m, s) for m, s in zip(mus, sigmas)]
     assert np.array_equal(got, want)
+
+
+def _two_sided_terms(breakpoints, mu, sigma):
+    """The former per-piece form: erfc and the pdf at both ends of every piece."""
+    z = (breakpoints - mu) / sigma
+    inf = np.full(z.shape[:-1] + (1,), np.inf)
+    lo = np.concatenate([-inf, z], axis=-1)
+    hi = np.concatenate([z, inf], axis=-1)
+    return norm_cdf_interval(lo, hi), norm_pdf(lo) - norm_pdf(hi)
+
+
+def test_closed_forms_equal_two_sided_formula(rng):
+    # erfc and the pdf once per breakpoint give the same bits as twice
+    env = build_envelope(default_pieces())
+    c, d = env.intercepts, env.slopes
+    mu = rng.standard_normal(500)[:, None] * 3.0
+    sigma = np.geomspace(1e-6, 1e3, 500)[:, None]
+    prob, pdf_diff = _two_sided_terms(env.breakpoints, mu, sigma)
+    want = np.sum((c + d * mu) * prob + d * sigma * pdf_diff, axis=-1)
+    assert np.array_equal(expected_phi_gaussian(env, mu[:, 0], sigma[:, 0]), want)
+
+    inst = default_instance("test1", reg_weight=100.0)
+    x = np.array([inst.feasible_set.project(rng.random(100) * s)
+                  for s in np.geomspace(1e-4, 20.0, 300)])
+    mu = np.sum(inst.coeffs * x[:, None, :], axis=-1)
+    sigma = np.sqrt(np.sum(x[:, None, :] ** 2, axis=-1))
+    prob, pdf_diff = _two_sided_terms(env.breakpoints, mu, sigma)
+    want = np.sum(d * prob, axis=-1, keepdims=True) * inst.coeffs \
+        + np.sum(d * pdf_diff, axis=-1, keepdims=True) * (x / sigma) \
+        + inst.reg_weight * (x - inst.anchor)
+    assert np.array_equal(grad_f(inst, x), want)
 
 
 def test_f_value_at_origin():
@@ -279,6 +310,12 @@ def test_subgradient_inequality(rng):
             lhs = f_value(inst, y)
             rhs = f_value(inst, x) + float(grad_f(inst, x) @ (y - x))
             assert lhs >= rhs - 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_reference_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        reference_solution(default_instance("test1", reg_weight=0.0), tol)
 
 
 def test_reference_pure_quadratic():
