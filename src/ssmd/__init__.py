@@ -15,7 +15,6 @@ from .harness import (
 from .mirror import MirrorMap, bregman, check_quadratic_upper_bound, grad_w, prox_step
 from .sets import CappedBox, Simplex, bregman_diameter_sq
 from .solver import (
-    OracleSample,
     ProblemHandle,
     RunTrace,
     combined_second_moment,

@@ -46,6 +46,13 @@ def positive_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _load_config(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -118,11 +125,11 @@ def main(argv=None) -> int:
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--out", default=None,
                        help="output directory (falls back to the config's 'out')")
-    p_exp.add_argument("--workers", type=int, default=None)
+    p_exp.add_argument("--workers", type=positive_int, default=None)
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_ver = sub.add_parser("verify", help="machine-check stepsize conditions")
-    p_ver.add_argument("--kmax", type=int, default=100_000)
+    p_ver.add_argument("--kmax", type=positive_int, default=100_000)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_ref = sub.add_parser("reference", help="print the reference optimal value")

@@ -30,38 +30,36 @@ import numpy as np
 from .averaging import AverageState
 from .gaussian import rng_from_seed
 from .mirror import FEAS_TOL, MirrorMap, prox_step
-from .sets import CappedBox, project_bisection
 from .stepsizes import InverseSqrtStepsize
-
-TRACE_FEAS_TOL = 1e-8
 
 
 def block_rows(n: int) -> int:
-    """Rows per evaluation block of n-vector pairs: at most 8192 floats, or one row."""
+    """Rows per block of iterations for n-vectors: at most 8192 floats, or one row."""
     return max(1, 4096 // n)
 
 
-@dataclass
-class OracleSample:
-    """One stochastic subgradient draw; g carries the exact subgradient when known."""
-
-    g_tilde: np.ndarray
-    g: Optional[np.ndarray] = None
+def no_noise(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Noise of an oracle that draws nothing: one empty row per iteration."""
+    return np.empty((rows, 0))
 
 
 @dataclass
 class ProblemHandle:
-    """Everything an engine needs to run on one problem instance.  f_exact and
-    f_sampler map a stack of points (..., n) to one value per point (...)."""
+    """Everything an engine needs to run on one problem instance.
 
-    oracle: Callable[[np.ndarray, np.random.Generator], OracleSample]
+    noise(rng, rows) draws the oracle noise of `rows` iterations, one row per
+    iteration, and oracle(x, xi) returns the stochastic subgradient at x for
+    one such row.  f_exact and f_sampler map a stack of points (..., n) to
+    one value per point (...)."""
+
+    oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
     feasible_set: object
     mirror_map: MirrorMap
     x0: np.ndarray
+    noise: Callable[[np.random.Generator, int], np.ndarray] = no_noise
     mu_f: float = 0.0
     f_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
-    f_star: Optional[float] = None
     x_star: Optional[np.ndarray] = None
     f_eval_samples: int = 10_000
     f_eval_seed: int = 0
@@ -109,8 +107,7 @@ def _checked_rows(values, points: np.ndarray):
 
 
 def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: int,
-         rng: np.random.Generator, seed: Optional[int], uniform_average: bool,
-         cross_check: bool) -> RunTrace:
+         rng: np.random.Generator, seed: Optional[int], uniform_average: bool) -> RunTrace:
     set_ = problem.feasible_set
     mmap = problem.mirror_map
     x = np.asarray(problem.x0, dtype=float)
@@ -121,8 +118,10 @@ def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: in
     m = num_iterations + 1
     n = x.shape[0]
     # x_k and x_hat_k are copied into a block of B iterations, and f and the
-    # distances are evaluated once per block on its (2B, n) stack
-    block = np.empty((block_rows(n), 2, n))
+    # distances are evaluated once per block on its (2B, n) stack; the oracle
+    # noise of the block's iterations is drawn in one call at its start
+    rows = block_rows(n)
+    block = np.empty((rows, 2, n))
     f_vals = np.full((m, 2), np.nan)
     x_star = None if problem.x_star is None else np.asarray(problem.x_star, dtype=float)
     dist = None if x_star is None else np.empty((m, 2))
@@ -138,10 +137,10 @@ def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: in
         else:
             state = state.absorb(x, a_k)
             x_hat = state.x_hat
-        j = k % block.shape[0]
+        j = k % rows
         block[j, 0] = x
         block[j, 1] = x_hat
-        if j == block.shape[0] - 1 or k == num_iterations:
+        if j == rows - 1 or k == num_iterations:
             done = block[:j + 1]
             if f is not None:
                 points = done.reshape(-1, n)
@@ -149,19 +148,9 @@ def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: in
             if dist is not None:
                 dist[k - j:k + 1] = np.sum((done - x_star) ** 2, axis=-1)
         if k < num_iterations:
-            sample = problem.oracle(x, rng)
-            step = a_k * step_scale
-            x_next = prox_step(mmap, set_, x, sample.g_tilde, step)
-            if cross_check:
-                if not set_.contains(x_next, TRACE_FEAS_TOL) \
-                        or not set_.contains(x_hat, TRACE_FEAS_TOL):
-                    raise AssertionError("iterate or average left the feasible set")
-                if mmap.kind == "euclidean" and isinstance(set_, CappedBox):
-                    alt = project_bisection(
-                        set_, x - step * np.asarray(sample.g_tilde, dtype=float))
-                    if not np.allclose(x_next, alt, rtol=0.0, atol=1e-10):
-                        raise AssertionError("prox step disagrees with bisection projection")
-            x = x_next
+            if j == 0:
+                xi = problem.noise(rng, min(rows, num_iterations - k))
+            x = prox_step(mmap, set_, x, problem.oracle(x, xi[j]), a_k * step_scale)
 
     f_iter, f_avg = f_vals.T.copy()
     dist_iter, dist_avg = (None, None) if dist is None else dist.T.copy()
@@ -179,8 +168,7 @@ def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: in
 
 
 def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int,
-                        rng: np.random.Generator, seed: Optional[int] = None,
-                        cross_check: bool = False) -> RunTrace:
+                        rng: np.random.Generator, seed: Optional[int] = None) -> RunTrace:
     """Run the strongly convex engine: prox steps of size alpha_k / mu_f."""
     if problem.mu_f <= 0.0:
         raise ValueError("the strongly convex engine requires mu_f > 0")
@@ -191,12 +179,11 @@ def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int,
     if num_iterations < 1:
         raise ValueError("num_iterations must be positive")
     return _run(problem, schedule.alpha, 1.0 / problem.mu_f, num_iterations, rng, seed,
-                uniform_average=False, cross_check=cross_check)
+                uniform_average=False)
 
 
 def run_compact(problem: ProblemHandle, a: float, num_iterations: int,
-                rng: np.random.Generator, seed: Optional[int] = None,
-                cross_check: bool = False) -> RunTrace:
+                rng: np.random.Generator, seed: Optional[int] = None) -> RunTrace:
     """Run the compact-set engine with alpha_k = a/sqrt(k+1)."""
     if not getattr(problem.feasible_set, "is_bounded", False):
         raise ValueError("the compact engine requires a bounded feasible set")
@@ -204,7 +191,7 @@ def run_compact(problem: ProblemHandle, a: float, num_iterations: int,
         raise ValueError("num_iterations must be positive")
     sched = InverseSqrtStepsize(a)
     return _run(problem, sched.alpha, 1.0, num_iterations, rng, seed,
-                uniform_average=False, cross_check=cross_check)
+                uniform_average=False)
 
 
 def run_baseline_uniform(problem: ProblemHandle, a: float, num_iterations: int,
@@ -216,7 +203,7 @@ def run_baseline_uniform(problem: ProblemHandle, a: float, num_iterations: int,
         raise ValueError("num_iterations must be positive")
     sched = InverseSqrtStepsize(a)
     return _run(problem, sched.alpha, 1.0, num_iterations, rng, seed,
-                uniform_average=True, cross_check=False)
+                uniform_average=True)
 
 
 def combined_second_moment(grad_bound_sq: float, noise_var: float,

@@ -12,8 +12,8 @@ integral of a piecewise-affine function, which has a closed form per piece:
     int_[l,r] (c + d t) dN(mu, s^2)
         = (c + d mu) (Phi(beta) - Phi(alpha)) + d s (pdf(alpha) - pdf(beta)),
 
-with alpha = (l - mu)/s, beta = (r - mu)/s.  The stochastic oracle draws one
-xi vector per call and returns phi'(t) (a + xi) + reg_weight (x - anchor).
+with alpha = (l - mu)/s, beta = (r - mu)/s.  The stochastic oracle takes one
+xi vector per iteration and returns phi'(t) (a + xi) + reg_weight (x - anchor).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .gaussian import (norm_cells, norm_ppf, rng_from_seed, standard_normals,
                        uniform_open)
 from .sets import CappedBox
 from .mirror import MirrorMap
-from .solver import OracleSample, ProblemHandle, block_rows
+from .solver import ProblemHandle, block_rows
 
 # Seed for the one-time draw of the linear coefficients a (kept in the
 # instance and its serialized metadata so runs are reproducible).
@@ -280,13 +280,12 @@ def _subgradient(instance: UtilityInstance, x: np.ndarray, noisy: np.ndarray) ->
 
 
 def stochastic_subgradient(instance: UtilityInstance, x,
-                           rng: np.random.Generator) -> OracleSample:
+                           rng: np.random.Generator) -> np.ndarray:
     """One-sample stochastic subgradient: phi'((a+xi)'x) (a+xi) + reg term."""
     x = np.asarray(x, dtype=float)
     if not instance.feasible_set.contains(x, F_FEAS_TOL):
         raise ValueError("x is infeasible")
-    noisy = instance.coeffs + standard_normals(rng, instance.n)
-    return OracleSample(g_tilde=_subgradient(instance, x, noisy))
+    return _subgradient(instance, x, instance.coeffs + standard_normals(rng, instance.n))
 
 
 def mc_estimate_f(instance: UtilityInstance, x, n_samples: int,
@@ -403,10 +402,15 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
 
 def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
                  analytic_f: bool = True) -> ProblemHandle:
-    """Bridge an instance to the solver engines."""
+    """Bridge an instance to the solver engines.  The oracle noise of a block
+    of iterations is one standard_normals draw, which equals the per-iteration
+    draws of the same stream bit for bit."""
 
-    def oracle(x, rng):
-        return stochastic_subgradient(instance, x, rng)
+    def noise(rng, rows):
+        return standard_normals(rng, (rows, instance.n))
+
+    def oracle(x, xi):
+        return _subgradient(instance, x, instance.coeffs + xi)
 
     def f_exact(x):
         return f_value(instance, x, check_feasible=False)
@@ -421,6 +425,7 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
         feasible_set=instance.feasible_set,
         mirror_map=MirrorMap.euclidean(),
         x0=instance.x0,
+        noise=noise,
         mu_f=instance.reg_weight,
         f_exact=f_exact if analytic_f else None,
         f_sampler=None if analytic_f else f_sampler,

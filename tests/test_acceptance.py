@@ -17,7 +17,6 @@ from ssmd.harness import format_csv, parse_config, run_experiment
 from ssmd.mirror import MirrorMap
 from ssmd.sets import CappedBox, bregman_diameter_sq
 from ssmd.solver import (
-    OracleSample,
     ProblemHandle,
     combined_second_moment,
     compact_rate_bound,
@@ -148,16 +147,14 @@ C6_X0 = np.array([1.0, 0.5, 0.0, 0.0])
 
 
 def c6_problem():
-    def oracle(x, rng):
-        g = C6_MU * (x - C6_XSTAR)
-        eta = C6_NOISE * (2.0 * rng.random(4) - 1.0)
-        return OracleSample(g_tilde=g + eta, g=g)
+    def oracle(x, xi):
+        return C6_MU * (x - C6_XSTAR) + C6_NOISE * (2.0 * xi - 1.0)
 
     return ProblemHandle(
         oracle=oracle, feasible_set=C6_BOX, mirror_map=EU, x0=C6_X0,
-        mu_f=C6_MU,
+        noise=lambda rng, rows: rng.random((rows, 4)), mu_f=C6_MU,
         f_exact=lambda x: 0.5 * C6_MU * np.sum((x - C6_XSTAR) ** 2, axis=-1),
-        f_star=0.0, x_star=C6_XSTAR)
+        x_star=C6_XSTAR)
 
 
 def c6_exact_c_tilde_sq():
@@ -223,15 +220,14 @@ def c7_problem(setup):
     box, x_star, noise = setup["box"], setup["x_star"], setup["noise"]
     n = x_star.shape[0]
 
-    def oracle(x, rng):
-        g = np.sign(x - x_star)
-        eta = noise * (2.0 * rng.random(n) - 1.0)
-        return OracleSample(g_tilde=g + eta, g=g)
+    def oracle(x, xi):
+        return np.sign(x - x_star) + noise * (2.0 * xi - 1.0)
 
     return ProblemHandle(
         oracle=oracle, feasible_set=box, mirror_map=EU, x0=setup["x0"],
+        noise=lambda rng, rows: rng.random((rows, n)),
         f_exact=lambda x: np.sum(np.abs(x - x_star), axis=-1),
-        f_star=0.0, x_star=x_star)
+        x_star=x_star)
 
 
 def c7_constants(setup):
@@ -396,10 +392,10 @@ def test_criterion_12_averaging():
     # uniform baseline on integer iterates 0..K: exact arithmetic mean
     k_holder = {"k": 0}
 
-    def drift_oracle(x, rng_):
+    def drift_oracle(x, xi):
         a = 1.0 / np.sqrt(k_holder["k"] + 1.0)
         k_holder["k"] += 1
-        return OracleSample(g_tilde=np.array([-1.0 / a]))
+        return np.array([-1.0 / a])
 
     problem = ProblemHandle(
         oracle=drift_oracle, feasible_set=CappedBox(1, 1000.0, 1000.0),

@@ -77,6 +77,17 @@ def test_verify_command(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--kmax", "0"], "--kmax"),
+    (["verify", "--kmax", "-3"], "--kmax"),
+    (["experiment", "--config", "unused.txt", "--workers", "0"], "--workers"),
+    (["experiment", "--config", "unused.txt", "--workers", "-2"], "--workers"),
+])
+def test_count_below_one_exits_1(capsys, argv, flag):
+    assert main(argv) == 1
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
 def test_reference_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SC)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from ssmd.averaging import AverageState
-from ssmd.gaussian import rng_from_seed
-from ssmd.mirror import MirrorMap
-from ssmd.sets import CappedBox
+from ssmd.gaussian import rng_from_seed, standard_normals
+from ssmd.mirror import MirrorMap, prox_step
+from ssmd.sets import CappedBox, project_bisection
 from ssmd.solver import (
-    OracleSample,
     ProblemHandle,
     block_rows,
     combined_second_moment,
@@ -21,10 +20,15 @@ from ssmd.solver import (
     strongly_convex_rate_bounds,
 )
 from ssmd.stepsizes import InverseSqrtStepsize, NesterovStepsize, TsengStepsize
-from ssmd.utility import default_instance, f_value, make_instance, make_problem
+from ssmd.utility import _subgradient, default_instance, f_value, make_instance, make_problem
 
 EU = MirrorMap.euclidean()
 UNIT_INTERVAL = CappedBox(1, 1.0, 1.0)
+
+
+def uniform_noise(n):
+    """noise(rng, rows): n uniforms per iteration, the draws of rng.random(n) per call."""
+    return lambda rng, rows: rng.random((rows, n))
 
 
 def quadratic_problem(mu_f, x_star, box, x0, noise_halfwidth=0.0):
@@ -32,21 +36,20 @@ def quadratic_problem(mu_f, x_star, box, x0, noise_halfwidth=0.0):
     x_star = np.asarray(x_star, dtype=float)
     n = x_star.shape[0]
 
-    def oracle(x, rng):
+    def oracle(x, xi):
         g = mu_f * (x - x_star)
-        g_tilde = g
         if noise_halfwidth > 0.0:
-            g_tilde = g + noise_halfwidth * (2.0 * rng.random(n) - 1.0)
-        return OracleSample(g_tilde=g_tilde, g=g)
+            g = g + noise_halfwidth * (2.0 * xi - 1.0)
+        return g
 
     return ProblemHandle(
         oracle=oracle,
         feasible_set=box,
         mirror_map=EU,
         x0=np.asarray(x0, dtype=float),
+        noise=uniform_noise(n),
         mu_f=mu_f,
         f_exact=lambda x: 0.5 * mu_f * np.sum((x - x_star) ** 2, axis=-1),
-        f_star=0.0,
         x_star=x_star,
     )
 
@@ -56,21 +59,20 @@ def l1_problem(x_star, box, x0, noise_halfwidth=0.0):
     x_star = np.asarray(x_star, dtype=float)
     n = x_star.shape[0]
 
-    def oracle(x, rng):
+    def oracle(x, xi):
         g = np.sign(x - x_star)
-        g_tilde = g
         if noise_halfwidth > 0.0:
-            g_tilde = g + noise_halfwidth * (2.0 * rng.random(n) - 1.0)
-        return OracleSample(g_tilde=g_tilde, g=g)
+            g = g + noise_halfwidth * (2.0 * xi - 1.0)
+        return g
 
     return ProblemHandle(
         oracle=oracle,
         feasible_set=box,
         mirror_map=EU,
         x0=np.asarray(x0, dtype=float),
+        noise=uniform_noise(n),
         mu_f=0.0,
         f_exact=lambda x: np.sum(np.abs(x - x_star), axis=-1),
-        f_star=0.0,
         x_star=x_star,
     )
 
@@ -199,9 +201,27 @@ def test_seeded_noise_determinism():
 
 
 def test_euclidean_reduction_cross_check():
-    problem = l1_problem([0.2, 0.6], CappedBox(2, 1.0, 1.2), [0.0, 0.0],
-                         noise_halfwidth=1.0)
-    run_compact(problem, 0.7, 200, rng_from_seed(3), cross_check=True)
+    # every prox step equals the bisection projection of x_k - alpha_k g_k, and
+    # every iterate and average is feasible; 200 steps, recorded from the
+    # oracle's inputs and outputs of a run one step longer
+    box = CappedBox(2, 1.0, 1.2)
+    problem = l1_problem([0.2, 0.6], box, [0.0, 0.0], noise_halfwidth=1.0)
+    xs, gs = [], []
+    oracle = problem.oracle
+
+    def recording(x, xi):
+        xs.append(np.array(x))
+        gs.append(oracle(x, xi))
+        return gs[-1]
+
+    run_compact(replace(problem, oracle=recording), 0.7, 201, rng_from_seed(3))
+    state = AverageState.empty()
+    for k in range(200):
+        alpha = InverseSqrtStepsize(0.7).alpha(k)
+        state = state.absorb(xs[k], alpha)
+        assert box.contains(xs[k + 1], 1e-8) and box.contains(state.x_hat, 1e-8)
+        alt = project_bisection(box, xs[k] - alpha * gs[k])
+        assert np.allclose(xs[k + 1], alt, rtol=0.0, atol=1e-10), k
 
 
 def test_compact_entropy_on_simplex():
@@ -210,12 +230,11 @@ def test_compact_entropy_on_simplex():
 
     cost = np.array([0.5, 0.2, 0.9])
     problem = ProblemHandle(
-        oracle=lambda x, rng: OracleSample(g_tilde=cost),
+        oracle=lambda x, xi: cost,
         feasible_set=Simplex(3),
         mirror_map=MirrorMap.negative_entropy(),
         x0=np.full(3, 1.0 / 3.0),
-        f_exact=lambda x: np.sum(cost * x, axis=-1),
-        f_star=0.2)
+        f_exact=lambda x: np.sum(cost * x, axis=-1))
     trace = run_compact(problem, 1.0, 2000, rng_from_seed(0))
     assert Simplex(3).contains(trace.x_hat_final, 1e-9)
     assert trace.f_avg[-1] - 0.2 < 0.1
@@ -225,7 +244,7 @@ def test_compact_entropy_on_simplex():
 def test_baseline_uniform_examples():
     # constant iterates: the average equals the constant
     const = ProblemHandle(
-        oracle=lambda x, rng: OracleSample(g_tilde=np.zeros(1)),
+        oracle=lambda x, xi: np.zeros(1),
         feasible_set=UNIT_INTERVAL, mirror_map=EU, x0=np.array([0.5]),
         f_exact=lambda x: np.zeros(x.shape[:-1]))
     trace = run_baseline_uniform(const, 1.0, 50, rng_from_seed(0))
@@ -235,10 +254,10 @@ def test_baseline_uniform_examples():
     box = CappedBox(1, 10.0, 10.0)
     k_holder = {"k": 0}
 
-    def drift_oracle(x, rng):
+    def drift_oracle(x, xi):
         a = 1.0 / np.sqrt(k_holder["k"] + 1.0)
         k_holder["k"] += 1
-        return OracleSample(g_tilde=np.array([-1.0 / a]))
+        return np.array([-1.0 / a])
 
     drift = ProblemHandle(oracle=drift_oracle, feasible_set=box,
                           mirror_map=EU, x0=np.array([0.0]),
@@ -259,7 +278,7 @@ def test_sampled_f_fallback():
         return x[..., 0] ** 2 + rng.random() - 0.5
 
     problem = ProblemHandle(
-        oracle=lambda x, rng: OracleSample(g_tilde=np.array([2.0 * x[0]])),
+        oracle=lambda x, xi: np.array([2.0 * x[0]]),
         feasible_set=UNIT_INTERVAL, mirror_map=EU, x0=np.array([1.0]),
         f_exact=None, f_sampler=sampler, f_eval_samples=4000, f_eval_seed=123)
     t1 = run_compact(problem, 1.0, 5, rng_from_seed(0))
@@ -285,9 +304,9 @@ def replay_iterates(problem, a, num_iterations):
     xs = []
     oracle = problem.oracle
 
-    def recording(x, rng):
+    def recording(x, xi):
         xs.append(np.array(x))
-        return oracle(x, rng)
+        return oracle(x, xi)
 
     run_compact(replace(problem, oracle=recording), a, num_iterations + 1,
                 rng_from_seed(0))
@@ -327,6 +346,57 @@ def test_blocked_sample_average_equals_per_point_estimator():
     xs, x_hats = replay_iterates(problem, 10.0, 45)
     assert np.array_equal(trace.f_iter, [per_point(x) for x in xs])
     assert np.array_equal(trace.f_avg, [per_point(x) for x in x_hats])
+
+
+ENGINE_CASES = [
+    pytest.param(lambda: default_instance("test1", reg_weight=100.0), 10.0, 100,
+                 [40, 40, 20], id="test1-K100"),
+    pytest.param(lambda: make_instance("inline", n=1000, cap=1.0, budget=1.0,
+                                       reg_weight=0.0), 1.0, 9, [4, 4, 1], id="n1000-K9"),
+]
+
+
+@pytest.mark.parametrize("build, a, num_iterations, noise_rows", ENGINE_CASES)
+def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, noise_rows):
+    # the engine draws the oracle noise once per block; a loop drawing n
+    # normals per iteration from the same seed gives the same run, bit for bit
+    inst = build()
+    problem = make_problem(inst)
+    rows = []
+
+    def recording_noise(rng, count):
+        rows.append(count)
+        return problem.noise(rng, count)
+
+    trace = run_compact(replace(problem, noise=recording_noise), a, num_iterations,
+                        rng_from_seed(4))
+    assert block_rows(inst.n) == noise_rows[0] > noise_rows[-1]  # last block partial
+    assert rows == noise_rows and sum(rows) == num_iterations
+
+    rng = rng_from_seed(4)
+    x, state = inst.x0.astype(float), AverageState.empty()
+    f_iter, f_avg = [], []
+    for k in range(num_iterations + 1):
+        alpha = float(InverseSqrtStepsize(a).alpha(k))
+        state = state.absorb(x, alpha)
+        f_iter.append(f_value(inst, x, False))
+        f_avg.append(f_value(inst, state.x_hat, False))
+        if k < num_iterations:
+            g = _subgradient(inst, x, inst.coeffs + standard_normals(rng, inst.n))
+            x = prox_step(EU, inst.feasible_set, x, g, alpha)
+    assert np.array_equal(trace.f_iter, f_iter)
+    assert np.array_equal(trace.f_avg, f_avg)
+    assert np.array_equal(trace.x_hat_final, state.x_hat)
+
+
+@pytest.mark.parametrize("build, a, num_iterations, noise_rows", ENGINE_CASES)
+def test_run_draws_exactly_k_noise_rows(build, a, num_iterations, noise_rows):
+    # after a K-iteration run the stream stands where K rows of n normals leave it
+    inst = build()
+    rng, fresh = rng_from_seed(6), rng_from_seed(6)
+    run_compact(make_problem(inst), a, num_iterations, rng)
+    standard_normals(fresh, (num_iterations, inst.n))
+    assert np.array_equal(rng.random(8), fresh.random(8))
 
 
 def test_scalar_valued_f_is_rejected():

@@ -3,6 +3,7 @@ import pytest
 from conftest import piecewise_gaussian_quadrature
 
 from ssmd.gaussian import norm_cdf_interval, norm_pdf, rng_from_seed, standard_normals
+from ssmd.solver import block_rows
 from ssmd.utility import (
     AffinePiece,
     build_envelope,
@@ -206,6 +207,19 @@ def test_f_sampler_shares_one_draw_across_rows(rng):
     assert np.ndim(single) == 0 and single == sampler(stack, rng_from_seed(5))[0]
 
 
+@pytest.mark.parametrize("inst", [
+    default_instance("test1", reg_weight=100.0),
+    make_instance("inline", n=1000, cap=1.0, budget=1.0, reg_weight=0.0),
+], ids=["test1", "n1000"])
+def test_noise_block_equals_per_iteration_draws(inst):
+    # one draw of B rows of n normals is B successive draws of n, bit for bit
+    rows = block_rows(inst.n)
+    block = make_problem(inst).noise(rng_from_seed(12), rows)
+    r = rng_from_seed(12)
+    assert block.shape == (rows, inst.n) and rows == {100: 40, 1000: 4}[inst.n]
+    assert np.array_equal(block, [standard_normals(r, inst.n) for _ in range(rows)])
+
+
 def test_f_value_feasibility_check():
     inst = default_instance("test1", reg_weight=100.0)
     with pytest.raises(ValueError):
@@ -251,8 +265,7 @@ def test_subgradient_linear_utility(rng):
     n_draws = 20_000
     r = rng_from_seed(5)
     for _ in range(n_draws):
-        s = stochastic_subgradient(inst, x, r)
-        acc += s.g_tilde
+        acc += stochastic_subgradient(inst, x, r)
     acc /= n_draws
     assert np.max(np.abs(acc - inst.coeffs)) < 4.0 / np.sqrt(n_draws) * 3
 
@@ -261,8 +274,8 @@ def test_subgradient_vanishes_at_anchor():
     inst = make_instance("flat", n=4, cap=10.0, budget=10.0, reg_weight=7.0,
                          pieces=[AffinePiece(2.0, 0.0)])
     x = inst.anchor.copy()
-    s = stochastic_subgradient(inst, x, rng_from_seed(0))
-    assert np.array_equal(s.g_tilde, np.zeros(4))
+    g = stochastic_subgradient(inst, x, rng_from_seed(0))
+    assert np.array_equal(g, np.zeros(4))
 
 
 def test_subgradient_mean_matches_fd(rng):
@@ -390,7 +403,7 @@ def test_estimate_constants_matches_per_sample_oracle():
         x = box.project(box.cap * rng.random(100))
         g = grad_f(inst, x)
         c_max = max(c_max, float(np.sqrt(g @ g)))
-        d = stochastic_subgradient(inst, x, rng).g_tilde - g
+        d = stochastic_subgradient(inst, x, rng) - g
         noise_sq += float(d @ d)
     c_est, nu_est = estimate_constants(inst, 1000, rng_from_seed(3))
     assert abs(c_est - c_max) <= 1e-14 * c_max
