@@ -146,6 +146,13 @@ def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
     return (rng.integers(0, _CELLS, size=size, dtype=np.int64) + 0.5) / _CELLS
 
 
+def uniform_pairs(rng: np.random.Generator, rows: int, n: int):
+    """`rows` successive pairs (rng.random(n), uniform_open(rng, n)) in one draw,
+    bit for bit: 2**53-cell indices scaled to the cell's lower end or midpoint."""
+    cells = rng.integers(0, _CELLS, size=(rows, 2, n), dtype=np.int64)
+    return cells[:, 0] / _CELLS, (cells[:, 1] + 0.5) / _CELLS
+
+
 def standard_normals(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normal variates by inverse CDF of :func:`uniform_open` draws."""
     return norm_ppf(uniform_open(rng, size))

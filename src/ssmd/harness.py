@@ -11,7 +11,6 @@ order of the reduction.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -314,6 +313,8 @@ def run_experiment(cfg: ExperimentConfig, a: Optional[float] = None,
     seeds = [(cfg.base_seed + r) % (1 << 64) for r in range(cfg.runs)]
     tasks = [(cfg, a, s) for s in seeds]
     if workers > 1:
+        # imported here, so a serial run and every other CLI command skip multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_run, tasks,
                                     chunksize=max(1, cfg.runs // (4 * workers))))

@@ -34,7 +34,7 @@ from .stepsizes import InverseSqrtStepsize
 
 
 def block_rows(n: int) -> int:
-    """Rows per block of iterations for n-vectors: at most 8192 floats, or one row."""
+    """Rows per block of n-vectors: at most 4096 floats, or one row."""
     return max(1, 4096 // n)
 
 
@@ -49,8 +49,10 @@ class ProblemHandle:
 
     noise(rng, rows) draws the oracle noise of `rows` iterations, one row per
     iteration, and oracle(x, xi) returns the stochastic subgradient at x for
-    one such row.  f_exact and f_sampler map a stack of points (..., n) to
-    one value per point (...)."""
+    one such row.  f_exact maps a stack of points (..., n) to one value per
+    point (...).  f_sampler(x, rng, draws=None) returns one sample of f per
+    point (...) from one draw shared by every point, or with draws = d the
+    samples of d successive such draws (d, ...), equal to d calls bit for bit."""
 
     oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
     feasible_set: object
@@ -59,7 +61,7 @@ class ProblemHandle:
     noise: Callable[[np.random.Generator, int], np.ndarray] = no_noise
     mu_f: float = 0.0
     f_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    f_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
+    f_sampler: Optional[Callable[..., np.ndarray]] = None
     x_star: Optional[np.ndarray] = None
     f_eval_samples: int = 10_000
     f_eval_seed: int = 0
@@ -88,21 +90,25 @@ def _f_evaluator(problem: ProblemHandle):
         return None, {"f_mode": "none"}
 
     def estimate(points):
-        # every point sees the same f_eval_samples draws from f_eval_seed
+        # every point sees the same f_eval_samples draws from f_eval_seed, d per
+        # call; added in draw order, each sum is the one-draw loop's bit for bit
         rng = rng_from_seed(problem.f_eval_seed)
-        total = np.zeros(points.shape[0])
-        for _ in range(problem.f_eval_samples):
-            total += _checked_rows(problem.f_sampler(points, rng), points)
-        return total / problem.f_eval_samples
+        m, samples = points.shape[0], problem.f_eval_samples
+        total = np.zeros(m)
+        for start in range(0, samples, block_rows(m)):
+            d = min(block_rows(m), samples - start)
+            for row in _checked(problem.f_sampler(points, rng, d), (d, m)):
+                total += row
+        return total / samples
 
     return estimate, {"f_mode": "sample_average", "f_eval_samples": problem.f_eval_samples,
                       "f_eval_seed": problem.f_eval_seed}
 
 
-def _checked_rows(values, points: np.ndarray):
-    if np.shape(values) != points.shape[:1]:
-        raise ValueError(f"f must map a stack of shape {points.shape} to one value "
-                         f"per point, got shape {np.shape(values)}")
+def _checked(values, shape: tuple):
+    if np.shape(values) != shape:
+        raise ValueError(f"f must map a stack of {shape[-1]} points to values of "
+                         f"shape {shape}, got shape {np.shape(values)}")
     return values
 
 
@@ -144,7 +150,7 @@ def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: in
             done = block[:j + 1]
             if f is not None:
                 points = done.reshape(-1, n)
-                f_vals[k - j:k + 1] = _checked_rows(f(points), points).reshape(-1, 2)
+                f_vals[k - j:k + 1] = _checked(f(points), points.shape[:1]).reshape(-1, 2)
             if dist is not None:
                 dist[k - j:k + 1] = np.sum((done - x_star) ** 2, axis=-1)
         if k < num_iterations:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gaussian import (norm_cells, norm_ppf, rng_from_seed, standard_normals,
-                       uniform_open)
+                       uniform_pairs)
 from .sets import CappedBox
 from .mirror import MirrorMap
 from .solver import ProblemHandle, block_rows
@@ -322,10 +322,13 @@ def mc_estimate_f_dense(instance: UtilityInstance, x, n_samples: int,
 
 
 def _fd_grad(f, x: np.ndarray, h: float) -> np.ndarray:
+    # f takes x +- h e_i in stacks of block_rows(n) rows, valuing each as if alone
+    n = x.shape[0]
     g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
+    for start in range(0, n, block_rows(n)):
+        i = np.arange(start, min(start + block_rows(n), n))
+        e = np.zeros((i.size, n))
+        e[np.arange(i.size), i] = h
         g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
 
@@ -390,11 +393,10 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
     rows = block_rows(n)
     c_sq = noise_sq = 0.0
     for start in range(0, sample_count, rows):
-        draws = np.array([(set_.project(set_.cap * rng.random(n)), uniform_open(rng, n))
-                          for _ in range(min(rows, sample_count - start))])
-        x = draws[:, 0]
+        corner, u = uniform_pairs(rng, min(rows, sample_count - start), n)
+        x = np.array([set_.project(set_.cap * c) for c in corner])
         g = grad_f(instance, x)
-        d = _subgradient(instance, x, instance.coeffs + norm_ppf(draws[:, 1])) - g
+        d = _subgradient(instance, x, instance.coeffs + norm_ppf(u)) - g
         c_sq = max(c_sq, float(np.max(np.sum(g * g, axis=-1))))
         noise_sq += float(np.sum(d * d))
     return float(np.sqrt(c_sq)), float(np.sqrt(noise_sq / sample_count))
@@ -415,10 +417,12 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
     def f_exact(x):
         return f_value(instance, x, check_feasible=False)
 
-    def f_sampler(x, rng):
-        # one draw of xi, shared by every row of x
+    def f_sampler(x, rng, draws=None):
+        # each draw of xi is shared by every row of x; draws = d stacks d of them
         mu, sigma, reg = _moments(instance, x)
-        return phi(instance.envelope, mu + sigma * standard_normals(rng, 1)[0]) + reg
+        z = standard_normals(rng, 1)[0] if draws is None else \
+            standard_normals(rng, draws).reshape((draws,) + (1,) * np.ndim(mu))
+        return phi(instance.envelope, mu + sigma * z) + reg
 
     return ProblemHandle(
         oracle=oracle,

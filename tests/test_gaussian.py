@@ -53,9 +53,12 @@ def test_erfc_within_4_ulp_of_mpmath():
     assert norm_cdf(-np.inf) == 0.0 and norm_cdf(np.inf) == 1.0
 
 
-def test_import_cli_loads_no_scipy():
-    # the library needs numpy alone; scipy is a test dependency
-    code = "import sys, ssmd.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+@pytest.mark.parametrize("prefix", ["scipy", "multiprocessing"])
+def test_import_cli_loads_no_scipy(prefix):
+    # the library needs numpy alone; scipy is a test dependency, and the
+    # process pool is imported only by a run with more than one worker
+    code = ("import sys, ssmd.cli; "
+            f"print([m for m in sys.modules if m.split('.')[0] == {prefix!r}])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(ssmd.__file__).parents[1])),
                           timeout=120)

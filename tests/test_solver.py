@@ -274,8 +274,9 @@ def test_baseline_average_feasible(rng):
 
 
 def test_sampled_f_fallback():
-    def sampler(x, rng):
-        return x[..., 0] ** 2 + rng.random() - 0.5
+    def sampler(x, rng, draws=None):
+        u = rng.random() if draws is None else rng.random((draws,) + x.shape[:-1])
+        return x[..., 0] ** 2 + u - 0.5
 
     problem = ProblemHandle(
         oracle=lambda x, xi: np.array([2.0 * x[0]]),
@@ -333,19 +334,24 @@ def test_blocked_f_equals_pointwise_f_value(n, num_iterations):
 
 def test_blocked_sample_average_equals_per_point_estimator():
     inst = default_instance("test1", reg_weight=0.0)
-    problem = make_problem(inst, f_eval_samples=50, analytic_f=False)
-    trace = run_compact(problem, 10.0, 45, rng_from_seed(0))  # 46 = 40 + 6
+    # 46 = 40 + 6 iterates; a full block's 80 points draw in chunks of 51, so
+    # 50 samples fit in one chunk and 125 = 51 + 51 + 23 span three
+    chunk = block_rows(2 * block_rows(inst.n))
+    assert 50 <= chunk < 125 and 125 % chunk
+    xs, x_hats = replay_iterates(make_problem(inst), 10.0, 45)
+    for samples in (50, 125):
+        problem = make_problem(inst, f_eval_samples=samples, analytic_f=False)
+        trace = run_compact(problem, 10.0, 45, rng_from_seed(0))
 
-    def per_point(x):
-        rng = rng_from_seed(problem.f_eval_seed)
-        total = 0.0
-        for _ in range(problem.f_eval_samples):
-            total += float(problem.f_sampler(x, rng))
-        return total / problem.f_eval_samples
+        def per_point(x):
+            rng = rng_from_seed(problem.f_eval_seed)
+            total = 0.0
+            for _ in range(problem.f_eval_samples):
+                total += float(problem.f_sampler(x, rng))
+            return total / problem.f_eval_samples
 
-    xs, x_hats = replay_iterates(problem, 10.0, 45)
-    assert np.array_equal(trace.f_iter, [per_point(x) for x in xs])
-    assert np.array_equal(trace.f_avg, [per_point(x) for x in x_hats])
+        assert np.array_equal(trace.f_iter, [per_point(x) for x in xs])
+        assert np.array_equal(trace.f_avg, [per_point(x) for x in x_hats])
 
 
 ENGINE_CASES = [
@@ -405,7 +411,7 @@ def test_scalar_valued_f_is_rejected():
     with pytest.raises(ValueError, match="f must map"):
         run_compact(problem, 1.0, 10, rng_from_seed(0))
     problem.f_exact = None
-    problem.f_sampler = lambda x, rng: float(np.sum(x)) + rng.random()
+    problem.f_sampler = lambda x, rng, draws=None: float(np.sum(x)) + rng.random()
     with pytest.raises(ValueError, match="f must map"):
         run_compact(problem, 1.0, 10, rng_from_seed(0))
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import piecewise_gaussian_quadrature
 
-from ssmd.gaussian import norm_cdf_interval, norm_pdf, rng_from_seed, standard_normals
+from ssmd.gaussian import (norm_cdf_interval, norm_pdf, rng_from_seed, standard_normals,
+                           uniform_open, uniform_pairs)
 from ssmd.solver import block_rows
 from ssmd.utility import (
     AffinePiece,
@@ -207,6 +208,19 @@ def test_f_sampler_shares_one_draw_across_rows(rng):
     assert np.ndim(single) == 0 and single == sampler(stack, rng_from_seed(5))[0]
 
 
+def test_f_sampler_draws_equal_successive_calls(rng):
+    # f_sampler(x, rng, d) is d successive one-draw calls, bit for bit
+    inst = default_instance("test1", reg_weight=100.0)
+    sampler = make_problem(inst, analytic_f=False).f_sampler
+    box = inst.feasible_set
+    stack = np.array([box.project(box.cap * rng.random(100)) for _ in range(4)])
+    for x in (stack, stack[0]):
+        r1, r2 = rng_from_seed(5), rng_from_seed(5)
+        got = np.concatenate([sampler(x, r1, 7), sampler(x, r1, 3)])
+        assert got.shape == (10,) + x.shape[:-1]
+        assert np.array_equal(got, [sampler(x, r2) for _ in range(10)])
+
+
 @pytest.mark.parametrize("inst", [
     default_instance("test1", reg_weight=100.0),
     make_instance("inline", n=1000, cap=1.0, budget=1.0, reg_weight=0.0),
@@ -301,6 +315,23 @@ def test_subgradient_mean_matches_fd(rng):
     se = np.sqrt(np.maximum(sq / n_draws - mean**2, 0.0) / n_draws)
     fd = _fd_grad(lambda v: f_value(inst, v, check_feasible=False), x, 1e-5)
     assert np.all(np.abs(mean - fd) <= 3.0 * se + 1e-4)
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_stacked_fd_grad_equals_per_coordinate_loop(n, rng):
+    # _fd_grad values x +- h e_i in stacks; f_value values each row as if alone
+    inst = make_instance("inline", n=n, cap=1.0, budget=1.0, reg_weight=3.0)
+    x = inst.feasible_set.project(rng.random(n))
+
+    def f(v):
+        return f_value(inst, v, check_feasible=False)
+
+    h, want = 1e-6, np.empty(n)
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        want[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+    assert np.array_equal(_fd_grad(f, x, h), want)
 
 
 def test_grad_matches_fd(rng):
@@ -408,6 +439,14 @@ def test_estimate_constants_matches_per_sample_oracle():
     c_est, nu_est = estimate_constants(inst, 1000, rng_from_seed(3))
     assert abs(c_est - c_max) <= 1e-14 * c_max
     assert abs(nu_est - np.sqrt(noise_sq / 1000)) <= 1e-12 * nu_est
+    # its one draw per block is each sample's rng.random, then uniform_open
+    rng, per_sample = rng_from_seed(3), rng_from_seed(3)
+    for rows in (block_rows(100), 7):
+        corner, u = uniform_pairs(rng, rows, 100)
+        assert corner.shape == u.shape == (rows, 100)
+        for c, v in zip(corner, u):
+            assert np.array_equal(c, per_sample.random(100))
+            assert np.array_equal(v, uniform_open(per_sample, 100))
 
 
 def test_estimate_constants_self_consistent():
