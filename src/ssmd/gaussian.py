@@ -45,21 +45,12 @@ def norm_cdf(x):
     return 0.5 * erfc(-x / _SQRT2)
 
 
-def norm_cdf_interval(lo, hi):
-    """P(lo < Z <= hi) for standard normal Z, computed as one erfc difference.
-
-    Accepts -inf/+inf endpoints; broadcasting follows numpy rules.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return 0.5 * (erfc(lo / _SQRT2) - erfc(hi / _SQRT2))
-
-
 def norm_cells(z):
     """Mass P(z_{j-1} < Z <= z_j) and pdf(z_{j-1}) - pdf(z_j) of the cells cut
     by sorted points z (last axis), outer ends -inf and +inf.  erfc and the pdf
     are evaluated once per point; the ends take the exact limits, so each mass
-    equals :func:`norm_cdf_interval` at the cell's ends, bit for bit."""
+    equals 0.5 * (erfc(lo / sqrt 2) - erfc(hi / sqrt 2)) at the cell's ends
+    (lo, hi), bit for bit."""
     z = np.asarray(z, dtype=float)
     pad = np.zeros(z.shape[:-1] + (1,))
     e = np.concatenate([pad + 2.0, erfc(z / _SQRT2), pad], axis=-1)
@@ -95,9 +86,11 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 
 
 def _poly(coeffs, r):
+    # Horner in place: out * r, then + c, as the out * r + c expression
     out = np.full_like(r, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        out = out * r + c
+        out *= r
+        out += c
     return out
 
 
@@ -113,24 +106,28 @@ def norm_ppf(p):
     out = np.empty_like(p)
 
     central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _poly(_A, r) / _poly(_B, r)
+    qc = q[central]
+    if qc.size:
+        r = 0.180625 - qc * qc
+        out[central] = qc * _poly(_A, r) / _poly(_B, r)
 
-    tail = ~central
-    if np.any(tail):
-        pt = np.where(q[tail] < 0.0, p[tail], 1.0 - p[tail])
+    if qc.size < q.size:
+        tail = ~central
+        qt = q[tail]
+        pt = np.where(qt < 0.0, p[tail], 1.0 - p[tail])
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.sqrt(-np.log(pt))
         near = r <= 5.0
-        val = np.empty_like(r)
-        if np.any(near):
+        if near.all():
+            r -= 1.6
+            val = _poly(_C, r) / _poly(_D, r)
+        else:
+            val = np.empty_like(r)
             rn = r[near] - 1.6
             val[near] = _poly(_C, rn) / _poly(_D, rn)
-        if np.any(~near):
             rf = r[~near] - 5.0
             val[~near] = _poly(_E, rf) / _poly(_F, rf)
-        out[tail] = np.where(q[tail] < 0.0, -val, val)
+        out[tail] = np.where(qt < 0.0, -val, val)
 
     out[(p <= 0.0) | (p >= 1.0)] = np.nan
     return float(out[0]) if scalar else out

@@ -4,8 +4,8 @@ Config files are UTF-8 ``key = value`` lines with ``#`` comments; unknown
 keys are rejected.  Run r of an experiment uses the 64-bit seed
 ``base_seed + r`` (wrapping), so the result is a deterministic function of
 the config alone: re-running a config reproduces the CSV byte for byte,
-and the worker count only changes how runs are scheduled, not the fold
-order of the reduction.
+and the worker count and the batch size only change how runs are scheduled,
+not the fold order of the reduction.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ CONSTANT_SAMPLES = 2000
 _CONSTANTS_SEED_XOR = 0xA5A5A5A5A5A5A5A5
 
 CSV_HEADER = "k,mean_f_avg,stderr_f_avg,mean_f_iter,mean_f_min,bound"
+
+# Runs advanced together by one engine call; caps each batch's (R, n) state
+# and its per-block stacks.  Output does not depend on it.
+BATCH_RUNS = 32
 
 
 class ConfigError(ValueError):
@@ -261,19 +265,21 @@ def build_instance(cfg: ExperimentConfig):
     return default_instance(cfg.instance, reg_weight=cfg.reg_weight)
 
 
-def _mc_run(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Monte-Carlo run; top level so process pools can dispatch it."""
-    cfg, a, seed = args
+def _mc_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(f_avg, f_iter, f_min) of each (a, seed) task of a chunk, in order, from
+    one batch of runs on one instance; top level so process pools can dispatch it."""
+    cfg, tasks = args
     instance = build_instance(cfg)
     problem = make_problem(instance, f_eval_samples=cfg.eval_samples,
                            analytic_f=cfg.analytic_f)
-    rng = rng_from_seed(seed)
+    a_values, seeds = zip(*tasks)
+    rngs = [rng_from_seed(seed) for seed in seeds]
     if cfg.regime == STRONGLY_CONVEX:
-        trace = run_strongly_convex(problem, _SCHEDULES[cfg.schedule](),
-                                    cfg.iterations, rng, seed=seed)
+        traces = run_strongly_convex(problem, _SCHEDULES[cfg.schedule](),
+                                     cfg.iterations, rngs, seed=seeds)
     else:
-        trace = run_compact(problem, a, cfg.iterations, rng, seed=seed)
-    return trace.f_avg, trace.f_iter, trace.f_min
+        traces = run_compact(problem, a_values, cfg.iterations, rngs, seed=seeds)
+    return [(trace.f_avg, trace.f_iter, trace.f_min) for trace in traces]
 
 
 def instance_constants(cfg: ExperimentConfig) -> dict:
@@ -300,62 +306,64 @@ def bound_curve(cfg: ExperimentConfig, a: float, constants: dict) -> np.ndarray:
                               constants["c_est"]**2, constants["nu_est"]**2, 1.0)
 
 
-def run_experiment(cfg: ExperimentConfig, a: Optional[float] = None,
-                   workers: Optional[int] = None,
-                   constants: Optional[dict] = None) -> McSummary:
-    """Execute `runs` independent runs and aggregate, ordered by run index."""
-    a = cfg.a_values[0] if a is None else float(a)
+def _summaries(cfg: ExperimentConfig, a_values, workers: Optional[int]) -> list[McSummary]:
+    """One summary per a, with one set of constants and one reference solution;
+    the (a, seed) tasks of every a run in chunks of at most BATCH_RUNS, and the
+    results come back in task order."""
     workers = cfg.workers if workers is None else int(workers)
     instance = build_instance(cfg)
-    if constants is None:
-        constants = instance_constants(cfg)
+    constants = instance_constants(cfg)
+    f_ref = reference_solution(instance, cfg.reference_tol)[1] \
+        if cfg.compute_reference else None
 
     seeds = [(cfg.base_seed + r) % (1 << 64) for r in range(cfg.runs)]
-    tasks = [(cfg, a, s) for s in seeds]
+    tasks = [(a, s) for a in a_values for s in seeds]
+    size = min(BATCH_RUNS, -(-len(tasks) // workers))
+    chunks = [(cfg, tasks[i:i + size]) for i in range(0, len(tasks), size)]
     if workers > 1:
         # imported here, so a serial run and every other CLI command skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_run, tasks,
-                                    chunksize=max(1, cfg.runs // (4 * workers))))
+            done = list(pool.map(_mc_run, chunks))
     else:
-        results = [_mc_run(t) for t in tasks]
-
-    f_avg = np.vstack([r[0] for r in results])
-    f_iter = np.vstack([r[1] for r in results])
-    f_min = np.vstack([r[2] for r in results])
-    ks = np.arange(cfg.iterations + 1)
-    if cfg.runs > 1:
-        stderr = f_avg.std(axis=0, ddof=1) / np.sqrt(cfg.runs)
-    else:
-        stderr = np.zeros(cfg.iterations + 1)
-
-    metadata = {
-        "config_hash": config_hash(cfg),
-        "a_used": repr(a),
+        done = [_mc_run(chunk) for chunk in chunks]
+    results = [result for chunk in done for result in chunk]
+    shared = {
         "c_est": repr(constants["c_est"]),
         "nu_est": repr(constants["nu_est"]),
         "c_tilde_sq": repr(constants["c_tilde_sq"]),
         "diameter_sq": repr(constants["diameter_sq"]),
         "mu_f": repr(cfg.reg_weight),
         "mu_w": repr(1.0),
+        **instance_metadata(instance),
+        **({} if f_ref is None else {"f_ref": repr(f_ref)}),
+        "config": config_text(cfg),
     }
-    metadata.update(instance_metadata(instance))
-    if cfg.compute_reference:
-        _, f_ref = reference_solution(instance, cfg.reference_tol)
-        metadata["f_ref"] = repr(f_ref)
-    metadata["config"] = config_text(cfg)
+    summaries = []
+    for i, a in enumerate(a_values):
+        # runs stacked in seed order, so the means fold in run order
+        f_avg, f_iter, f_min = (np.vstack(col) for col in
+                                zip(*results[i * cfg.runs:(i + 1) * cfg.runs]))
+        stderr = f_avg.std(axis=0, ddof=1) / np.sqrt(cfg.runs) if cfg.runs > 1 \
+            else np.zeros(cfg.iterations + 1)
+        summaries.append(McSummary(
+            k=np.arange(cfg.iterations + 1), mean_f_avg=f_avg.mean(axis=0),
+            stderr_f_avg=stderr, mean_f_iter=f_iter.mean(axis=0),
+            mean_f_min=f_min.mean(axis=0), bound=bound_curve(cfg, a, constants),
+            metadata={"config_hash": config_hash(cfg), "a_used": repr(a), **shared}))
+    return summaries
 
-    return McSummary(k=ks, mean_f_avg=f_avg.mean(axis=0), stderr_f_avg=stderr,
-                     mean_f_iter=f_iter.mean(axis=0), mean_f_min=f_min.mean(axis=0),
-                     bound=bound_curve(cfg, a, constants), metadata=metadata)
+
+def run_experiment(cfg: ExperimentConfig, a: Optional[float] = None,
+                   workers: Optional[int] = None) -> McSummary:
+    """Execute `runs` independent runs and aggregate, ordered by run index."""
+    return _summaries(cfg, (cfg.a_values[0] if a is None else float(a),), workers)[0]
 
 
 def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None):
-    """run_experiment for every configured a value, in order, with one set of constants."""
-    constants = instance_constants(cfg)
-    return [(a, run_experiment(cfg, a=a, workers=workers, constants=constants))
-            for a in cfg.a_values]
+    """(a, summary) for every configured a value, in order: the runs of every a
+    in one batch, with one set of constants and one reference solution."""
+    return list(zip(cfg.a_values, _summaries(cfg, cfg.a_values, workers)))
 
 
 def _fmt(v: float) -> str:

@@ -93,18 +93,26 @@ def prox_step(mirror_map: MirrorMap, feasible_set, x, g, alpha: float) -> np.nda
 
     For the Euclidean map this is the projection of x - alpha*g onto X; for
     negative entropy on the simplex it is the multiplicative-weights update.
+    Checks its inputs, then calls :func:`prox`.
     """
     x, g = _check_pair(x, g)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if not feasible_set.contains(x, FEAS_TOL):
         raise ValueError("prox step requires a feasible base point")
+    return prox(mirror_map, feasible_set, x, g, alpha)
+
+
+def prox(mirror_map: MirrorMap, feasible_set, x, g, alpha) -> np.ndarray:
+    """The step of :func:`prox_step` without its checks, on one point (n,) or
+    row by row on a stack (m, n): x feasible and finite, g broadcasting to
+    x's shape, alpha positive and a scalar or one per row (m, 1)."""
     if mirror_map.kind == EUCLIDEAN:
         return feasible_set.project(x - alpha * g)
     if getattr(feasible_set, "is_simplex", False):
         logits = np.log(x) - alpha * g
-        y = np.exp(logits - logits.max())
-        return y / y.sum()
+        y = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return y / y.sum(axis=-1, keepdims=True)
     raise ValueError("negative entropy is only paired with a simplex set")
 
 

@@ -5,6 +5,9 @@ its projection clamps componentwise and, when the budget binds, shifts by
 the unique threshold tau >= 0 with sum clip(x - tau, 0, cap) = budget.
 The threshold is found exactly by sorting the 2n kink locations of that
 piecewise-linear sum, so the projection is deterministic to roundoff.
+
+``project`` and ``contains`` take a point (n,) or a stack (m, n): each row is
+projected exactly as if alone, and a stack is contained when every row is.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ import numpy as np
 from .mirror import EUCLIDEAN, MirrorMap
 
 
-def _as_vec(x, n: int) -> np.ndarray:
+def _as_rows(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != n:
-        raise ValueError(f"expected a vector of length {n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"expected a vector of length {n} or a stack of them, "
+                         f"got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise ValueError("non-finite components")
-    return x
+    # C order, so a row sums the same way in a stack as alone
+    return np.ascontiguousarray(x)
 
 
 @dataclass(frozen=True)
@@ -43,33 +48,43 @@ class CappedBox:
             raise ValueError("cap and budget must be positive")
 
     def contains(self, x, tol: float = 0.0) -> bool:
-        x = _as_vec(x, self.n)
+        x = _as_rows(x, self.n)
         return bool(
-            np.all(x >= -tol)
-            and np.all(x <= self.cap + tol)
-            and x.sum() <= self.budget + tol
+            (x >= -tol).all()
+            and (x <= self.cap + tol).all()
+            and (x.sum(axis=-1) <= self.budget + tol).all()
         )
 
     def project(self, x) -> np.ndarray:
-        x = _as_vec(x, self.n)
+        x = _as_rows(x, self.n)
         y = np.clip(x, 0.0, self.cap)
-        if y.sum() <= self.budget:
+        over = (y.sum(axis=-1, keepdims=True) > self.budget).reshape(-1)
+        binding = np.count_nonzero(over)
+        if not binding:
             return y
         # tau lies in [r - cap, r] for r the (q+1)-th largest component,
         # q = floor(budget/cap); solving on x - r clipped to [-cap, cap] keeps
         # huge components from cancelling small ones in the sums.
-        q = min(int(self.budget // self.cap), self.n - 1)
-        r = np.partition(x, self.n - 1 - q)[self.n - 1 - q]
-        s = np.clip(x - r, -self.cap, self.cap)
-        tau = self._budget_tau(s, max(-self.cap, -r))
-        # nudge tau up by doubling ulps if roundoff left the sum a hair over
-        # budget, so the result is exactly feasible and projection is idempotent
-        step = np.spacing(self.cap)
+        n, cap = self.n, self.cap
+        q = min(int(self.budget // cap), n - 1)
+        every = binding == over.size
+        x = x.reshape(-1, n) if every else x[over]
+        r = np.partition(x, n - 1 - q, axis=-1)[:, n - 1 - q]
+        s = np.clip(x - r[:, None], -cap, cap)
+        tau = np.array([self._budget_tau(row, max(-cap, -ri)) for row, ri in zip(s, r)])
+        # nudge a row's tau up by doubling ulps if roundoff left its sum a hair
+        # over budget, so the result is exactly feasible and projection is
+        # idempotent; a row once within budget stays so, hence one step for all
+        step = np.spacing(cap)
         for _ in range(64):
-            p = np.clip(s - tau, 0.0, self.cap)
-            if p.sum() <= self.budget:
-                return p
-            tau += step
+            p = np.clip(s - tau[:, None], 0.0, cap)
+            high = p.sum(axis=-1) > self.budget
+            if not np.count_nonzero(high):
+                if every:
+                    return p.reshape(y.shape)
+                y[over] = p
+                return y
+            tau[high] += step
             step *= 2.0
         raise ArithmeticError("capped-box projection stayed over budget")
 
@@ -87,7 +102,9 @@ class CappedBox:
             above_c = tail[idx_c] - (ts + self.cap) * (self.n - idx_c)
             return above - above_c
 
-        kinks = np.unique(np.concatenate([x, x - self.cap]))
+        # sorted with ties kept: equal t give equal h, so the first crossing is
+        # the first of its ties and its left neighbour is the same as unique's
+        kinks = np.sort(np.concatenate([x, x - self.cap]))
         ts = np.concatenate([[t0], kinks[kinks > t0]])
         vals = h(ts)
         i = int(np.argmax(vals <= self.budget))
@@ -116,38 +133,18 @@ class Simplex:
             raise ValueError("n must be a positive integer")
 
     def contains(self, x, tol: float = 0.0) -> bool:
-        x = _as_vec(x, self.n)
-        return bool(np.all(x >= -tol) and abs(x.sum() - 1.0) <= tol)
+        x = _as_rows(x, self.n)
+        return bool((x >= -tol).all() and (np.abs(x.sum(axis=-1) - 1.0) <= tol).all())
 
     def project(self, x) -> np.ndarray:
-        x = _as_vec(x, self.n)
-        u = np.sort(x)[::-1]
-        css = np.cumsum(u) - 1.0
+        x = _as_rows(x, self.n)
+        u = np.sort(x, axis=-1)[..., ::-1]
+        css = np.cumsum(u, axis=-1) - 1.0
         ind = np.arange(1, self.n + 1)
-        rho = ind[u - css / ind > 0][-1]
-        theta = css[rho - 1] / rho
+        # rho: the last index where the condition holds
+        rho = self.n - np.argmax((u - css / ind > 0)[..., ::-1], axis=-1)[..., None]
+        theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
         return np.maximum(x - theta, 0.0)
-
-
-def project_bisection(feasible_set: CappedBox, x, tol: float = 1e-12) -> np.ndarray:
-    """Reference capped-box projection with a bisected budget threshold.
-
-    Independent of the breakpoint-sort path in :meth:`CappedBox.project`;
-    used as a cross-check oracle.
-    """
-    x = _as_vec(x, feasible_set.n)
-    cap, budget = feasible_set.cap, feasible_set.budget
-    y = np.clip(x, 0.0, cap)
-    if y.sum() <= budget:
-        return y
-    lo, hi = 0.0, float(x.max())
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if np.clip(x - mid, 0.0, cap).sum() > budget:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(x - 0.5 * (lo + hi), 0.0, cap)
 
 
 def bregman_diameter_sq(feasible_set, mirror_map: MirrorMap) -> float:

@@ -5,6 +5,8 @@ schedule by 1/mu_f and requires a mirror map with the quadratic upper
 bound, and the compact-set engine with the a/sqrt(k+1) schedule.  Both
 maintain the 1/alpha-weighted running average and record a per-iteration
 trace.  A uniform-averaging baseline shares the compact engine's iterates.
+One engine serves all three: it advances a stack of runs, one row per run,
+and a single run is a batch of one.
 
 The rate-bound calculators evaluate the guarantees the engines are tested
 against:
@@ -29,8 +31,8 @@ import numpy as np
 
 from .averaging import AverageState
 from .gaussian import rng_from_seed
-from .mirror import FEAS_TOL, MirrorMap, prox_step
-from .stepsizes import InverseSqrtStepsize
+from .mirror import FEAS_TOL, MirrorMap, prox, prox_step  # noqa: F401 (re-exported)
+from .stepsizes import InverseSqrtStepsize, schedule_alphas
 
 
 def block_rows(n: int) -> int:
@@ -47,12 +49,14 @@ def no_noise(rng: np.random.Generator, rows: int) -> np.ndarray:
 class ProblemHandle:
     """Everything an engine needs to run on one problem instance.
 
-    noise(rng, rows) draws the oracle noise of `rows` iterations, one row per
-    iteration, and oracle(x, xi) returns the stochastic subgradient at x for
-    one such row.  f_exact maps a stack of points (..., n) to one value per
-    point (...).  f_sampler(x, rng, draws=None) returns one sample of f per
-    point (...) from one draw shared by every point, or with draws = d the
-    samples of d successive such draws (d, ...), equal to d calls bit for bit."""
+    noise(rng, rows) draws one run's oracle noise of `rows` iterations, one
+    row per iteration; oracle(x, xi) returns the stochastic subgradients at a
+    stack of points x (R, n), one per run, given each run's noise row xi (R, d),
+    or one (n,) for every point.  f_exact maps a stack of points (..., n) to
+    one value per point (...).  f_sampler(x, rng, draws=None) returns one
+    sample of f per point (...) from one draw shared by every point, or with
+    draws = d the samples of d successive such draws (d, ...), equal to d
+    calls bit for bit."""
 
     oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
     feasible_set: object
@@ -112,104 +116,120 @@ def _checked(values, shape: tuple):
     return values
 
 
-def _run(problem: ProblemHandle, alpha_fn, step_scale: float, num_iterations: int,
-         rng: np.random.Generator, seed: Optional[int], uniform_average: bool) -> RunTrace:
+def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
+         num_iterations: int, rng, seed, uniform_average: bool):
+    """The runs of a batch, advanced together: row i of the (R, n) state is run
+    i, with its own generator and its own column of alphas (K+1, R).  Returns
+    one RunTrace, or a list of R of them when rng is a list."""
+    if num_iterations < 1:
+        raise ValueError("num_iterations must be positive")
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    seeds = [seed] if single else [None] * len(rngs) if seed is None else list(seed)
+    if len(seeds) != len(rngs):
+        raise ValueError("need one seed per generator")
     set_ = problem.feasible_set
-    mmap = problem.mirror_map
-    x = np.asarray(problem.x0, dtype=float)
-    if not set_.contains(x, FEAS_TOL):
-        raise ValueError("initial point is infeasible")
+    x0 = np.asarray(problem.x0, dtype=float)
+    if x0.ndim != 1 or not set_.contains(x0, FEAS_TOL):
+        raise ValueError("the initial point must be one feasible point (n,)")
+    alphas = np.broadcast_to(alphas, (num_iterations + 1, len(rngs)))
+    if not np.all((alphas > 0.0) & (alphas < np.inf)):
+        raise ValueError("stepsizes must be positive and finite")
+    steps = alphas[..., None] * step_scale
 
     f, meta = _f_evaluator(problem)
     m = num_iterations + 1
-    n = x.shape[0]
-    # x_k and x_hat_k are copied into a block of B iterations, and f and the
-    # distances are evaluated once per block on its (2B, n) stack; the oracle
-    # noise of the block's iterations is drawn in one call at its start
+    x = np.tile(x0, (len(rngs), 1))
+    runs, n = x.shape
+    # x_k and x_hat_k of every run are copied into a block of B iterations,
+    # where f, the distances and feasibility are checked once on the block's
+    # (B, 2, R) stack of points; each run's oracle noise of the block's
+    # iterations is drawn from its stream in one call at the block's start
     rows = block_rows(n)
-    block = np.empty((rows, 2, n))
-    f_vals = np.full((m, 2), np.nan)
+    block = np.empty((rows, 2, runs, n))
+    f_vals = np.full((m, 2, runs), np.nan)
     x_star = None if problem.x_star is None else np.asarray(problem.x_star, dtype=float)
-    dist = None if x_star is None else np.empty((m, 2))
+    dist = None if x_star is None else np.empty((m, 2, runs))
 
     state = AverageState.empty()
     run_sum = np.zeros_like(x)
-    x_hat = x
     for k in range(m):
-        a_k = float(alpha_fn(k))
         if uniform_average:
             run_sum = run_sum + x
             x_hat = run_sum / (k + 1)
         else:
-            state = state.absorb(x, a_k)
+            state = state.absorb(x, alphas[k])
             x_hat = state.x_hat
         j = k % rows
         block[j, 0] = x
         block[j, 1] = x_hat
         if j == rows - 1 or k == num_iterations:
             done = block[:j + 1]
+            if not set_.contains(done[:, 0].reshape(-1, n), FEAS_TOL):
+                raise ArithmeticError("an iterate left the feasible set")
             if f is not None:
                 points = done.reshape(-1, n)
-                f_vals[k - j:k + 1] = _checked(f(points), points.shape[:1]).reshape(-1, 2)
+                f_vals[k - j:k + 1] = _checked(f(points), points.shape[:1]).reshape(-1, 2, runs)
             if dist is not None:
                 dist[k - j:k + 1] = np.sum((done - x_star) ** 2, axis=-1)
         if k < num_iterations:
             if j == 0:
-                xi = problem.noise(rng, min(rows, num_iterations - k))
-            x = prox_step(mmap, set_, x, problem.oracle(x, xi[j]), a_k * step_scale)
+                count = min(rows, num_iterations - k)
+                xi = np.stack([problem.noise(r, count) for r in rngs], axis=1)
+            g = problem.oracle(x, xi[j])
+            if k == 0 and np.shape(g) not in (x.shape, x.shape[1:]):
+                raise ValueError(f"the oracle must return one subgradient per point, or "
+                                 f"one for all, got shape {np.shape(g)} for points {x.shape}")
+            x = prox(problem.mirror_map, set_, x, g, steps[k])
 
-    f_iter, f_avg = f_vals.T.copy()
-    dist_iter, dist_avg = (None, None) if dist is None else dist.T.copy()
-    return RunTrace(
+    traces = [RunTrace(
         k=np.arange(m),
-        f_iter=f_iter,
-        f_avg=f_avg,
-        f_min=np.minimum.accumulate(f_iter),
-        dist_iter_sq=dist_iter,
-        dist_avg_sq=dist_avg,
-        x_hat_final=x_hat.copy(),
-        seed=seed,
-        meta=meta,
-    )
+        f_iter=f_vals[:, 0, i].copy(),
+        f_avg=f_vals[:, 1, i].copy(),
+        f_min=np.minimum.accumulate(f_vals[:, 0, i]),
+        dist_iter_sq=None if dist is None else dist[:, 0, i].copy(),
+        dist_avg_sq=None if dist is None else dist[:, 1, i].copy(),
+        x_hat_final=x_hat[i].copy(),
+        seed=seeds[i],
+        meta=dict(meta),
+    ) for i in range(runs)]
+    return traces[0] if single else traces
 
 
 def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int,
-                        rng: np.random.Generator, seed: Optional[int] = None) -> RunTrace:
-    """Run the strongly convex engine: prox steps of size alpha_k / mu_f."""
+                        rng, seed=None):
+    """Run the strongly convex engine: prox steps of size alpha_k / mu_f.
+
+    rng is one generator, or a list of them for a batch of runs sharing the
+    schedule (seed then None or one per generator)."""
     if problem.mu_f <= 0.0:
         raise ValueError("the strongly convex engine requires mu_f > 0")
     if not problem.mirror_map.satisfies_quadratic_upper_bound:
         raise ValueError("the strongly convex engine requires the quadratic upper bound")
     if isinstance(schedule, InverseSqrtStepsize):
         raise ValueError("a/sqrt(k+1) is not certified for the strongly convex engine")
-    if num_iterations < 1:
-        raise ValueError("num_iterations must be positive")
-    return _run(problem, schedule.alpha, 1.0 / problem.mu_f, num_iterations, rng, seed,
+    alphas = schedule_alphas(schedule, max(num_iterations, 0))[:, None]
+    return _run(problem, alphas, 1.0 / problem.mu_f, num_iterations, rng, seed,
                 uniform_average=False)
 
 
-def run_compact(problem: ProblemHandle, a: float, num_iterations: int,
-                rng: np.random.Generator, seed: Optional[int] = None) -> RunTrace:
-    """Run the compact-set engine with alpha_k = a/sqrt(k+1)."""
+def run_compact(problem: ProblemHandle, a, num_iterations: int, rng, seed=None,
+                uniform_average: bool = False):
+    """Run the compact-set engine with alpha_k = a/sqrt(k+1), which for run i
+    equals InverseSqrtStepsize(a_i).alphas(K) bit for bit.
+
+    rng is one generator, or a list of them for a batch of runs, with one a
+    for all of them or one per generator (seed then None or one per generator)."""
     if not getattr(problem.feasible_set, "is_bounded", False):
         raise ValueError("the compact engine requires a bounded feasible set")
-    if num_iterations < 1:
-        raise ValueError("num_iterations must be positive")
-    sched = InverseSqrtStepsize(a)
-    return _run(problem, sched.alpha, 1.0, num_iterations, rng, seed,
-                uniform_average=False)
+    alphas = np.asarray(a, dtype=float) / np.sqrt(np.arange(num_iterations + 1) + 1.0)[:, None]
+    return _run(problem, alphas, 1.0, num_iterations, rng, seed, uniform_average)
 
 
-def run_baseline_uniform(problem: ProblemHandle, a: float, num_iterations: int,
-                         rng: np.random.Generator, seed: Optional[int] = None) -> RunTrace:
-    """Compact-engine iterates with a plain arithmetic-mean average."""
-    if not getattr(problem.feasible_set, "is_bounded", False):
-        raise ValueError("the compact engine requires a bounded feasible set")
-    if num_iterations < 1:
-        raise ValueError("num_iterations must be positive")
-    sched = InverseSqrtStepsize(a)
-    return _run(problem, sched.alpha, 1.0, num_iterations, rng, seed,
-                uniform_average=True)
+def run_baseline_uniform(problem: ProblemHandle, a, num_iterations: int, rng, seed=None):
+    """Compact-engine iterates with a plain arithmetic-mean average; rng, a and
+    seed as in :func:`run_compact`."""
+    return run_compact(problem, a, num_iterations, rng, seed, uniform_average=True)
 
 
 def combined_second_moment(grad_bound_sq: float, noise_var: float,

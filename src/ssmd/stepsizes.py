@@ -14,8 +14,6 @@ numerically, reporting violations rather than trusting the algebra.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 ABS_SLACK = 1e-12
@@ -41,30 +39,31 @@ class TsengStepsize:
 class NesterovStepsize:
     """Recursive schedule; memoized so alpha(k) is O(1) amortized.
 
-    The memo only ever grows and entries are appended after being fully
-    computed, so concurrent readers observe identical values.
+    An extension builds a new list and then replaces the memo, and a caller
+    reads from the list it was handed, so a reader never sees a list being
+    extended and every list holds the same values.
     """
 
     def __init__(self):
         self._memo = [1.0]
-        self._lock = threading.Lock()
 
-    def _extend(self, k: int):
-        with self._lock:
-            while len(self._memo) <= k:
-                a = self._memo[-1]
-                self._memo.append(0.5 * (np.sqrt(a**4 + 4.0 * a**2) - a**2))
+    def _table(self, k: int) -> list:
+        memo = self._memo
+        if len(memo) <= k:
+            memo = list(memo)
+            while len(memo) <= k:
+                a = memo[-1]
+                memo.append(0.5 * (np.sqrt(a**4 + 4.0 * a**2) - a**2))
+            self._memo = memo
+        return memo
 
     def alpha(self, k: int) -> float:
         if k < 0:
             raise ValueError("k must be nonnegative")
-        if k >= len(self._memo):
-            self._extend(k)
-        return self._memo[k]
+        return self._table(k)[k]
 
     def alphas(self, k_max: int) -> np.ndarray:
-        self._extend(k_max)
-        return np.array(self._memo[: k_max + 1])
+        return np.array(self._table(k_max)[: k_max + 1])
 
     def __repr__(self):
         return "NesterovStepsize()"

@@ -243,8 +243,8 @@ def f_value(instance: UtilityInstance, x, check_feasible: bool = True):
     """Exact objective value via the closed-form Gaussian integral, for one
     point (n,) or per row of a stack (..., n), each row as if alone."""
     x = np.asarray(x, dtype=float)
-    if check_feasible and not all(instance.feasible_set.contains(row, F_FEAS_TOL)
-                                  for row in x.reshape(-1, instance.n)):
+    if check_feasible and not instance.feasible_set.contains(x.reshape(-1, instance.n),
+                                                             F_FEAS_TOL):
         raise ValueError("x is infeasible")
     mu, sigma, reg = _moments(instance, x)
     out = expected_phi_gaussian(instance.envelope, mu, sigma) + reg
@@ -286,39 +286,6 @@ def stochastic_subgradient(instance: UtilityInstance, x,
     if not instance.feasible_set.contains(x, F_FEAS_TOL):
         raise ValueError("x is infeasible")
     return _subgradient(instance, x, instance.coeffs + standard_normals(rng, instance.n))
-
-
-def mc_estimate_f(instance: UtilityInstance, x, n_samples: int,
-                  rng: np.random.Generator) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, stderr) of f using the scalar reduction
-    (a + xi)'x ~ N(a'x, ||x||^2)."""
-    mu, sigma, reg = _moments(instance, np.asarray(x, dtype=float))
-    vals = phi(instance.envelope, mu + sigma * standard_normals(rng, n_samples))
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
-    return float(vals.mean()) + reg, stderr
-
-
-def mc_estimate_f_dense(instance: UtilityInstance, x, n_samples: int,
-                        rng: np.random.Generator,
-                        batch: int = 20_000) -> tuple[float, float]:
-    """Monte-Carlo estimate drawing full xi vectors (validates the scalar
-    reduction in :func:`mc_estimate_f`); slower, for tests."""
-    x = np.asarray(x, dtype=float)
-    mu, _, reg = _moments(instance, x)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        xi = standard_normals(rng, (b, instance.n))
-        t = xi @ x + mu
-        vals = phi(instance.envelope, t)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += b
-    mean = total / n_samples
-    var = (total_sq - n_samples * mean * mean) / (n_samples - 1)
-    return mean + reg, float(np.sqrt(max(var, 0.0) / n_samples))
 
 
 def _fd_grad(f, x: np.ndarray, h: float) -> np.ndarray:
@@ -386,7 +353,7 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
     """Empirical (C, nu): max deterministic-subgradient norm over uniformly
     sampled feasible points, and the RMS noise norm of the stochastic oracle.
     Each sample draws its point, then its oracle noise, as one oracle call
-    would; the gradients are computed per block of samples."""
+    would; points are projected and gradients computed per block of samples."""
     if sample_count < 1000:
         raise ValueError("sample_count must be at least 1000")
     set_, n = instance.feasible_set, instance.n
@@ -394,7 +361,7 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
     c_sq = noise_sq = 0.0
     for start in range(0, sample_count, rows):
         corner, u = uniform_pairs(rng, min(rows, sample_count - start), n)
-        x = np.array([set_.project(set_.cap * c) for c in corner])
+        x = set_.project(set_.cap * corner)
         g = grad_f(instance, x)
         d = _subgradient(instance, x, instance.coeffs + norm_ppf(u)) - g
         c_sq = max(c_sq, float(np.max(np.sum(g * g, axis=-1))))

@@ -1,7 +1,8 @@
 """Shared oracle helpers for the test suite.
 
-Everything here is deliberately independent of the library's computation
-paths: brute-force grids, vertex enumeration, quadrature, and direct sums.
+Each helper is independent of the library path it checks: brute-force grids,
+vertex enumeration, quadrature, direct sums, a bisected projection threshold,
+and Monte-Carlo estimates of f.
 """
 
 import itertools
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ssmd.gaussian import rng_from_seed
+from ssmd.gaussian import erfc, rng_from_seed, standard_normals
+from ssmd.utility import _moments, phi
 
 
 @pytest.fixture
@@ -102,3 +104,58 @@ def kkt_residual_capped_box(cap, budget, x, p):
     res = max(res, p.sum() - budget)
     res = max(res, tau * max(0.0, budget - p.sum()) / max(1.0, budget))
     return res
+
+
+def project_bisection(feasible_set, x, tol: float = 1e-12) -> np.ndarray:
+    """Reference capped-box projection with a bisected budget threshold,
+    independent of the breakpoint-sort path of CappedBox.project."""
+    x = np.asarray(x, dtype=float)
+    cap, budget = feasible_set.cap, feasible_set.budget
+    y = np.clip(x, 0.0, cap)
+    if y.sum() <= budget:
+        return y
+    lo, hi = 0.0, float(x.max())
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if np.clip(x - mid, 0.0, cap).sum() > budget:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(x - 0.5 * (lo + hi), 0.0, cap)
+
+
+def norm_cdf_interval(lo, hi):
+    """P(lo < Z <= hi) for standard normal Z, as one erfc difference;
+    -inf/+inf endpoints allowed, broadcasting as numpy does."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    return 0.5 * (erfc(lo / np.sqrt(2.0)) - erfc(hi / np.sqrt(2.0)))
+
+
+def mc_estimate_f(instance, x, n_samples, rng):
+    """Monte-Carlo estimate (mean, stderr) of f using the scalar reduction
+    (a + xi)'x ~ N(a'x, ||x||^2)."""
+    mu, sigma, reg = _moments(instance, np.asarray(x, dtype=float))
+    vals = phi(instance.envelope, mu + sigma * standard_normals(rng, n_samples))
+    stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
+    return float(vals.mean()) + reg, stderr
+
+
+def mc_estimate_f_dense(instance, x, n_samples, rng, batch=20_000):
+    """Monte-Carlo estimate (mean, stderr) of f drawing full xi vectors, which
+    validates the scalar reduction of mc_estimate_f."""
+    x = np.asarray(x, dtype=float)
+    mu, _, reg = _moments(instance, x)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        b = min(batch, n_samples - done)
+        xi = standard_normals(rng, (b, instance.n))
+        vals = phi(instance.envelope, xi @ x + mu)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += b
+    mean = total / n_samples
+    var = (total_sq - n_samples * mean * mean) / (n_samples - 1)
+    return mean + reg, float(np.sqrt(max(var, 0.0) / n_samples))

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import capped_box_vertices, kkt_residual_capped_box
+from conftest import capped_box_vertices, kkt_residual_capped_box, mc_estimate_f
 
 from ssmd.averaging import AverageState
 from ssmd.gaussian import rng_from_seed
@@ -41,7 +41,6 @@ from ssmd.utility import (
     estimate_constants,
     expected_phi_gaussian,
     f_value,
-    mc_estimate_f,
     reference_solution,
 )
 from ssmd import cli
@@ -170,14 +169,10 @@ def c6_runs():
     t0 = time.perf_counter()
     out = {}
     for name, sched_cls in (("tseng", TsengStepsize), ("nesterov", NesterovStepsize)):
-        gap, davg, diter = [], [], []
-        for r in range(N_SEEDS):
-            tr = run_strongly_convex(c6_problem(), sched_cls(), K_RUN,
-                                     rng_from_seed(BASE_SEED + r))
-            gap.append(tr.f_avg)
-            davg.append(tr.dist_avg_sq)
-            diter.append(tr.dist_iter_sq)
-        out[name] = (np.vstack(gap), np.vstack(davg), np.vstack(diter))
+        traces = run_strongly_convex(c6_problem(), sched_cls(), K_RUN,
+                                     [rng_from_seed(BASE_SEED + r) for r in range(N_SEEDS)])
+        out[name] = tuple(np.vstack([getattr(tr, col) for tr in traces])
+                          for col in ("f_avg", "dist_avg_sq", "dist_iter_sq"))
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -247,13 +242,10 @@ def c7_runs():
         d_sq, c_sq, nu_sq = c7_constants(setup)
         a_star = optimal_stepsize_scale(np.sqrt(d_sq), c_sq, nu_sq, 1.0)
         for a_label, a in (("a_star", a_star), ("a_one", 1.0)):
-            gap, fmin = [], []
-            for r in range(N_SEEDS):
-                tr = run_compact(c7_problem(setup), a, K_RUN,
-                                 rng_from_seed(BASE_SEED + r))
-                gap.append(tr.f_avg)
-                fmin.append(tr.f_min)
-            out[(name, a_label)] = (np.vstack(gap), np.vstack(fmin), a)
+            traces = run_compact(c7_problem(setup), a, K_RUN,
+                                 [rng_from_seed(BASE_SEED + r) for r in range(N_SEEDS)])
+            out[(name, a_label)] = (np.vstack([tr.f_avg for tr in traces]),
+                                    np.vstack([tr.f_min for tr in traces]), a)
     out["elapsed"] = time.perf_counter() - t0
     return out
 

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import norm_cdf_interval
 from scipy.integrate import quad
 
 import ssmd
+from ssmd import gaussian
 from ssmd.gaussian import (
     erfc,
     norm_cdf,
-    norm_cdf_interval,
     norm_pdf,
     norm_ppf,
     rng_from_seed,
@@ -98,3 +99,47 @@ def test_normal_moments():
     assert abs(z.mean()) < 0.01
     assert abs(z.var() - 1.0) < 0.01
     assert abs(np.mean(np.abs(z)) - np.sqrt(2 / np.pi)) < 0.01
+
+
+def norm_ppf_with_temporaries(p):
+    """AS 241 as it was written before its Horner steps ran in place."""
+    def poly(coeffs, r):
+        out = np.full_like(r, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            out = out * r + c
+        return out
+
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] * q[central]
+        out[central] = q[central] * poly(gaussian._A, r) / poly(gaussian._B, r)
+    tail = ~central
+    if np.any(tail):
+        pt = np.where(q[tail] < 0.0, p[tail], 1.0 - p[tail])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.sqrt(-np.log(pt))
+        near = r <= 5.0
+        val = np.empty_like(r)
+        if np.any(near):
+            rn = r[near] - 1.6
+            val[near] = poly(gaussian._C, rn) / poly(gaussian._D, rn)
+        if np.any(~near):
+            rf = r[~near] - 5.0
+            val[~near] = poly(gaussian._E, rf) / poly(gaussian._F, rf)
+        out[tail] = np.where(q[tail] < 0.0, -val, val)
+    out[(p <= 0.0) | (p >= 1.0)] = np.nan
+    return out
+
+
+def test_ppf_equals_formula_with_temporaries():
+    u = uniform_open(rng_from_seed(31), 100_000)
+    edges = np.array([1e-300, np.nextafter(0.075, 0.0), 0.075, np.nextafter(0.075, 1.0),
+                      0.925, 1.0 - 1e-16, 0.0, 1.0])
+    with np.errstate(invalid="ignore"):  # p = 0 and 1 give inf / inf
+        for p in (u, edges, u[np.abs(u - 0.5) <= 0.425], u[np.abs(u - 0.5) > 0.425]):
+            assert np.array_equal(norm_ppf(p), norm_ppf_with_temporaries(p), equal_nan=True)
+        assert np.isnan(norm_ppf(edges[-2:])).all()
+    assert norm_ppf(0.3) == norm_ppf_with_temporaries(0.3)[0]

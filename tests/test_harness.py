@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ssmd import harness
 from ssmd.gaussian import rng_from_seed
 from ssmd.harness import (
     CSV_HEADER,
@@ -12,11 +13,12 @@ from ssmd.harness import (
     parse_config,
     parse_csv,
     run_experiment,
+    sweep_a,
     verify_suite,
 )
 from ssmd.solver import run_compact
-from ssmd.utility import make_problem
-from ssmd.harness import build_instance
+from ssmd.utility import make_problem, reference_solution
+from ssmd.harness import _mc_run as mc_run, build_instance
 
 SMALL = """
 regime = compact
@@ -205,3 +207,59 @@ def test_verify_suite_flags_faulty_schedule():
     res = [r for r in results if r.name == "step_condition[faulty]"][0]
     assert not res.passed
     assert res.first_violation == 0  # alpha_0 != 1
+
+
+DETERMINISM_CONFIGS = [
+    pytest.param("regime = strongly_convex\ninstance = test1\nlambda = 100\n"
+                 "iterations = 12\nruns = 20\nseed = 5\n", id="strongly-convex-20-runs"),
+    pytest.param("regime = compact\ninstance = test1\na = 1, 10, 30\n"
+                 "iterations = 12\nruns = 5\nseed = 5\n", id="compact-3-a"),
+]
+
+
+def experiment_bytes(cfg, tmp_path, workers, tag):
+    out = []
+    for i, (_, summary) in enumerate(sweep_a(cfg, workers=workers)):
+        path = tmp_path / f"{tag}_{i}.csv"
+        emit_csv(summary, path)
+        out.append((path.read_bytes(), (tmp_path / f"{tag}_{i}.csv.meta").read_bytes()))
+    return out
+
+
+@pytest.mark.parametrize("text", DETERMINISM_CONFIGS)
+def test_output_independent_of_workers_and_batch(text, tmp_path, monkeypatch):
+    # the CSV and .meta bytes do not depend on how the (a, seed) tasks are
+    # split into batches or spread over worker processes
+    cfg = parse_config(text)
+    runs = []
+
+    def counting(args):
+        runs.append(len(args[1]))
+        return mc_run(args)
+
+    monkeypatch.setattr(harness, "_mc_run", counting)
+    want = experiment_bytes(cfg, tmp_path, 1, "serial")
+    for batch in (1, 7, len(cfg.a_values) * cfg.runs):
+        monkeypatch.setattr(harness, "BATCH_RUNS", batch)
+        runs.clear()
+        assert experiment_bytes(cfg, tmp_path, 1, f"b{batch}") == want
+        assert max(runs) == batch and sum(runs) == len(cfg.a_values) * cfg.runs
+    monkeypatch.undo()
+    for workers in (2, 3):
+        assert experiment_bytes(cfg, tmp_path, workers, f"w{workers}") == want
+
+
+def test_reference_solved_once_per_config(monkeypatch):
+    cfg = parse_config("regime = compact\ninstance = test1\nlambda = 100\na = 1, 10, 30\n"
+                       "iterations = 3\nruns = 2\ncompute_reference = true\n")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reference_solution(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "reference_solution", counting)
+    summaries = sweep_a(cfg)
+    assert len(calls) == 1
+    want = repr(reference_solution(build_instance(cfg), cfg.reference_tol)[1])
+    assert [s.metadata["f_ref"] for _, s in summaries] == [want] * 3

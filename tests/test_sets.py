@@ -8,10 +8,11 @@ from conftest import (
     grid_argmin_distance,
     kkt_residual_capped_box,
     max_pairwise_sq_distance,
+    project_bisection,
 )
 
 from ssmd.mirror import MirrorMap
-from ssmd.sets import CappedBox, Simplex, bregman_diameter_sq, project_bisection
+from ssmd.sets import CappedBox, Simplex, bregman_diameter_sq
 
 EU = MirrorMap.euclidean()
 
@@ -189,3 +190,97 @@ def test_diameter_preconditions():
         bregman_diameter_sq(CappedBox(100, 10.0, 10.0), MirrorMap.negative_entropy())
     assert bregman_diameter_sq(Simplex(3), EU) == 1.0
     assert bregman_diameter_sq(Simplex(1), EU) == 0.0
+
+
+def budget_tau_with_unique(box, x, t0):
+    """The threshold search with its kinks deduplicated by np.unique, as the
+    search was written before it kept ties."""
+    xs = np.sort(x)
+    tail = np.concatenate([(xs[::-1].cumsum())[::-1], [0.0]])
+
+    def h(ts):
+        idx = np.searchsorted(xs, ts, side="right")
+        above = tail[idx] - ts * (box.n - idx)
+        idx_c = np.searchsorted(xs, ts + box.cap, side="right")
+        above_c = tail[idx_c] - (ts + box.cap) * (box.n - idx_c)
+        return above - above_c
+
+    kinks = np.unique(np.concatenate([x, x - box.cap]))
+    ts = np.concatenate([[t0], kinks[kinks > t0]])
+    vals = h(ts)
+    i = int(np.argmax(vals <= box.budget))
+    if i == 0:
+        return float(ts[0])
+    lo, hi = ts[i - 1], ts[i]
+    vlo, vhi = vals[i - 1], vals[i]
+    if vhi == vlo:
+        return float(hi)
+    return float(lo + (vlo - box.budget) * (hi - lo) / (vlo - vhi))
+
+
+def test_budget_tau_with_ties_equals_unique_kinks(rng):
+    # rounded inputs make ties among x_i and between x_i and x_j - cap
+    checked = 0
+    for _ in range(2000):
+        n = int(rng.choice([2, 3, 7, 20, 100]))
+        cap = float(rng.choice([0.5, 1.0, 2.0]))
+        budget = cap * float(rng.uniform(0.3, n))
+        box = CappedBox(n, cap, budget)
+        x = np.round(rng.uniform(-1.0, 3.0, n) * cap, int(rng.integers(0, 3)))
+        if np.clip(x, 0.0, cap).sum() <= budget:
+            continue
+        q = min(int(budget // cap), n - 1)
+        r = np.partition(x, n - 1 - q)[n - 1 - q]
+        s = np.clip(x - r, -cap, cap)
+        t0 = max(-cap, -r)
+        assert box._budget_tau(s, t0) == budget_tau_with_unique(box, s, t0)
+        checked += 1
+    assert checked > 500
+
+
+def random_rows(rng, m, n, cap, budget):
+    """m rows mixing slack, binding, tied and huge-magnitude points."""
+    rows = rng.uniform(-0.5, 1.5, (m, n)) * cap
+    rows[::4] = rng.uniform(-0.5, 1.0, (len(rows[::4]), n)) * min(cap, budget) / n  # slack
+    rows[1::4] = np.round(rows[1::4] * 2.0) / 2.0 * 3.0        # ties, binding
+    rows[2::4] = np.sign(rng.standard_normal((len(rows[2::4]), n))) \
+        * 10.0 ** rng.uniform(-3, 300, (len(rows[2::4]), n))   # up to 1e300
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 1000])
+def test_stacked_project_equals_rows(rng, n):
+    for cap, budget in ((1.0, 0.7), (1.0, 1.0), (2.5, 0.3 * n + 1.0)):
+        box = CappedBox(n, cap, budget)
+        stack = random_rows(rng, 13, n, cap, budget)
+        binding = np.clip(stack, 0.0, cap).sum(axis=-1) > budget
+        assert (binding.any() or budget >= n * cap) and not binding.all()
+        got = box.project(stack)
+        assert got.shape == stack.shape
+        for row, p in zip(stack, got):
+            assert np.array_equal(p, box.project(row))
+        assert box.contains(got, 0.0)
+        assert box.contains(stack[:1] * 0.0) and not box.contains(stack)
+        assert np.array_equal(box.project(stack[3:4]), box.project(stack[3])[None])
+
+
+def test_stacked_project_rejects_non_finite():
+    box = CappedBox(3, 1.0, 1.0)
+    stack = np.zeros((4, 3))
+    stack[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        box.project(stack)
+    stack[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        box.project(stack)
+    with pytest.raises(ValueError):
+        box.project(np.zeros((2, 2, 3)))
+
+
+def test_stacked_simplex_equals_rows(rng):
+    sim = Simplex(5)
+    stack = rng.standard_normal((9, 5)) * 2
+    got = sim.project(stack)
+    for row, p in zip(stack, got):
+        assert np.array_equal(p, sim.project(row))
+    assert sim.contains(got, 1e-12) and not sim.contains(stack, 1e-12)

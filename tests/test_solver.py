@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import project_bisection
 
 from ssmd.averaging import AverageState
 from ssmd.gaussian import rng_from_seed, standard_normals
 from ssmd.mirror import MirrorMap, prox_step
-from ssmd.sets import CappedBox, project_bisection
+from ssmd.sets import CappedBox
 from ssmd.solver import (
     ProblemHandle,
     block_rows,
@@ -203,16 +204,18 @@ def test_seeded_noise_determinism():
 def test_euclidean_reduction_cross_check():
     # every prox step equals the bisection projection of x_k - alpha_k g_k, and
     # every iterate and average is feasible; 200 steps, recorded from the
-    # oracle's inputs and outputs of a run one step longer
+    # oracle's inputs and outputs of a run one step longer (row 0 of the
+    # engine's stack of runs, the only run)
     box = CappedBox(2, 1.0, 1.2)
     problem = l1_problem([0.2, 0.6], box, [0.0, 0.0], noise_halfwidth=1.0)
     xs, gs = [], []
     oracle = problem.oracle
 
     def recording(x, xi):
-        xs.append(np.array(x))
-        gs.append(oracle(x, xi))
-        return gs[-1]
+        g = oracle(x, xi)
+        xs.append(np.array(x[0]))
+        gs.append(np.array(g[0]))
+        return g
 
     run_compact(replace(problem, oracle=recording), 0.7, 201, rng_from_seed(3))
     state = AverageState.empty()
@@ -301,12 +304,13 @@ def test_eval_mask_beyond_1000():
 
 def replay_iterates(problem, a, num_iterations):
     """x_k and x_hat_k, k = 0..K, of run_compact with seed 0, recorded from
-    the oracle's inputs of a run one step longer."""
+    the oracle's inputs of a run one step longer (row 0 of the engine's stack
+    of runs, the only run)."""
     xs = []
     oracle = problem.oracle
 
     def recording(x, xi):
-        xs.append(np.array(x))
+        xs.append(np.array(x[0]))
         return oracle(x, xi)
 
     run_compact(replace(problem, oracle=recording), a, num_iterations + 1,
@@ -453,3 +457,79 @@ def test_optimal_scale_is_argmin():
 def test_combined_second_moment():
     assert combined_second_moment(4.0, 1.0) == 5.0
     assert combined_second_moment(4.0, 1.0, euclidean_norm=False) == 10.0
+
+
+def assert_same_trace(got, want):
+    for col in ("k", "f_iter", "f_avg", "f_min", "dist_iter_sq", "dist_avg_sq",
+                "x_hat_final"):
+        a, b = getattr(got, col), getattr(want, col)
+        assert (a is None and b is None) or np.array_equal(a, b), col
+    assert got.seed == want.seed and got.meta == want.meta
+
+
+BATCH_CASES = [
+    pytest.param(lambda: make_problem(default_instance("test1", reg_weight=100.0)), 45,
+                 id="test1"),
+    pytest.param(lambda: make_problem(make_instance("inline", n=1000, cap=1.0, budget=1.0,
+                                                    reg_weight=1.0)), 9, id="n1000-binding"),
+    pytest.param(lambda: quadratic_problem(3.0, [0.4, 0.9, 0.1], CappedBox(3, 1.0, 1.2),
+                                           [0.0, 0.0, 0.0], noise_halfwidth=2.0), 300,
+                 id="quadratic-x_star"),
+]
+
+
+@pytest.mark.parametrize("build, num_iterations", BATCH_CASES)
+def test_batched_runs_equal_single_runs(build, num_iterations):
+    # a list of generators advances the runs together; each run's trace equals
+    # its single-run call bit for bit, also with one a per run
+    problem = build()
+    seeds = [3, 11, 4, 2**64 - 1, 8]
+    a_values = [0.3, 1.0, 10.0, 1.0, 2.5]
+
+    def rngs():
+        return [rng_from_seed(s) for s in seeds]
+
+    for run, a in ((run_compact, a_values), (run_baseline_uniform, 1.0)):
+        batch = run(problem, a, num_iterations, rngs(), seed=seeds)
+        assert len(batch) == len(seeds)
+        for i, s in enumerate(seeds):
+            a_i = a[i] if isinstance(a, list) else a
+            assert_same_trace(batch[i], run(problem, a_i, num_iterations,
+                                            rng_from_seed(s), seed=s))
+    for sched in (TsengStepsize(), NesterovStepsize()):
+        batch = run_strongly_convex(problem, sched, num_iterations, rngs(), seed=seeds)
+        for i, s in enumerate(seeds):
+            assert_same_trace(batch[i], run_strongly_convex(
+                problem, sched, num_iterations, rng_from_seed(s), seed=s))
+    assert [t.seed for t in run_compact(problem, 1.0, 2, rngs())] == [None] * len(seeds)
+
+
+def test_batch_arguments_are_checked():
+    problem = l1_problem([0.25], UNIT_INTERVAL, [0.0])
+    rngs = [rng_from_seed(0), rng_from_seed(1)]
+    with pytest.raises(ValueError, match="one seed per generator"):
+        run_compact(problem, 1.0, 5, rngs, seed=[0])
+    with pytest.raises(ValueError):
+        run_compact(problem, [1.0, 2.0, 3.0], 5, rngs)
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_compact(problem, [1.0, 0.0], 5, rngs)
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_compact(problem, np.inf, 5, rng_from_seed(0))
+    problem.oracle = lambda x, xi: np.zeros((1, 2))
+    with pytest.raises(ValueError, match="one subgradient per point"):
+        run_compact(problem, 1.0, 5, rng_from_seed(0))
+    problem.x0 = np.zeros((2, 1))
+    with pytest.raises(ValueError, match="one feasible point"):
+        run_compact(problem, 1.0, 5, rngs)
+
+
+def test_iterates_are_checked_feasible_once_per_block():
+    # a set whose projection lets points escape is caught at the block's end
+    class Leaky(CappedBox):
+        def project(self, x):
+            return np.asarray(x, dtype=float)
+
+    problem = l1_problem([0.25], Leaky(1, 1.0, 1.0), [0.0])
+    problem.oracle = lambda x, xi: np.full_like(x, -1.0)
+    with pytest.raises(ArithmeticError, match="left the feasible set"):
+        run_compact(problem, 1.0, 10, rng_from_seed(0))

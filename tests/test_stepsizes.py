@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -123,6 +124,33 @@ def test_memo_thread_safety():
         th.join()
     for r in results[1:]:
         assert r == results[0]
+
+
+def test_memo_lock_free_stress():
+    # the memo has no lock: an extension builds a new list and swaps it in, so
+    # threads that extend it together, switching every microsecond, each still
+    # read the values of a schedule computed alone
+    want = NesterovStepsize().alphas(2000).tolist()
+    sched = NesterovStepsize()
+    start = threading.Barrier(6)
+    results = []
+
+    def worker():
+        start.wait(timeout=60)
+        results.append([sched.alpha(k) for k in range(2001)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [want] * 6
 
 
 def test_kahan_cumsum():

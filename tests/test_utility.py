@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import piecewise_gaussian_quadrature
+from conftest import (mc_estimate_f, mc_estimate_f_dense, norm_cdf_interval,
+                      piecewise_gaussian_quadrature)
 
-from ssmd.gaussian import (norm_cdf_interval, norm_pdf, rng_from_seed, standard_normals,
-                           uniform_open, uniform_pairs)
+from ssmd.gaussian import norm_pdf, rng_from_seed, standard_normals, uniform_open, uniform_pairs
 from ssmd.solver import block_rows
 from ssmd.utility import (
     AffinePiece,
@@ -17,8 +17,6 @@ from ssmd.utility import (
     instance_metadata,
     make_instance,
     make_problem,
-    mc_estimate_f,
-    mc_estimate_f_dense,
     phi,
     phi_slope,
     reference_solution,
