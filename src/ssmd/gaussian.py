@@ -102,21 +102,15 @@ def norm_ppf(p):
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
-    q = p - 0.5
-    out = np.empty_like(p)
-
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    if qc.size:
-        r = 0.180625 - qc * qc
-        out[central] = qc * _poly(_A, r) / _poly(_B, r)
-
-    if qc.size < q.size:
-        tail = ~central
+    bad = ~((p > 0.0) & (p < 1.0))
+    q = np.where(bad, 0.0, p - 0.5)
+    # the central branch on every element, then the tails overwritten
+    r = 0.180625 - q * q
+    out = q * _poly(_A, r) / _poly(_B, r)
+    tail = np.abs(q) > 0.425
+    if tail.any():
         qt = q[tail]
-        pt = np.where(qt < 0.0, p[tail], 1.0 - p[tail])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.sqrt(-np.log(pt))
+        r = np.sqrt(-np.log(np.where(qt < 0.0, p[tail], 1.0 - p[tail])))
         near = r <= 5.0
         if near.all():
             r -= 1.6
@@ -128,8 +122,7 @@ def norm_ppf(p):
             rf = r[~near] - 5.0
             val[~near] = _poly(_E, rf) / _poly(_F, rf)
         out[tail] = np.where(qt < 0.0, -val, val)
-
-    out[(p <= 0.0) | (p >= 1.0)] = np.nan
+    out[bad] = np.nan
     return float(out[0]) if scalar else out
 
 

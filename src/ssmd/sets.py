@@ -3,8 +3,9 @@
 ``CappedBox`` is the budgeted box {x : 0 <= x_i <= cap, sum x_i <= budget};
 its projection clamps componentwise and, when the budget binds, shifts by
 the unique threshold tau >= 0 with sum clip(x - tau, 0, cap) = budget.
-The threshold is found exactly by sorting the 2n kink locations of that
-piecewise-linear sum, so the projection is deterministic to roundoff.
+The threshold is found exactly among the sorted kinks of that piecewise-linear
+sum, searched per row in a window of its largest components that widens until
+it provably holds the solution, so the projection is deterministic to roundoff.
 
 ``project`` and ``contains`` take a point (n,) or a stack (m, n): each row is
 projected exactly as if alone, and a stack is contained when every row is.
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mirror import EUCLIDEAN, MirrorMap
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _as_rows(x, n: int) -> np.ndarray:
@@ -57,7 +60,7 @@ class CappedBox:
 
     def project(self, x) -> np.ndarray:
         x = _as_rows(x, self.n)
-        y = np.clip(x, 0.0, self.cap)
+        y = x.clip(0.0, self.cap)
         over = (y.sum(axis=-1, keepdims=True) > self.budget).reshape(-1)
         binding = np.count_nonzero(over)
         if not binding:
@@ -69,15 +72,16 @@ class CappedBox:
         q = min(int(self.budget // cap), n - 1)
         every = binding == over.size
         x = x.reshape(-1, n) if every else x[over]
-        r = np.partition(x, n - 1 - q, axis=-1)[:, n - 1 - q]
-        s = np.clip(x - r[:, None], -cap, cap)
-        tau = np.array([self._budget_tau(row, max(-cap, -ri)) for row, ri in zip(s, r)])
+        r = np.partition(x, n - 1 - q, axis=-1)[:, n - 1 - q, None]
+        s = (x - r).clip(-cap, cap)
+        tau = self._budget_tau(np.sort(s, axis=-1), np.maximum(-cap, -r),
+                               n if binding * n <= 4096 else min(n, 64))
         # nudge a row's tau up by doubling ulps if roundoff left its sum a hair
         # over budget, so the result is exactly feasible and projection is
         # idempotent; a row once within budget stays so, hence one step for all
         step = np.spacing(cap)
         for _ in range(64):
-            p = np.clip(s - tau[:, None], 0.0, cap)
+            p = (s - tau[:, None]).clip(0.0, cap)
             high = p.sum(axis=-1) > self.budget
             if not np.count_nonzero(high):
                 if every:
@@ -88,35 +92,60 @@ class CappedBox:
             step *= 2.0
         raise ArithmeticError("capped-box projection stayed over budget")
 
-    def _budget_tau(self, x: np.ndarray, t0: float) -> float:
-        # h(t) = sum clip(x - t, 0, cap) is piecewise linear, non-increasing,
-        # with kinks at x_i and x_i - cap.  Solve h(tau) = budget on the
-        # segment where it crosses, for tau >= t0; h(t0) > budget up to roundoff.
-        xs = np.sort(x)
-        tail = np.concatenate([(xs[::-1].cumsum())[::-1], [0.0]])
+    def _budget_tau(self, xs: np.ndarray, t0: np.ndarray, width: int) -> np.ndarray:
+        # xs: each row's s, sorted.  Per row, h(t) = sum clip(s - t, 0, cap) is
+        # piecewise linear and non-increasing, with kinks at s_i and s_i - cap;
+        # tau >= t0 solves h(tau) = budget between the first kink where h <=
+        # budget and the kink before.  A row is searched in a window, its top
+        # `width` values (all of them in a stack of at most 4096 values, where a
+        # window saves little and may cost a second pass): for t >= L, the
+        # largest value left out, the window's h is the whole row's bit for bit
+        # (cumsum adds from the largest value down).  It holds the row's crossing
+        # and the kink before when L <= t0, or when h(L) > budget + 2E, E a bound
+        # on h's rounding error: computed h then exceeds budget at every kink
+        # below L.  Other rows get a window 8 times wider, capped at one holding
+        # every value above t0.  E = 16 n (n + 4) cap eps: values lie in [-cap,
+        # cap] and t in [-2cap, cap], so each cumsum errs by at most n^2 cap eps
+        # / 2 and h's other steps by 9n cap eps: n (n + 9) cap eps to first order.
+        n, cap, budget = self.n, self.cap, self.budget
+        t, top = t0, xs[:, n - width:]
+        if width < n:
+            t = np.maximum(t0, xs[:, n - width - 1, None])
+        tail = np.zeros((len(top), width + 1))
+        np.add.accumulate(top[:, ::-1], axis=-1, out=tail[:, width - 1::-1])
+        # ties kept: equal t give equal h; kinks at or below t are read as t
+        kinks = np.sort(np.concatenate([top, top - cap], axis=-1), axis=-1, kind="stable")
+        kinks = kinks[:, _count_le(kinks, t).min():]
+        ts = np.concatenate([t, t, np.maximum(kinks, t)], axis=-1)
+        tc = ts + cap
+        i, i_c = _count_le(top, ts), _count_le(top, tc)
+        rows = np.arange(0, tail.size, width + 1)[:, None]
+        tail = tail.ravel()
+        above = tail[i + rows] - ts * np.subtract(width, i, dtype=float)
+        vals = above - (tail[i_c + rows] - tc * np.subtract(width, i_c, dtype=float))
+        # column 0, a copy of t valued just over budget, makes a crossing at t
+        # give tau = t; h is 0 at the largest kink, so every row crosses
+        vals[:, 0] = np.nextafter(budget, np.inf)
+        at = (vals <= budget).argmax(axis=-1) + np.arange(0, ts.size, ts.shape[1])
+        ts, flat, pre = ts.ravel(), vals.ravel(), at - 1
+        lo, hi, vlo, vhi = ts[pre], ts[at], flat[pre], flat[at]
+        tau = lo + (vlo - budget) * (hi - lo) / (vlo - vhi)
+        if width < n:
+            e = 16.0 * n * (n + 4) * cap * _EPS
+            redo = (t > t0)[:, 0] & (vals[:, 1] <= budget + 2.0 * e)
+            if redo.any():
+                xs, t0 = xs[redo], t0[redo]
+                need = int(np.count_nonzero(xs > t0, axis=-1).max())
+                tau[redo] = self._budget_tau(xs, t0, min(need, 8 * width))
+        return tau
 
-        def h(ts):
-            idx = np.searchsorted(xs, ts, side="right")
-            above = tail[idx] - ts * (self.n - idx)
-            idx_c = np.searchsorted(xs, ts + self.cap, side="right")
-            above_c = tail[idx_c] - (ts + self.cap) * (self.n - idx_c)
-            return above - above_c
 
-        # sorted with ties kept: equal t give equal h, so the first crossing is
-        # the first of its ties and its left neighbour is the same as unique's
-        kinks = np.sort(np.concatenate([x, x - self.cap]))
-        ts = np.concatenate([[t0], kinks[kinks > t0]])
-        vals = h(ts)
-        i = int(np.argmax(vals <= self.budget))
-        if vals[i] > self.budget:
-            raise AssertionError("budget threshold search failed")
-        if i == 0:
-            return float(ts[0])
-        lo, hi = ts[i - 1], ts[i]
-        vlo, vhi = vals[i - 1], vals[i]
-        if vhi == vlo:
-            return float(hi)
-        return float(lo + (vlo - self.budget) * (hi - lo) / (vlo - vhi))
+def _count_le(top: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per row, the count of sorted `top`'s entries <= each of sorted `q`'s
+    (numpy's searchsorted takes one row at a time)."""
+    if len(top) == 1:
+        return top[0].searchsorted(q[0], side="right")[None]
+    return np.array([row.searchsorted(v, side="right") for row, v in zip(top, q)])
 
 
 @dataclass(frozen=True)

@@ -288,25 +288,12 @@ def stochastic_subgradient(instance: UtilityInstance, x,
     return _subgradient(instance, x, instance.coeffs + standard_normals(rng, instance.n))
 
 
-def _fd_grad(f, x: np.ndarray, h: float) -> np.ndarray:
-    # f takes x +- h e_i in stacks of block_rows(n) rows, valuing each as if alone
-    n = x.shape[0]
-    g = np.empty_like(x)
-    for start in range(0, n, block_rows(n)):
-        i = np.arange(start, min(start + block_rows(n), n))
-        e = np.zeros((i.size, n))
-        e[np.arange(i.size), i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
 def reference_solution(instance: UtilityInstance, tol: float,
                        x_init: Optional[np.ndarray] = None,
-                       max_iter: int = 20_000,
-                       fd_step: float = 1e-6) -> tuple[np.ndarray, float]:
+                       max_iter: int = 20_000) -> tuple[np.ndarray, float]:
     """High-accuracy minimizer via deterministic projected descent.
 
-    Gradients are central finite differences of the exact objective;
+    Gradients are the closed-form :func:`grad_f` of the exact objective;
     backtracking keeps the procedure deterministic while the accepted steps
     shrink near the solution.  Convergence requires both the last move and
     the unit-step projected-gradient residual to drop below tol; hitting the
@@ -324,7 +311,7 @@ def reference_solution(instance: UtilityInstance, tol: float,
     step = 1.0
     last_move = np.inf
     for _ in range(max_iter):
-        g = _fd_grad(f, x, fd_step)
+        g = grad_f(instance, x)
         residual = float(np.sqrt(np.sum((x - proj(x - g)) ** 2)))
         if residual <= tol and last_move <= tol:
             return x, fx
@@ -353,19 +340,24 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
     """Empirical (C, nu): max deterministic-subgradient norm over uniformly
     sampled feasible points, and the RMS noise norm of the stochastic oracle.
     Each sample draws its point, then its oracle noise, as one oracle call
-    would; points are projected and gradients computed per block of samples."""
+    would; points are drawn, projected and differentiated in chunks of
+    block_rows(n) * k samples (at most 32,768 floats per array), and the noise
+    is summed once per block_rows(n) samples, in order."""
     if sample_count < 1000:
         raise ValueError("sample_count must be at least 1000")
     set_, n = instance.feasible_set, instance.n
     rows = block_rows(n)
+    chunk = rows * max(1, 32_768 // (rows * n))
     c_sq = noise_sq = 0.0
-    for start in range(0, sample_count, rows):
-        corner, u = uniform_pairs(rng, min(rows, sample_count - start), n)
+    for start in range(0, sample_count, chunk):
+        corner, u = uniform_pairs(rng, min(chunk, sample_count - start), n)
         x = set_.project(set_.cap * corner)
         g = grad_f(instance, x)
         d = _subgradient(instance, x, instance.coeffs + norm_ppf(u)) - g
         c_sq = max(c_sq, float(np.max(np.sum(g * g, axis=-1))))
-        noise_sq += float(np.sum(d * d))
+        d *= d
+        for j in range(0, len(d), rows):
+            noise_sq += float(np.sum(d[j:j + rows]))
     return float(np.sqrt(c_sq)), float(np.sqrt(noise_sq / sample_count))
 
 

@@ -2,7 +2,7 @@
 
 Each helper is independent of the library path it checks: brute-force grids,
 vertex enumeration, quadrature, direct sums, a bisected projection threshold,
-and Monte-Carlo estimates of f.
+finite-difference gradients and Monte-Carlo estimates of f.
 """
 
 import itertools
@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from ssmd.gaussian import erfc, rng_from_seed, standard_normals
+from ssmd.solver import block_rows
 from ssmd.utility import _moments, phi
 
 
@@ -122,6 +123,19 @@ def project_bisection(feasible_set, x, tol: float = 1e-12) -> np.ndarray:
         else:
             hi = mid
     return np.clip(x - 0.5 * (lo + hi), 0.0, cap)
+
+
+def fd_grad(f, x: np.ndarray, h: float) -> np.ndarray:
+    """Central finite-difference gradient of f at x; f takes the points
+    x +- h e_i in stacks of block_rows(n) rows and values each as if alone."""
+    n = x.shape[0]
+    g = np.empty_like(x)
+    for start in range(0, n, block_rows(n)):
+        i = np.arange(start, min(start + block_rows(n), n))
+        e = np.zeros((i.size, n))
+        e[np.arange(i.size), i] = h
+        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+    return g
 
 
 def norm_cdf_interval(lo, hi):

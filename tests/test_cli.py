@@ -113,6 +113,18 @@ def test_strongly_convex_small_n_exits_0(tmp_path):
     assert (out / "experiment.csv").exists()
 
 
+def test_compact_reference_from_the_origin_exits_0(tmp_path):
+    # lambda = 0 and x0 = 0, a kink of f: the reference descends on grad_f
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("regime = compact\ninstance = test1\na = 10\niterations = 10\n"
+                   "runs = 1\ncompute_reference = true\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = (out / "experiment_a0.csv.meta").read_text(encoding="utf-8").splitlines()
+    f_ref = float(next(line for line in meta if line.startswith("f_ref = ")).split("=")[1])
+    assert abs(f_ref - (-0.18)) < 1e-6
+
+
 def test_bounds_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SMALL)

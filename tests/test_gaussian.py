@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,8 +139,18 @@ def test_ppf_equals_formula_with_temporaries():
     u = uniform_open(rng_from_seed(31), 100_000)
     edges = np.array([1e-300, np.nextafter(0.075, 0.0), 0.075, np.nextafter(0.075, 1.0),
                       0.925, 1.0 - 1e-16, 0.0, 1.0])
-    with np.errstate(invalid="ignore"):  # p = 0 and 1 give inf / inf
-        for p in (u, edges, u[np.abs(u - 0.5) <= 0.425], u[np.abs(u - 0.5) > 0.425]):
-            assert np.array_equal(norm_ppf(p), norm_ppf_with_temporaries(p), equal_nan=True)
-        assert np.isnan(norm_ppf(edges[-2:])).all()
+    for p in (u, edges, u[np.abs(u - 0.5) <= 0.425], u[np.abs(u - 0.5) > 0.425]):
+        with np.errstate(invalid="ignore"):  # the old formula: p = 0 and 1 give inf / inf
+            want = norm_ppf_with_temporaries(p)
+        assert np.array_equal(norm_ppf(p), want, equal_nan=True)
+    assert np.isnan(norm_ppf(edges[-2:])).all()
     assert norm_ppf(0.3) == norm_ppf_with_temporaries(0.3)[0]
+
+
+def test_ppf_outside_unit_interval_is_nan_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = norm_ppf(np.array([0.0, 0.5, 1.0]))
+        assert np.array_equal(got, [np.nan, 0.0, np.nan], equal_nan=True)
+        assert np.isnan(norm_ppf([-1.0, 2.0, np.nan, np.inf, -np.inf, 1e300])).all()
+        assert np.isnan(norm_ppf(0.0)) and np.isnan(norm_ppf(1.0))

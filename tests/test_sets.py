@@ -192,9 +192,10 @@ def test_diameter_preconditions():
     assert bregman_diameter_sq(Simplex(1), EU) == 0.0
 
 
-def budget_tau_with_unique(box, x, t0):
-    """The threshold search with its kinks deduplicated by np.unique, as the
-    search was written before it kept ties."""
+def budget_tau_per_row(box, x, t0, sort_kinks=np.sort):
+    """The threshold search of one row over all its kinks, as it was written
+    before rows were searched in stacked windows; with np.unique for
+    sort_kinks, as it was written before it kept ties."""
     xs = np.sort(x)
     tail = np.concatenate([(xs[::-1].cumsum())[::-1], [0.0]])
 
@@ -205,10 +206,11 @@ def budget_tau_with_unique(box, x, t0):
         above_c = tail[idx_c] - (ts + box.cap) * (box.n - idx_c)
         return above - above_c
 
-    kinks = np.unique(np.concatenate([x, x - box.cap]))
+    kinks = sort_kinks(np.concatenate([x, x - box.cap]))
     ts = np.concatenate([[t0], kinks[kinks > t0]])
     vals = h(ts)
     i = int(np.argmax(vals <= box.budget))
+    assert vals[i] <= box.budget
     if i == 0:
         return float(ts[0])
     lo, hi = ts[i - 1], ts[i]
@@ -233,9 +235,58 @@ def test_budget_tau_with_ties_equals_unique_kinks(rng):
         r = np.partition(x, n - 1 - q)[n - 1 - q]
         s = np.clip(x - r, -cap, cap)
         t0 = max(-cap, -r)
-        assert box._budget_tau(s, t0) == budget_tau_with_unique(box, s, t0)
+        assert box._budget_tau(np.sort(s)[None], np.array([[t0]]), n)[0] \
+            == budget_tau_per_row(box, s, t0, np.unique)
         checked += 1
     assert checked > 500
+
+
+def window_search_cases(rng, n):
+    """(box, stack) pairs: sampled corners as the constants estimate draws
+    them, engine-like rows with hundreds of components active, ties, and
+    magnitudes up to 1e300; every row binds."""
+    cases = []
+    for cap, budget in ((1.0, 1.0), (10.0, 10.0), (1.0, 0.3 * n + 0.5)):
+        box = CappedBox(n, cap, budget)
+        corners = cap * rng.random((40, n))
+        spread = np.where(rng.random((40, n)) < 0.6, rng.uniform(0.0, 3.0 * budget / n, (40, n)),
+                          -rng.random((40, n)))
+        ties = np.round(rng.uniform(-1.0, 3.0, (40, n)) * cap, int(rng.integers(0, 3)))
+        huge = np.sign(rng.standard_normal((40, n))) * 10.0 ** rng.uniform(-3, 300, (40, n))
+        for stack in (corners, spread, ties, huge, np.concatenate([corners[:3], spread[:1]])):
+            stack = stack[np.clip(stack, 0.0, cap).sum(axis=-1) > budget]
+            if len(stack):
+                cases.append((box, stack))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
+def test_stacked_window_search_equals_per_row_search(rng, monkeypatch, n):
+    calls, grown = [], 0
+    search = CappedBox._budget_tau
+
+    def spy(box, xs, t0, width):
+        calls.append(width)
+        return search(box, xs, t0, width)
+
+    monkeypatch.setattr(CappedBox, "_budget_tau", spy)
+    for box, stack in window_search_cases(rng, n):
+        q = min(int(box.budget // box.cap), n - 1)
+        r = np.partition(stack, n - 1 - q, axis=-1)[:, n - 1 - q, None]
+        s = np.clip(stack - r, -box.cap, box.cap)
+        t0 = np.maximum(-box.cap, -r)
+        want = [budget_tau_per_row(box, row, t) for row, t in zip(s, t0[:, 0])]
+        xs = np.sort(s, axis=-1)
+        for width in {min(n, 64), n}:
+            calls.clear()
+            got = box._budget_tau(xs, t0, width)
+            grown += len(calls) > 1
+            assert got.shape == (len(s),)
+            assert [float(v) for v in got] == want
+            assert np.array_equal(box._budget_tau(xs[:1], t0[:1], width), got[:1])
+    if n == 1000:
+        # rows with hundreds of components active outgrow the first window
+        assert grown
 
 
 def random_rows(rng, m, n, cap, budget):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import (mc_estimate_f, mc_estimate_f_dense, norm_cdf_interval,
+from conftest import (fd_grad, mc_estimate_f, mc_estimate_f_dense, norm_cdf_interval,
                       piecewise_gaussian_quadrature)
 
-from ssmd.gaussian import norm_pdf, rng_from_seed, standard_normals, uniform_open, uniform_pairs
+from ssmd.gaussian import (norm_pdf, norm_ppf, rng_from_seed, standard_normals, uniform_open,
+                           uniform_pairs)
 from ssmd.solver import block_rows
 from ssmd.utility import (
     AffinePiece,
@@ -22,7 +23,7 @@ from ssmd.utility import (
     reference_solution,
     stochastic_subgradient,
 )
-from ssmd.utility import _fd_grad
+from ssmd.utility import _subgradient
 
 SQRT_2_OVER_PI = 0.7978845608028653559
 
@@ -311,13 +312,13 @@ def test_subgradient_mean_matches_fd(rng):
         done += b
     mean /= n_draws
     se = np.sqrt(np.maximum(sq / n_draws - mean**2, 0.0) / n_draws)
-    fd = _fd_grad(lambda v: f_value(inst, v, check_feasible=False), x, 1e-5)
+    fd = fd_grad(lambda v: f_value(inst, v, check_feasible=False), x, 1e-5)
     assert np.all(np.abs(mean - fd) <= 3.0 * se + 1e-4)
 
 
 @pytest.mark.parametrize("n", [100, 1000])
 def test_stacked_fd_grad_equals_per_coordinate_loop(n, rng):
-    # _fd_grad values x +- h e_i in stacks; f_value values each row as if alone
+    # fd_grad values x +- h e_i in stacks; f_value values each row as if alone
     inst = make_instance("inline", n=n, cap=1.0, budget=1.0, reg_weight=3.0)
     x = inst.feasible_set.project(rng.random(n))
 
@@ -329,7 +330,7 @@ def test_stacked_fd_grad_equals_per_coordinate_loop(n, rng):
         e = np.zeros(n)
         e[i] = h
         want[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    assert np.array_equal(_fd_grad(f, x, h), want)
+    assert np.array_equal(fd_grad(f, x, h), want)
 
 
 def test_grad_matches_fd(rng):
@@ -337,7 +338,7 @@ def test_grad_matches_fd(rng):
     for _ in range(3):
         x = inst.feasible_set.project(rng.random(100) * 1.2)
         g = grad_f(inst, x)
-        fd = _fd_grad(lambda v: f_value(inst, v, check_feasible=False), x, 1e-6)
+        fd = fd_grad(lambda v: f_value(inst, v, check_feasible=False), x, 1e-6)
         assert np.max(np.abs(g - fd)) < 1e-6
 
 
@@ -445,6 +446,25 @@ def test_estimate_constants_matches_per_sample_oracle():
         for c, v in zip(corner, u):
             assert np.array_equal(c, per_sample.random(100))
             assert np.array_equal(v, uniform_open(per_sample, 100))
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 300, 1000])
+def test_estimate_constants_equals_loop_over_blocks(n):
+    # the estimate as a loop over blocks of block_rows(n) samples, each with
+    # its own noise sum; 2,000 is not a multiple of block_rows(300) = 13
+    inst = make_instance("inline", n=n, cap=1.0, budget=1.0, reg_weight=2.0)
+    box, rows, samples = inst.feasible_set, block_rows(n), 2000
+    rng = rng_from_seed(17)
+    c_sq = noise_sq = 0.0
+    for start in range(0, samples, rows):
+        corner, u = uniform_pairs(rng, min(rows, samples - start), n)
+        x = box.project(box.cap * corner)
+        g = grad_f(inst, x)
+        d = _subgradient(inst, x, inst.coeffs + norm_ppf(u)) - g
+        c_sq = max(c_sq, float(np.max(np.sum(g * g, axis=-1))))
+        noise_sq += float(np.sum(d * d))
+    want = (float(np.sqrt(c_sq)), float(np.sqrt(noise_sq / samples)))
+    assert estimate_constants(inst, samples, rng_from_seed(17)) == want
 
 
 def test_estimate_constants_self_consistent():
