@@ -5,7 +5,7 @@ Subcommands:
 * ``experiment --config PATH --out DIR [--workers N]`` run the Monte-Carlo
   experiment and write CSV + metadata sidecar files into DIR.
 * ``verify --kmax N`` machine-check the stepsize conditions.
-* ``reference --config PATH --tol T`` print the high-accuracy optimal value.
+* ``reference --config PATH [--tol T]`` print the high-accuracy optimal value.
 * ``bounds --config PATH`` print the theoretical bound curve as CSV.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
@@ -20,12 +20,12 @@ from pathlib import Path
 from .harness import (
     COMPACT,
     ConfigError,
+    a_values,
     bound_curve,
     build_instance,
     emit_csv,
     instance_constants,
     parse_config,
-    run_experiment,
     sweep_a,
     verify_suite,
 )
@@ -68,18 +68,13 @@ def _cmd_experiment(args) -> int:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
     out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
-    workers = args.workers
-    if cfg.regime == COMPACT:
-        for i, (a, summary) in enumerate(sweep_a(cfg, workers=workers)):
-            path = out / f"experiment_a{i}.csv"
-            emit_csv(summary, path)
-            final = float(summary.mean_f_avg[-1])
-            print(f"a = {float(a)!r}: final mean f(x_hat) = {final!r} -> {path}")
-    else:
-        summary = run_experiment(cfg, workers=workers)
-        path = out / "experiment.csv"
+    for i, (a, summary) in enumerate(sweep_a(cfg, workers=args.workers)):
+        if cfg.regime == COMPACT:
+            path, label = out / f"experiment_a{i}.csv", f"a = {float(a)!r}: "
+        else:
+            path, label = out / "experiment.csv", ""
         emit_csv(summary, path)
-        print(f"final mean f(x_hat) = {float(summary.mean_f_avg[-1])!r} -> {path}")
+        print(f"{label}final mean f(x_hat) = {float(summary.mean_f_avg[-1])!r} -> {path}")
     return 0
 
 
@@ -97,8 +92,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reference(args) -> int:
     cfg = _load_config(args.config)
-    instance = build_instance(cfg)
-    _, f_ref = reference_solution(instance, args.tol)
+    tol = cfg.reference_tol if args.tol is None else args.tol
+    _, f_ref = reference_solution(build_instance(cfg), tol)
     print(repr(f_ref))
     return 0
 
@@ -106,8 +101,7 @@ def _cmd_reference(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args.config)
     constants = instance_constants(cfg)
-    a_list = cfg.a_values if cfg.regime == COMPACT else cfg.a_values[:1]
-    for a in a_list:
+    for a in a_values(cfg):
         if cfg.regime == COMPACT:
             print(f"# a = {a!r}")
         print("k,bound")
@@ -134,7 +128,8 @@ def main(argv=None) -> int:
 
     p_ref = sub.add_parser("reference", help="print the reference optimal value")
     p_ref.add_argument("--config", required=True)
-    p_ref.add_argument("--tol", type=positive_float, default=1e-6)
+    p_ref.add_argument("--tol", type=positive_float, default=None,
+                       help="solver tolerance (falls back to the config's 'reference_tol')")
     p_ref.set_defaults(func=_cmd_reference)
 
     p_bnd = sub.add_parser("bounds", help="print the theoretical bound curve")

@@ -54,7 +54,9 @@ _INSTANCE_LABELS = ("test1", "test2", "test3", "test4")
 CONSTANT_SAMPLES = 2000
 _CONSTANTS_SEED_XOR = 0xA5A5A5A5A5A5A5A5
 
-CSV_HEADER = "k,mean_f_avg,stderr_f_avg,mean_f_iter,mean_f_min,bound"
+# McSummary fields, in CSV column order
+CSV_COLUMNS = ("k", "mean_f_avg", "stderr_f_avg", "mean_f_iter", "mean_f_min", "bound")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 # Runs advanced together by one engine call; caps each batch's (R, n) state
 # and its per-block stacks.  Output does not depend on it.
@@ -86,27 +88,6 @@ class ExperimentConfig:
     out: Optional[str] = None
 
 
-_KEY_TYPES = {
-    "regime": str,
-    "instance": str,
-    "n": int,
-    "cap": float,
-    "budget": float,
-    "lambda": float,
-    "schedule": str,
-    "a": str,
-    "iterations": int,
-    "runs": int,
-    "seed": int,
-    "eval_samples": int,
-    "analytic_f": bool,
-    "workers": int,
-    "compute_reference": bool,
-    "reference_tol": float,
-    "out": str,
-}
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "1", "yes"):
@@ -114,6 +95,32 @@ def _parse_bool(raw: str) -> bool:
     if low in ("false", "0", "no"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_reals(raw: str) -> tuple:
+    return tuple(float(s) for s in raw.split(","))
+
+
+# key -> (ExperimentConfig field, parser), in the order config_text writes them
+_KEYS = {
+    "regime": ("regime", str),
+    "instance": ("instance", str.lower),
+    "n": ("n", int),
+    "cap": ("cap", float),
+    "budget": ("budget", float),
+    "lambda": ("reg_weight", float),
+    "schedule": ("schedule", str),
+    "a": ("a_values", _parse_reals),
+    "iterations": ("iterations", int),
+    "runs": ("runs", int),
+    "seed": ("base_seed", int),
+    "eval_samples": ("eval_samples", int),
+    "analytic_f": ("analytic_f", _parse_bool),
+    "workers": ("workers", int),
+    "compute_reference": ("compute_reference", _parse_bool),
+    "reference_tol": ("reference_tol", float),
+    "out": ("out", str),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -130,53 +137,27 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KEY_TYPES:
+        if key not in _KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        if key in values:
+        name, parse = _KEYS[key]
+        if name in values:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
         try:
-            caster = _KEY_TYPES[key]
-            values[key] = _parse_bool(val) if caster is bool else caster(val)
+            values[name] = parse(val)
         except ValueError:
             errors.append(f"line {lineno}: cannot parse value for {key!r}: {val!r}")
     if errors:
         raise ConfigError("; ".join(errors))
 
-    regime = values.get("regime")
-    if regime not in (STRONGLY_CONVEX, COMPACT):
+    if values.get("regime") not in (STRONGLY_CONVEX, COMPACT):
         errors.append("regime must be 'strongly_convex' or 'compact'")
-        regime = COMPACT
-    reg_default = 100.0 if regime == STRONGLY_CONVEX else 0.0
-    iter_default = 100 if regime == STRONGLY_CONVEX else 1000
-
-    a_values = (1.0,)
-    if "a" in values:
-        try:
-            a_values = tuple(float(s) for s in values["a"].split(","))
-        except ValueError:
-            errors.append(f"cannot parse 'a' as a comma list of reals: {values['a']!r}")
-
-    cfg = ExperimentConfig(
-        regime=regime,
-        instance=values.get("instance", "test1").lower(),
-        n=values.get("n"),
-        cap=values.get("cap"),
-        budget=values.get("budget"),
-        reg_weight=values.get("lambda", reg_default),
-        schedule=values.get("schedule", "step-1"),
-        a_values=a_values,
-        iterations=values.get("iterations", iter_default),
-        runs=values.get("runs", 100),
-        base_seed=values.get("seed", 0),
-        eval_samples=values.get("eval_samples", 10_000),
-        analytic_f=values.get("analytic_f", True),
-        workers=values.get("workers", 1),
-        compute_reference=values.get("compute_reference", False),
-        reference_tol=values.get("reference_tol", 1e-6),
-        out=values.get("out"),
-    )
+        values["regime"] = COMPACT
+    strongly_convex = values["regime"] == STRONGLY_CONVEX
+    values.setdefault("reg_weight", 100.0 if strongly_convex else 0.0)
+    values.setdefault("iterations", 100 if strongly_convex else 1000)
+    cfg = ExperimentConfig(**values)
 
     if cfg.runs < 1:
         errors.append("runs must be >= 1")
@@ -215,27 +196,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def config_text(cfg: ExperimentConfig) -> str:
     """Canonical serialization; parsing it back yields an equal config."""
-    lines = [
-        f"regime = {cfg.regime}",
-        f"instance = {cfg.instance}",
-    ]
-    if cfg.instance == "inline":
-        lines += [f"n = {cfg.n}", f"cap = {cfg.cap!r}", f"budget = {cfg.budget!r}"]
-    lines += [
-        f"lambda = {cfg.reg_weight!r}",
-        f"schedule = {cfg.schedule}",
-        "a = " + ",".join(repr(a) for a in cfg.a_values),
-        f"iterations = {cfg.iterations}",
-        f"runs = {cfg.runs}",
-        f"seed = {cfg.base_seed}",
-        f"eval_samples = {cfg.eval_samples}",
-        f"analytic_f = {str(cfg.analytic_f).lower()}",
-        f"workers = {cfg.workers}",
-        f"compute_reference = {str(cfg.compute_reference).lower()}",
-        f"reference_tol = {cfg.reference_tol!r}",
-    ]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
+    lines = []
+    for key, (name, _) in _KEYS.items():
+        value = getattr(cfg, name)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, tuple):
+            value = ",".join(repr(v) for v in value)
+        elif not isinstance(value, str):
+            value = repr(value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -272,13 +244,13 @@ def _mc_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     instance = build_instance(cfg)
     problem = make_problem(instance, f_eval_samples=cfg.eval_samples,
                            analytic_f=cfg.analytic_f)
-    a_values, seeds = zip(*tasks)
+    a_list, seeds = zip(*tasks)
     rngs = [rng_from_seed(seed) for seed in seeds]
     if cfg.regime == STRONGLY_CONVEX:
         traces = run_strongly_convex(problem, _SCHEDULES[cfg.schedule](),
                                      cfg.iterations, rngs, seed=seeds)
     else:
-        traces = run_compact(problem, a_values, cfg.iterations, rngs, seed=seeds)
+        traces = run_compact(problem, a_list, cfg.iterations, rngs, seed=seeds)
     return [(trace.f_avg, trace.f_iter, trace.f_min) for trace in traces]
 
 
@@ -306,7 +278,7 @@ def bound_curve(cfg: ExperimentConfig, a: float, constants: dict) -> np.ndarray:
                               constants["c_est"]**2, constants["nu_est"]**2, 1.0)
 
 
-def _summaries(cfg: ExperimentConfig, a_values, workers: Optional[int]) -> list[McSummary]:
+def _summaries(cfg: ExperimentConfig, a_list, workers: Optional[int]) -> list[McSummary]:
     """One summary per a, with one set of constants and one reference solution;
     the (a, seed) tasks of every a run in chunks of at most BATCH_RUNS, and the
     results come back in task order."""
@@ -317,7 +289,7 @@ def _summaries(cfg: ExperimentConfig, a_values, workers: Optional[int]) -> list[
         if cfg.compute_reference else None
 
     seeds = [(cfg.base_seed + r) % (1 << 64) for r in range(cfg.runs)]
-    tasks = [(a, s) for a in a_values for s in seeds]
+    tasks = [(a, s) for a in a_list for s in seeds]
     size = min(BATCH_RUNS, -(-len(tasks) // workers))
     chunks = [(cfg, tasks[i:i + size]) for i in range(0, len(tasks), size)]
     if workers > 1:
@@ -329,10 +301,7 @@ def _summaries(cfg: ExperimentConfig, a_values, workers: Optional[int]) -> list[
         done = [_mc_run(chunk) for chunk in chunks]
     results = [result for chunk in done for result in chunk]
     shared = {
-        "c_est": repr(constants["c_est"]),
-        "nu_est": repr(constants["nu_est"]),
-        "c_tilde_sq": repr(constants["c_tilde_sq"]),
-        "diameter_sq": repr(constants["diameter_sq"]),
+        **{key: repr(value) for key, value in constants.items()},
         "mu_f": repr(cfg.reg_weight),
         "mu_w": repr(1.0),
         **instance_metadata(instance),
@@ -340,7 +309,7 @@ def _summaries(cfg: ExperimentConfig, a_values, workers: Optional[int]) -> list[
         "config": config_text(cfg),
     }
     summaries = []
-    for i, a in enumerate(a_values):
+    for i, a in enumerate(a_list):
         # runs stacked in seed order, so the means fold in run order
         f_avg, f_iter, f_min = (np.vstack(col) for col in
                                 zip(*results[i * cfg.runs:(i + 1) * cfg.runs]))
@@ -354,46 +323,39 @@ def _summaries(cfg: ExperimentConfig, a_values, workers: Optional[int]) -> list[
     return summaries
 
 
-def run_experiment(cfg: ExperimentConfig, a: Optional[float] = None,
-                   workers: Optional[int] = None) -> McSummary:
-    """Execute `runs` independent runs and aggregate, ordered by run index."""
-    return _summaries(cfg, (cfg.a_values[0] if a is None else float(a),), workers)[0]
+def a_values(cfg: ExperimentConfig) -> tuple:
+    """The a of each summary: every configured a in the compact regime, only the
+    first in the strongly convex one, where a plays no part."""
+    return cfg.a_values if cfg.regime == COMPACT else cfg.a_values[:1]
+
+
+def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> McSummary:
+    """Execute `runs` independent runs of the first a and aggregate, ordered by run index."""
+    return _summaries(cfg, cfg.a_values[:1], workers)[0]
 
 
 def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None):
-    """(a, summary) for every configured a value, in order: the runs of every a
+    """(a, summary) for every a of a_values(cfg), in order: the runs of every a
     in one batch, with one set of constants and one reference solution."""
-    return list(zip(cfg.a_values, _summaries(cfg, cfg.a_values, workers)))
-
-
-def _fmt(v: float) -> str:
-    # repr of a Python float is the shortest decimal string that round-trips.
-    return repr(float(v))
+    a_list = a_values(cfg)
+    return list(zip(a_list, _summaries(cfg, a_list, workers)))
 
 
 def format_csv(summary: McSummary) -> str:
-    lines = [CSV_HEADER]
-    for i in range(summary.k.shape[0]):
-        lines.append(",".join([
-            str(int(summary.k[i])),
-            _fmt(summary.mean_f_avg[i]),
-            _fmt(summary.stderr_f_avg[i]),
-            _fmt(summary.mean_f_iter[i]),
-            _fmt(summary.mean_f_min[i]),
-            _fmt(summary.bound[i]),
-        ]))
-    return "\n".join(lines) + "\n"
+    # repr of a Python float is the shortest decimal string that round-trips
+    k, *reals = (getattr(summary, name) for name in CSV_COLUMNS)
+    rows = (",".join([str(int(i)), *(repr(float(v)) for v in row)])
+            for i, *row in zip(k, *reals))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def parse_csv(text: str) -> McSummary:
     lines = text.strip().splitlines()
     if lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-    cols = [line.split(",") for line in lines[1:]]
-    arr = np.array([[float(v) for v in row] for row in cols])
-    return McSummary(k=arr[:, 0].astype(int), mean_f_avg=arr[:, 1],
-                     stderr_f_avg=arr[:, 2], mean_f_iter=arr[:, 3],
-                     mean_f_min=arr[:, 4], bound=arr[:, 5])
+    arr = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    columns = dict(zip(CSV_COLUMNS, arr.T))
+    return McSummary(**{**columns, "k": columns["k"].astype(int)})
 
 
 def emit_csv(summary: McSummary, path) -> None:
@@ -450,7 +412,7 @@ def verify_suite(k_max: int, extra_schedules: Optional[dict] = None) -> list[Che
 
 __all__ = [
     "COMPACT", "STRONGLY_CONVEX", "CheckResult", "ConfigError", "ExperimentConfig",
-    "McSummary", "bound_curve", "build_instance", "config_hash", "config_text",
+    "McSummary", "a_values", "bound_curve", "build_instance", "config_hash", "config_text",
     "emit_csv", "format_csv", "instance_constants", "parse_config", "parse_csv",
     "run_experiment", "sweep_a", "verify_suite",
 ]

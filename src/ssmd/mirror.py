@@ -24,36 +24,30 @@ class MirrorMap:
     """A strongly convex distance generator.
 
     ``mu_w`` is the strong-convexity modulus with respect to the l2 norm on
-    the map's paired domain.  ``satisfies_quadratic_upper_bound`` records
-    whether D_w(x, z) <= 0.5*||x - z||^2 holds everywhere on that domain;
-    the strongly convex solver requires it.
+    the map's paired domain, 1 for both maps.  ``satisfies_quadratic_upper_bound``
+    is whether D_w(x, z) <= 0.5*||x - z||^2 holds everywhere on that domain,
+    which only the Euclidean map does; the strongly convex solver requires it.
     """
 
     kind: str
-    mu_w: float
-    satisfies_quadratic_upper_bound: bool
+    # negative entropy too: its Hessian diag(1/x_i) dominates the identity on the simplex
+    mu_w = 1.0
 
     def __post_init__(self):
         if self.kind not in (EUCLIDEAN, NEG_ENTROPY):
             raise ValueError(f"unknown mirror map kind: {self.kind!r}")
-        if self.mu_w <= 0.0:
-            raise ValueError("mu_w must be positive")
-        if self.kind == EUCLIDEAN and (
-            self.mu_w != 1.0 or not self.satisfies_quadratic_upper_bound
-        ):
-            raise ValueError("euclidean map has mu_w = 1 and the quadratic upper bound")
-        if self.kind == NEG_ENTROPY and self.satisfies_quadratic_upper_bound:
-            raise ValueError("negative entropy does not satisfy the quadratic upper bound")
+
+    @property
+    def satisfies_quadratic_upper_bound(self) -> bool:
+        return self.kind == EUCLIDEAN
 
     @staticmethod
     def euclidean() -> "MirrorMap":
-        return MirrorMap(EUCLIDEAN, 1.0, True)
+        return MirrorMap(EUCLIDEAN)
 
     @staticmethod
     def negative_entropy() -> "MirrorMap":
-        # Strong convexity modulus 1 w.r.t. l2 holds on the simplex, where
-        # the entropy Hessian diag(1/x_i) dominates the identity.
-        return MirrorMap(NEG_ENTROPY, 1.0, False)
+        return MirrorMap(NEG_ENTROPY)
 
 
 def _check_pair(x, z):

@@ -1,6 +1,8 @@
 import pytest
 
 from ssmd.cli import main
+from ssmd.harness import build_instance, parse_config
+from ssmd.utility import reference_solution
 
 SMALL = """regime = compact
 instance = inline
@@ -160,3 +162,35 @@ def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"{key} must be" in err or f"{key} applies only" in err
+
+
+def test_reference_falls_back_to_config_tol(tmp_path, capsys):
+    text = "regime = strongly_convex\ninstance = test1\nlambda = 100\nreference_tol = 1e-2\n"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    instance = build_instance(parse_config(text))
+    loose = reference_solution(instance, 1e-2)[1]
+    tight = reference_solution(instance, 1e-6)[1]
+    assert loose != tight
+    assert main(["reference", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == f"{loose!r}\n"
+    assert main(["reference", "--config", str(cfg), "--tol", "1e-6"]) == 0
+    assert capsys.readouterr().out == f"{tight!r}\n"
+
+
+def test_strongly_convex_runs_only_the_first_a(tmp_path, capsys):
+    # a plays no part in the strongly convex regime: a = 1, 2, 3 runs once, as a = 1
+    swept, single = tmp_path / "swept.txt", tmp_path / "single.txt"
+    swept.write_text(SC + "a = 1, 2, 3\n")
+    single.write_text(SC + "a = 1\n")
+    for cfg in (swept, single):
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+    assert sorted(p.name for p in (tmp_path / "swept").iterdir()) == \
+        ["experiment.csv", "experiment.csv.meta"]
+    assert (tmp_path / "swept" / "experiment.csv").read_bytes() == \
+        (tmp_path / "single" / "experiment.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["bounds", "--config", str(swept)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("k,bound") == 1 and "# a =" not in out
+    assert len(out.splitlines()) == 1 + 11  # header, k = 0..10

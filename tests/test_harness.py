@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,98 @@ def test_config_text_roundtrip():
     assert config_hash(other) != config_hash(cfg)
 
 
+# every key, in non-canonical spellings and out of order
+ALL_KEYS = """
+  out=res/x
+reference_tol = 1E-3
+compute_reference = YES
+workers = 2
+analytic_f = no
+eval_samples = 500
+seed = 0012
+runs = 3
+iterations = 50
+a = 0.5,1e-3
+schedule = step-2
+lambda = 2
+budget = 1.50
+cap = 1
+n = 4
+instance = INLINE
+regime = compact
+"""
+
+ALL_KEYS_CANONICAL = """regime = compact
+instance = inline
+n = 4
+cap = 1.0
+budget = 1.5
+lambda = 2.0
+schedule = step-2
+a = 0.5,0.001
+iterations = 50
+runs = 3
+seed = 12
+eval_samples = 500
+analytic_f = false
+workers = 2
+compute_reference = true
+reference_tol = 0.001
+out = res/x
+"""
+
+REGIME_ONLY_CANONICAL = """regime = strongly_convex
+instance = test1
+lambda = 100.0
+schedule = step-1
+a = 1.0
+iterations = 100
+runs = 100
+seed = 0
+eval_samples = 10000
+analytic_f = true
+workers = 1
+compute_reference = false
+reference_tol = 1e-06
+"""
+
+
+@pytest.mark.parametrize("text, want", [
+    pytest.param(ALL_KEYS, ALL_KEYS_CANONICAL, id="inline-all-keys"),
+    pytest.param("regime = strongly_convex", REGIME_ONLY_CANONICAL, id="regime-only"),
+])
+def test_config_text_is_canonical(text, want):
+    cfg = parse_config(text)
+    assert config_text(cfg) == want
+    assert parse_config(want) == cfg
+
+
+@pytest.mark.parametrize("key", [
+    "n", "cap", "budget", "lambda", "a", "iterations", "runs", "seed",
+    "eval_samples", "analytic_f", "workers", "compute_reference", "reference_tol",
+])
+def test_unparsable_value_names_the_key(key):
+    with pytest.raises(ConfigError, match=f"^line 2: cannot parse value for '{key}'"):
+        parse_config(f"regime = compact\n{key} = 1.5x\n")
+
+
+def test_strongly_convex_sweep_has_one_summary():
+    cfg = parse_config("regime = strongly_convex\na = 1, 2, 3\niterations = 2\nruns = 2\n")
+    (a, summary), = sweep_a(cfg)
+    assert a == 1.0 and summary.metadata["a_used"] == "1.0"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_block_parses_and_names_every_key():
+    section = README.read_text(encoding="utf-8").split("### Config format", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config(block)
+    for key in harness._KEYS:
+        assert re.search(rf"^(# )?{key} = ", block, re.MULTILINE), key
+
+
 def test_single_run_summary_equals_trace():
     cfg = parse_config(SMALL.replace("runs = 4", "runs = 1"))
     summary = run_experiment(cfg)
@@ -146,7 +241,7 @@ def test_csv_roundtrip_bytes(tmp_path):
 
 
 def test_csv_roundtrip_with_nan_rows():
-    # beyond K = 1000 the f columns are geometrically thinned and carry nan
+    # a nan in any column (say, from a diverged run) survives the round trip
     from ssmd.harness import McSummary
 
     summary = McSummary(

@@ -27,10 +27,8 @@ def random_simplex_points(rng, n, count):
 def test_map_invariants():
     assert EU.mu_w == 1.0 and EU.satisfies_quadratic_upper_bound
     assert NE.mu_w > 0.0 and not NE.satisfies_quadratic_upper_bound
-    with pytest.raises(ValueError):
-        MirrorMap("euclidean", 2.0, True)
-    with pytest.raises(ValueError):
-        MirrorMap("negative_entropy", 1.0, True)
+    with pytest.raises(ValueError, match="unknown mirror map kind"):
+        MirrorMap("bogus")
 
 
 def test_bregman_euclidean_examples():
