@@ -295,7 +295,7 @@ def _summaries(cfg: ExperimentConfig, a_list, workers: Optional[int]) -> list[Mc
     if workers > 1:
         # imported here, so a serial run and every other CLI command skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             done = list(pool.map(_mc_run, chunks))
     else:
         done = [_mc_run(chunk) for chunk in chunks]

@@ -90,8 +90,8 @@ def prox_step(mirror_map: MirrorMap, feasible_set, x, g, alpha: float) -> np.nda
     Checks its inputs, then calls :func:`prox`.
     """
     x, g = _check_pair(x, g)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     if not feasible_set.contains(x, FEAS_TOL):
         raise ValueError("prox step requires a feasible base point")
     return prox(mirror_map, feasible_set, x, g, alpha)

@@ -47,8 +47,8 @@ class CappedBox:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.cap <= 0.0 or self.budget <= 0.0:
-            raise ValueError("cap and budget must be positive")
+        if not (0.0 < self.cap < np.inf and 0.0 < self.budget < np.inf):
+            raise ValueError("cap and budget must be positive and finite")
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = _as_rows(x, self.n)

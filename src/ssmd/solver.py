@@ -29,10 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .averaging import AverageState
 from .gaussian import rng_from_seed
 from .mirror import FEAS_TOL, MirrorMap, prox, prox_step  # noqa: F401 (re-exported)
-from .stepsizes import InverseSqrtStepsize, schedule_alphas
+from .stepsizes import InverseSqrtStepsize, kahan_cumsum, schedule_alphas
 
 
 def block_rows(n: int) -> int:
@@ -151,15 +150,18 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
     x_star = None if problem.x_star is None else np.asarray(problem.x_star, dtype=float)
     dist = None if x_star is None else np.empty((m, 2, runs))
 
-    state = AverageState.empty()
+    # x_hat_k by AverageState's recursion, on each run's Kahan sums S_k of 1/alpha_t
+    sums = kahan_cumsum(1.0 / alphas)
+    ratios = (sums[:-1] / sums[1:])[..., None]
     run_sum = np.zeros_like(x)
     for k in range(m):
         if uniform_average:
             run_sum = run_sum + x
             x_hat = run_sum / (k + 1)
+        elif k == 0:
+            x_hat = x.copy()
         else:
-            state = state.absorb(x, alphas[k])
-            x_hat = state.x_hat
+            x_hat = ratios[k - 1] * x_hat + (1.0 - ratios[k - 1]) * x
         j = k % rows
         block[j, 0] = x
         block[j, 1] = x_hat
@@ -202,8 +204,8 @@ def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int,
 
     rng is one generator, or a list of them for a batch of runs sharing the
     schedule (seed then None or one per generator)."""
-    if problem.mu_f <= 0.0:
-        raise ValueError("the strongly convex engine requires mu_f > 0")
+    if not 0.0 < problem.mu_f < np.inf:
+        raise ValueError("the strongly convex engine requires a positive, finite mu_f")
     if not problem.mirror_map.satisfies_quadratic_upper_bound:
         raise ValueError("the strongly convex engine requires the quadratic upper bound")
     if isinstance(schedule, InverseSqrtStepsize):
@@ -215,14 +217,15 @@ def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int,
 
 def run_compact(problem: ProblemHandle, a, num_iterations: int, rng, seed=None,
                 uniform_average: bool = False):
-    """Run the compact-set engine with alpha_k = a/sqrt(k+1), which for run i
-    equals InverseSqrtStepsize(a_i).alphas(K) bit for bit.
+    """Run the compact-set engine, run i with the stepsizes of
+    InverseSqrtStepsize(a_i): alpha_k = a_i/sqrt(k+1).
 
     rng is one generator, or a list of them for a batch of runs, with one a
     for all of them or one per generator (seed then None or one per generator)."""
     if not getattr(problem.feasible_set, "is_bounded", False):
         raise ValueError("the compact engine requires a bounded feasible set")
-    alphas = np.asarray(a, dtype=float) / np.sqrt(np.arange(num_iterations + 1) + 1.0)[:, None]
+    alphas = np.column_stack([InverseSqrtStepsize(v).alphas(num_iterations)
+                              for v in np.ravel(a)])
     return _run(problem, alphas, 1.0, num_iterations, rng, seed, uniform_average)
 
 
@@ -243,8 +246,8 @@ def combined_second_moment(grad_bound_sq: float, noise_var: float,
 
 def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float, mu_w: float):
     """(gap bound, avg distance bound, iterate distance bound) at iteration k."""
-    if c_tilde_sq <= 0.0 or mu_f <= 0.0 or mu_w <= 0.0:
-        raise ValueError("parameters must be positive")
+    if not (0.0 < c_tilde_sq < np.inf and 0.0 < mu_f < np.inf and 0.0 < mu_w < np.inf):
+        raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
     gap = 2.0 / (k + 1.0) * c_tilde_sq / (mu_f * mu_w)
     avg_dist = 4.0 / (k + 1.0) * c_tilde_sq / (mu_f**2 * mu_w)
@@ -255,8 +258,8 @@ def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float, mu_w: float):
 def compact_rate_bound(k, a: float, diameter_sq: float, grad_bound_sq: float,
                        noise_var: float, mu_w: float):
     """Gap bound for the compact engine at iteration k."""
-    if a <= 0.0 or mu_w <= 0.0:
-        raise ValueError("parameters must be positive")
+    if not (0.0 < a < np.inf and 0.0 < mu_w < np.inf):
+        raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
     return 1.5 / np.sqrt(k + 1.0) * (
         diameter_sq / a + a * (grad_bound_sq + noise_var) / mu_w
@@ -266,8 +269,8 @@ def compact_rate_bound(k, a: float, diameter_sq: float, grad_bound_sq: float,
 def noiseless_compact_rate_bound(k, a: float, diameter_sq: float,
                                  grad_bound_sq: float, mu_w: float):
     """Gap bound for the compact engine with error-free subgradients."""
-    if a <= 0.0 or mu_w <= 0.0:
-        raise ValueError("parameters must be positive")
+    if not (0.0 < a < np.inf and 0.0 < mu_w < np.inf):
+        raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
     return 1.5 / np.sqrt(k + 1.0) * (
         diameter_sq / a + a * grad_bound_sq / (2.0 * mu_w)
@@ -282,8 +285,8 @@ def optimal_stepsize_scale(diameter: float, grad_bound_sq: float, noise_var: flo
     (second term C^2/(2 mu_w)), which requires noise_var = 0 and gives
     a* = d*sqrt(2*mu_w)/C; otherwise a* = d / sqrt((C^2 + nu^2)/mu_w).
     """
-    if diameter <= 0.0 or mu_w <= 0.0:
-        raise ValueError("parameters must be positive")
+    if not (0.0 < diameter < np.inf and 0.0 < mu_w < np.inf):
+        raise ValueError("parameters must be positive and finite")
     if noiseless:
         if noise_var != 0.0:
             raise ValueError("the noiseless optimum requires noise_var = 0")

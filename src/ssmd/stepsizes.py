@@ -73,8 +73,8 @@ class InverseSqrtStepsize:
     """alpha_k = a/sqrt(k+1) for a tunable scale a > 0."""
 
     def __init__(self, a: float):
-        if a <= 0.0:
-            raise ValueError("a must be positive")
+        if not 0.0 < a < np.inf:
+            raise ValueError("a must be positive and finite")
         self.a = float(a)
 
     def alpha(self, k: int) -> float:
@@ -150,8 +150,8 @@ def verify_alpha_sq_sum_bound(schedule, k_max: int) -> bool:
 def sqrt_sum_growth_violations(a: float, k_max: int) -> np.ndarray:
     """Indices k where sum_{t<=k} 1/alpha_t < (2/(3a))*(k+1)^1.5 for the
     a/sqrt(k+1) schedule (relative slack 1e-12)."""
-    if a <= 0.0:
-        raise ValueError("a must be positive")
+    if not 0.0 < a < np.inf:
+        raise ValueError("a must be positive and finite")
     s = kahan_cumsum(1.0 / InverseSqrtStepsize(a).alphas(k_max))
     bound = (2.0 / (3.0 * a)) * (np.arange(k_max + 1) + 1.0) ** 1.5
     return np.nonzero(s < bound * (1.0 - ABS_SLACK))[0]

@@ -96,26 +96,19 @@ def test_weights_errors():
         weights([1.0, -0.5])
 
 
-def test_stacked_absorb_equals_rows(rng):
-    # one state over a stack (m, n), one alpha per row, equals m states
-    m, n = 6, 3
-    xs = rng.standard_normal((200, m, n)) * 10
-    alphas = np.exp(rng.standard_normal((200, m)))
-    stack = AverageState.empty()
-    rows = [AverageState.empty() for _ in range(m)]
-    for x, a in zip(xs, alphas):
-        stack = stack.absorb(x, a)
-        rows = [st.absorb(x[i], a[i]) for i, st in enumerate(rows)]
-    assert stack.x_hat.shape == (m, n) and stack.count == 200
-    assert np.array_equal(stack.x_hat, [st.x_hat for st in rows])
-    assert np.array_equal(stack.weight_sum, [st.weight_sum for st in rows])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_stepsizes_are_rejected(bad):
+    st = AverageState.empty().absorb(np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        st.absorb(np.zeros(2), bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        AverageState.empty().absorb(np.zeros(2), bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        weights([1.0, bad])
+    with pytest.raises(ValueError, match="positive and finite"):
+        weights([bad])
 
 
-def test_stacked_absorb_errors():
-    st = AverageState.empty().absorb(np.zeros((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        st.absorb(np.zeros((2, 3)), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        st.absorb(np.zeros((2, 3)), np.ones(3))
-    with pytest.raises(ValueError):
-        st.absorb(np.zeros((3, 3)), np.ones(3))
+def test_absorb_takes_one_point():
+    with pytest.raises(ValueError, match="one point"):
+        AverageState.empty().absorb(np.zeros((2, 3)), 1.0)

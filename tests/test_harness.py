@@ -344,6 +344,33 @@ def test_output_independent_of_workers_and_batch(text, tmp_path, monkeypatch):
         assert experiment_bytes(cfg, tmp_path, workers, f"w{workers}") == want
 
 
+
+def test_workers_capped_at_the_chunk_count(tmp_path, monkeypatch):
+    # two runs make two chunks, so workers = 8 opens a pool of at most 2
+    # processes; a serial stand-in for the pool records it and starts none
+    import concurrent.futures
+
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = parse_config(SMALL.replace("runs = 4", "runs = 2"))
+    want = experiment_bytes(cfg, tmp_path, 1, "serial")
+    assert experiment_bytes(cfg, tmp_path, 8, "w8") == want
+    assert len(opened) == 1 and opened[0] <= 2
+
 def test_reference_solved_once_per_config(monkeypatch):
     cfg = parse_config("regime = compact\ninstance = test1\nlambda = 100\na = 1, 10, 30\n"
                        "iterations = 3\nruns = 2\ncompute_reference = true\n")

@@ -145,3 +145,10 @@ def test_quadratic_upper_bound_check(rng):
     assert bregman(NE, x, z) > 0.5 * np.sum((x - z) ** 2)
     assert abs(bregman(NE, x, z) - KL_FAR) < 1e-12
     assert not check_quadratic_upper_bound(NE, [(x, z)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prox_step_rejects_non_finite_alpha(bad):
+    box = CappedBox(2, 10.0, 10.0)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        prox_step(EU, box, np.array([1.0, 1.0]), np.ones(2), bad)

@@ -335,3 +335,11 @@ def test_stacked_simplex_equals_rows(rng):
     for row, p in zip(stack, got):
         assert np.array_equal(p, sim.project(row))
     assert sim.contains(got, 1e-12) and not sim.contains(stack, 1e-12)
+
+
+@pytest.mark.parametrize("cap, budget", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
+                                         (1.0, np.inf)])
+def test_non_finite_cap_or_budget_is_rejected(cap, budget):
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CappedBox(n, cap, budget)

@@ -358,6 +358,46 @@ def test_blocked_sample_average_equals_per_point_estimator():
         assert np.array_equal(trace.f_avg, [per_point(x) for x in x_hats])
 
 
+@pytest.mark.parametrize("regime", ["compact", "strongly_convex"])
+def test_stacked_averages_equal_per_row_replay(regime):
+    # each row of the engine's (R, n) stack is averaged with its own stepsizes:
+    # replaying a row's iterates through AverageState gives that row's f_avg
+    # and final average bit for bit; K = 150 spans four blocks of 40 rows
+    inst = default_instance("test1", reg_weight=100.0 if regime == "strongly_convex" else 0.0)
+    problem, num_iterations, seeds = make_problem(inst), 150, [5, 17, 2**40 + 3]
+    assert num_iterations > 3 * block_rows(inst.n)
+    if regime == "compact":
+        a = [0.5, 2.0, 7.0]
+        schedules = [InverseSqrtStepsize(v) for v in a]
+
+        def run(p, iterations):
+            return run_compact(p, a, iterations, [rng_from_seed(s) for s in seeds])
+    else:
+        schedules = [NesterovStepsize()] * len(seeds)
+
+        def run(p, iterations):
+            return run_strongly_convex(p, NesterovStepsize(), iterations,
+                                       [rng_from_seed(s) for s in seeds])
+
+    # x_k of every row, k = 0..K, from the oracle's inputs of a run one step longer
+    stacks = []
+    oracle = problem.oracle
+
+    def recording(x, xi):
+        stacks.append(np.array(x))
+        return oracle(x, xi)
+
+    run(replace(problem, oracle=recording), num_iterations + 1)
+    traces = run(problem, num_iterations)
+    for i, (trace, schedule) in enumerate(zip(traces, schedules)):
+        state, f_avg = AverageState.empty(), []
+        for k in range(num_iterations + 1):
+            state = state.absorb(stacks[k][i], schedule.alpha(k))
+            f_avg.append(f_value(inst, state.x_hat, False))
+        assert np.array_equal(trace.f_avg, f_avg), i
+        assert np.array_equal(trace.x_hat_final, state.x_hat), i
+
+
 ENGINE_CASES = [
     pytest.param(lambda: default_instance("test1", reg_weight=100.0), 10.0, 100,
                  [40, 40, 20], id="test1-K100"),
@@ -533,3 +573,25 @@ def test_iterates_are_checked_feasible_once_per_block():
     problem.oracle = lambda x, xi: np.full_like(x, -1.0)
     with pytest.raises(ArithmeticError, match="left the feasible set"):
         run_compact(problem, 1.0, 10, rng_from_seed(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    calls = [
+        lambda: strongly_convex_rate_bounds(3, bad, 1.0, 1.0),
+        lambda: strongly_convex_rate_bounds(3, 1.0, bad, 1.0),
+        lambda: strongly_convex_rate_bounds(3, 1.0, 1.0, bad),
+        lambda: compact_rate_bound(3, bad, 1.0, 1.0, 0.0, 1.0),
+        lambda: compact_rate_bound(3, 1.0, 1.0, 1.0, 0.0, bad),
+        lambda: noiseless_compact_rate_bound(3, bad, 1.0, 1.0, 1.0),
+        lambda: noiseless_compact_rate_bound(3, 1.0, 1.0, 1.0, bad),
+        lambda: optimal_stepsize_scale(bad, 1.0, 0.0, 1.0),
+        lambda: optimal_stepsize_scale(1.0, 1.0, 0.0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="positive and finite"):
+            call()
+    problem = quadratic_problem(100.0, [0.3], UNIT_INTERVAL, [0.0])
+    problem.mu_f = bad
+    with pytest.raises(ValueError, match="positive, finite mu_f"):
+        run_strongly_convex(problem, TsengStepsize(), 10, rng_from_seed(0))

@@ -158,3 +158,20 @@ def test_kahan_cumsum():
     out = kahan_cumsum(terms)
     assert abs(out[-1] - 1000.0) < 1e-10
     assert out.shape == (10_000,)
+
+
+def test_kahan_cumsum_on_columns(rng):
+    # a (K+1, R) table sums each column as a 1-D call does, bit for bit
+    table = np.exp(rng.standard_normal((151, 3))) * 10.0
+    got = kahan_cumsum(table)
+    assert got.shape == table.shape
+    for i in range(3):
+        assert np.array_equal(got[:, i], kahan_cumsum(table[:, i]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scale_is_rejected(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        InverseSqrtStepsize(bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        verify_sqrt_sum_growth(bad, 10)
