@@ -6,6 +6,8 @@ the unique threshold tau >= 0 with sum clip(x - tau, 0, cap) = budget.
 The threshold is found exactly among the sorted kinks of that piecewise-linear
 sum, searched per row in a window of its largest components that widens until
 it provably holds the solution, so the projection is deterministic to roundoff.
+A lone binding row is searched in scalar steps instead, by a bisection that the
+same rounding-error bound certifies, with the same result bit for bit.
 
 ``project`` and ``contains`` take a point (n,) or a stack (m, n): each row is
 projected exactly as if alone, and a stack is contained when every row is.
@@ -13,7 +15,9 @@ projected exactly as if alone, and a stack is contained when every row is.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import inf, nextafter
 
 import numpy as np
 
@@ -72,10 +76,18 @@ class CappedBox:
         q = min(int(self.budget // cap), n - 1)
         every = binding == over.size
         x = x.reshape(-1, n) if every else x[over]
-        r = np.partition(x, n - 1 - q, axis=-1)[:, n - 1 - q, None]
-        s = (x - r).clip(-cap, cap)
-        tau = self._budget_tau(np.sort(s, axis=-1), np.maximum(-cap, -r),
-                               n if binding * n <= 4096 else min(n, 64))
+        if binding == 1:
+            # a lone row is sorted once: x -> clip(x - r) keeps order, so its s
+            # sorted is its x sorted, shifted and clipped
+            xs = np.sort(x, axis=-1)
+            r = xs[:, n - 1 - q, None]
+            s = (x - r).clip(-cap, cap)
+            tau = self._row_tau((xs[0] - r[0]).clip(-cap, cap), max(-cap, -float(r[0, 0])))
+        else:
+            r = np.partition(x, n - 1 - q, axis=-1)[:, n - 1 - q, None]
+            s = (x - r).clip(-cap, cap)
+            tau = self._budget_tau(np.sort(s, axis=-1), np.maximum(-cap, -r),
+                                   n if binding * n <= 4096 else min(n, 64))
         # nudge a row's tau up by doubling ulps if roundoff left its sum a hair
         # over budget, so the result is exactly feasible and projection is
         # idempotent; a row once within budget stays so, hence one step for all
@@ -131,13 +143,64 @@ class CappedBox:
         lo, hi, vlo, vhi = ts[pre], ts[at], flat[pre], flat[at]
         tau = lo + (vlo - budget) * (hi - lo) / (vlo - vhi)
         if width < n:
-            e = 16.0 * n * (n + 4) * cap * _EPS
-            redo = (t > t0)[:, 0] & (vals[:, 1] <= budget + 2.0 * e)
+            redo = (t > t0)[:, 0] & (vals[:, 1] <= budget + 2.0 * self._h_error)
             if redo.any():
                 xs, t0 = xs[redo], t0[redo]
                 need = int(np.count_nonzero(xs > t0, axis=-1).max())
                 tau[redo] = self._budget_tau(xs, t0, min(need, 8 * width))
         return tau
+
+    def _row_tau(self, xs: np.ndarray, t0: float) -> np.ndarray:
+        # _budget_tau's search for one row, xs its s sorted, in scalar steps:
+        # the same h(t) by the same float operations (Python floats round as
+        # numpy's do), and the same bracket, so the same tau bit for bit.
+        # Bisecting the values s_j above t0 finds one with h <= budget + 2E
+        # whose predecessor (the value before it, or t0) has h > budget + 2E: h is
+        # non-increasing and computed within E, so no kink at or below that
+        # predecessor has computed h <= budget, and scanning every kink above
+        # it, s_i and s_i - cap merged, finds the first one as the full search
+        # does.  h(s_{n-1}) = 0 ends both.
+        n, cap, budget = self.n, self.cap, self.budget
+        tail = np.zeros(n + 1)
+        np.add.accumulate(xs[::-1], out=tail[n - 1::-1])
+        vs, vl, vt = memoryview(xs), memoryview(xs - cap), memoryview(tail)
+
+        def h(t):
+            i, tc = bisect_right(vs, t), t + cap
+            i_c = bisect_right(vs, tc, i)
+            return (vt[i] - t * float(n - i)) - (vt[i_c] - tc * float(n - i_c))
+
+        lo, vlo = t0, h(t0)
+        if vlo <= budget:
+            # as _budget_tau's column 0: a crossing at t0 gives tau = t0
+            hi, vhi, vlo = t0, vlo, nextafter(budget, inf)
+        else:
+            bound = budget + 2.0 * self._h_error
+            if vlo > bound:
+                below, end = bisect_right(vs, t0) - 1, n - 1
+                while end - below > 1:
+                    mid = (below + end) // 2
+                    v = h(vs[mid])
+                    if v > bound:
+                        lo, vlo, below = vs[mid], v, mid
+                    else:
+                        end = mid
+            i, j = bisect_right(vs, lo), bisect_right(vl, lo)
+            while True:
+                if j < n and vl[j] < vs[i]:
+                    hi, j = vl[j], j + 1
+                else:
+                    hi, i = vs[i], i + 1
+                vhi = h(hi)
+                if vhi <= budget:
+                    break
+                lo, vlo = hi, vhi
+        return np.array([lo + (vlo - budget) * (hi - lo) / (vlo - vhi)])
+
+    @property
+    def _h_error(self) -> float:
+        # E of _budget_tau: a bound on the rounding error of computed h
+        return 16.0 * self.n * (self.n + 4) * self.cap * _EPS
 
 
 def _count_le(top: np.ndarray, q: np.ndarray) -> np.ndarray:

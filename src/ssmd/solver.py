@@ -39,6 +39,14 @@ def block_rows(n: int) -> int:
     return max(1, 4096 // n)
 
 
+# Floats in the engine's per-block stack of iterates x_k of all R runs: the
+# x-stack of a full harness batch (BATCH_RUNS = 32 runs of block_rows' 4096
+# floats).  A block is max(1, BLOCK_FLOATS // (R n)) iterations, so a full batch
+# keeps block_rows(n) and a smaller one, for R <= 32 never fewer iterations,
+# pays the per-block noise draw, f call and feasibility check fewer times.
+BLOCK_FLOATS = 32 * 4096
+
+
 def no_noise(rng: np.random.Generator, rows: int) -> np.ndarray:
     """Noise of an oracle that draws nothing: one empty row per iteration."""
     return np.empty((rows, 0))
@@ -94,15 +102,22 @@ def _f_evaluator(problem: ProblemHandle):
 
     def estimate(points):
         # every point sees the same f_eval_samples draws from f_eval_seed, d per
-        # call; added in draw order, each sum is the one-draw loop's bit for bit
-        rng = rng_from_seed(problem.f_eval_seed)
-        m, samples = points.shape[0], problem.f_eval_samples
-        total = np.zeros(m)
-        for start in range(0, samples, block_rows(m)):
-            d = min(block_rows(m), samples - start)
-            for row in _checked(problem.f_sampler(points, rng, d), (d, m)):
-                total += row
-        return total / samples
+        # call; added in draw order, each sum is the one-draw loop's bit for bit.
+        # Points go in sub-stacks of at most block_rows(n), each seeded afresh:
+        # a call recomputes all its points' moments, so a block's cost stays
+        # linear in its points
+        samples, out = problem.f_eval_samples, np.empty(len(points))
+        size = block_rows(points.shape[-1])
+        for lo in range(0, len(points), size):
+            part = points[lo:lo + size]
+            rng, m = rng_from_seed(problem.f_eval_seed), len(part)
+            total = np.zeros(m)
+            for start in range(0, samples, block_rows(m)):
+                d = min(block_rows(m), samples - start)
+                for row in _checked(problem.f_sampler(part, rng, d), (d, m)):
+                    total += row
+            out[lo:lo + size] = total / samples
+        return out
 
     return estimate, {"f_mode": "sample_average", "f_eval_samples": problem.f_eval_samples,
                       "f_eval_seed": problem.f_eval_seed}
@@ -143,8 +158,10 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
     # x_k and x_hat_k of every run are copied into a block of B iterations,
     # where f, the distances and feasibility are checked once on the block's
     # (B, 2, R) stack of points; each run's oracle noise of the block's
-    # iterations is drawn from its stream in one call at the block's start
-    rows = block_rows(n)
+    # iterations is drawn from its stream in one call at the block's start.
+    # f and the distances are per point and one draw of B n normals equals B
+    # draws of n, so no output depends on B
+    rows = max(1, BLOCK_FLOATS // (runs * n))
     block = np.empty((rows, 2, runs, n))
     f_vals = np.full((m, 2, runs), np.nan)
     x_star = None if problem.x_star is None else np.asarray(problem.x_star, dtype=float)

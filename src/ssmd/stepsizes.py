@@ -121,14 +121,15 @@ def step_condition_violations(schedule, k_max: int) -> np.ndarray:
 
     The inequality (1 - a_{k+1})/a_{k+1}^2 <= 1/a_k^2 is checked in the
     cross-multiplied form a_k^2 (1 - a_{k+1}) <= a_{k+1}^2, whose sides stay
-    O(1) so the absolute slack is meaningful even when alpha is tiny.
+    O(1) so the absolute slack is meaningful even when alpha is tiny.  Each
+    test is written to hold, so a nan alpha fails it.
     """
     _reject_inverse_sqrt(schedule)
     al = schedule_alphas(schedule, k_max)
-    bad = (al <= 0.0) | (al > 1.0 + ABS_SLACK)
-    bad[0] |= abs(al[0] - 1.0) > ABS_SLACK
+    bad = ~((0.0 < al) & (al <= 1.0 + ABS_SLACK))
+    bad[0] |= not abs(al[0] - 1.0) <= ABS_SLACK
     nxt, cur = al[1:], al[:-1]
-    bad[1:] |= cur**2 * (1.0 - nxt) > nxt**2 + ABS_SLACK
+    bad[1:] |= ~(cur**2 * (1.0 - nxt) <= nxt**2 + ABS_SLACK)
     return np.nonzero(bad)[0]
 
 
@@ -137,10 +138,13 @@ def verify_step_condition(schedule, k_max: int) -> bool:
 
 
 def alpha_sq_sum_violations(schedule, k_max: int) -> np.ndarray:
-    """Indices k where alpha_k^2 * sum_{t<=k} 1/alpha_t drops below 1."""
+    """Indices k where alpha_k^2 * sum_{t<=k} 1/alpha_t drops below 1, or
+    alpha_k is not positive and finite."""
     al = schedule_alphas(schedule, k_max)
-    s = kahan_cumsum(1.0 / al)
-    return np.nonzero(al**2 * s < 1.0 - ABS_SLACK)[0]
+    # a bad alpha is flagged here, and its nan or inf products need no warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weighted = al**2 * kahan_cumsum(1.0 / al)
+    return np.nonzero(~((0.0 < al) & (al < np.inf) & (weighted >= 1.0 - ABS_SLACK)))[0]
 
 
 def verify_alpha_sq_sum_bound(schedule, k_max: int) -> bool:
@@ -166,7 +170,7 @@ def alpha_cap_violations(schedule, k_max: int) -> np.ndarray:
     _reject_inverse_sqrt(schedule)
     al = schedule_alphas(schedule, k_max)
     cap = 2.0 / (np.arange(k_max + 1) + 1.0)
-    return np.nonzero((al <= 0.0) | (al > cap + 1e-15))[0]
+    return np.nonzero(~((0.0 < al) & (al <= cap + 1e-15)))[0]
 
 
 def verify_alpha_cap(schedule, k: int) -> bool:

@@ -290,27 +290,51 @@ def test_stacked_window_search_equals_per_row_search(rng, monkeypatch, n):
 
 
 def random_rows(rng, m, n, cap, budget):
-    """m rows mixing slack, binding, tied and huge-magnitude points."""
+    """m rows mixing slack, binding, tied and huge-magnitude points, runs the
+    search clips to -cap and cap, and rows whose q = floor(budget/cap) largest
+    components dominate (h is flat at budget when budget = q cap)."""
     rows = rng.uniform(-0.5, 1.5, (m, n)) * cap
     rows[::4] = rng.uniform(-0.5, 1.0, (len(rows[::4]), n)) * min(cap, budget) / n  # slack
     rows[1::4] = np.round(rows[1::4] * 2.0) / 2.0 * 3.0        # ties, binding
     rows[2::4] = np.sign(rng.standard_normal((len(rows[2::4]), n))) \
         * 10.0 ** rng.uniform(-3, 300, (len(rows[2::4]), n))   # up to 1e300
+    rows[3::8] = cap * rng.choice([-5.0, 0.25, 0.5, 5.0], (len(rows[3::8]), n))  # clipped
+    for row in rows[7::8]:
+        row[:] = rng.uniform(-1.0, 0.5, n) * cap
+        row[rng.permutation(n)[:int(budget // cap)]] = cap * rng.choice([1.5, 2.0])
     return rows
 
 
-@pytest.mark.parametrize("n", [1, 2, 100, 1000])
+def cluster_rows(rng, m, n, cap, budget):
+    """m rows like random_rows' dominant ones, with most other components within
+    a few ulps of one value: there computed h is not monotone, and a search
+    that trusts it without the rounding bound E stops at a different kink."""
+    rows = rng.uniform(-1.0, 0.1, (m, n)) * cap
+    for row in rows:
+        near = int(rng.integers(1, n + 1))
+        row[:near] = cap * (rng.uniform(0.2, 0.8) + 4e-16 * rng.standard_normal(near))
+        row[rng.permutation(n)[:int(budget // cap)]] = cap * rng.choice([1.0, 2.0])
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1000])
 def test_stacked_project_equals_rows(rng, n):
-    for cap, budget in ((1.0, 0.7), (1.0, 1.0), (2.5, 0.3 * n + 1.0)):
+    # a stack of binding rows is searched by _budget_tau, a lone binding row by
+    # _row_tau: the results agree row by row, bit for bit
+    k = max(1, n // 3)
+    for cap, budget in ((1.0, 0.7), (1.0, 1.0), (2.5, 0.3 * n + 1.0), (0.5, 0.5 * k)):
         box = CappedBox(n, cap, budget)
         stack = random_rows(rng, 13, n, cap, budget)
         binding = np.clip(stack, 0.0, cap).sum(axis=-1) > budget
         assert (binding.any() or budget >= n * cap) and not binding.all()
-        got = box.project(stack)
-        assert got.shape == stack.shape
-        for row, p in zip(stack, got):
-            assert np.array_equal(p, box.project(row))
-        assert box.contains(got, 0.0)
+        # the stack, one binding row among the slack ones, and near-ties
+        for rows in (stack, np.concatenate([stack[~binding], stack[binding][:1]]),
+                     cluster_rows(rng, 24, n, cap, budget)):
+            got = box.project(rows)
+            assert got.shape == rows.shape
+            for row, p in zip(rows, got):
+                assert np.array_equal(p, box.project(row))
+            assert box.contains(got, 0.0)
         assert box.contains(stack[:1] * 0.0) and not box.contains(stack)
         assert np.array_equal(box.project(stack[3:4]), box.project(stack[3])[None])
 

@@ -9,6 +9,7 @@ from ssmd.gaussian import rng_from_seed, standard_normals
 from ssmd.mirror import MirrorMap, prox_step
 from ssmd.sets import CappedBox
 from ssmd.solver import (
+    BLOCK_FLOATS,
     ProblemHandle,
     block_rows,
     combined_second_moment,
@@ -323,10 +324,12 @@ def replay_iterates(problem, a, num_iterations):
     return xs, x_hats
 
 
-@pytest.mark.parametrize("n, num_iterations", [(100, 100), (1000, 10)])
+@pytest.mark.parametrize("n, num_iterations", [(100, 3000), (1000, 300)])
 def test_blocked_f_equals_pointwise_f_value(n, num_iterations):
-    # 101 = 2 * 40 + 21 and 11 = 2 * 4 + 3 iterates: the last block is partial
-    assert num_iterations + 1 > block_rows(n) and (num_iterations + 1) % block_rows(n)
+    # one run's blocks: 3001 = 2 * 1310 + 381 and 301 = 2 * 131 + 39 iterates,
+    # three blocks each, the last one partial
+    rows = BLOCK_FLOATS // n
+    assert num_iterations + 1 > 2 * rows and (num_iterations + 1) % rows
     inst = make_instance("inline", n=n, cap=1.0, budget=1.0, reg_weight=0.0)
     problem = make_problem(inst)
     trace = run_compact(problem, 1.0, num_iterations, rng_from_seed(0))
@@ -338,10 +341,13 @@ def test_blocked_f_equals_pointwise_f_value(n, num_iterations):
 
 def test_blocked_sample_average_equals_per_point_estimator():
     inst = default_instance("test1", reg_weight=0.0)
-    # 46 = 40 + 6 iterates; a full block's 80 points draw in chunks of 51, so
-    # 50 samples fit in one chunk and 125 = 51 + 51 + 23 span three
-    chunk = block_rows(2 * block_rows(inst.n))
-    assert 50 <= chunk < 125 and 125 % chunk
+    # the one block's 46 iterates give 92 points, estimated in sub-stacks of
+    # 40, 40 and 12, each drawing afresh from f_eval_seed; a sub-stack of 40
+    # draws in chunks of 102, so 50 samples fit in one chunk and 125 = 102 + 23
+    # span two, and one of 12 draws both in one chunk of 341
+    size = block_rows(inst.n)
+    assert 2 * size < 2 * 46 < 3 * size and 46 <= BLOCK_FLOATS // inst.n
+    assert 50 <= block_rows(size) < 125 and 125 % block_rows(size)
     xs, x_hats = replay_iterates(make_problem(inst), 10.0, 45)
     for samples in (50, 125):
         problem = make_problem(inst, f_eval_samples=samples, analytic_f=False)
@@ -362,10 +368,11 @@ def test_blocked_sample_average_equals_per_point_estimator():
 def test_stacked_averages_equal_per_row_replay(regime):
     # each row of the engine's (R, n) stack is averaged with its own stepsizes:
     # replaying a row's iterates through AverageState gives that row's f_avg
-    # and final average bit for bit; K = 150 spans four blocks of 40 rows
+    # and final average bit for bit; 1001 = 2 * 436 + 129 iterates of three
+    # runs span three blocks
     inst = default_instance("test1", reg_weight=100.0 if regime == "strongly_convex" else 0.0)
-    problem, num_iterations, seeds = make_problem(inst), 150, [5, 17, 2**40 + 3]
-    assert num_iterations > 3 * block_rows(inst.n)
+    problem, num_iterations, seeds = make_problem(inst), 1000, [5, 17, 2**40 + 3]
+    assert num_iterations + 1 > 2 * (BLOCK_FLOATS // (len(seeds) * inst.n))
     if regime == "compact":
         a = [0.5, 2.0, 7.0]
         schedules = [InverseSqrtStepsize(v) for v in a]
@@ -398,18 +405,29 @@ def test_stacked_averages_equal_per_row_replay(regime):
         assert np.array_equal(trace.x_hat_final, state.x_hat), i
 
 
+def instance_test1():
+    return default_instance("test1", reg_weight=100.0)
+
+
+def instance_n1000():
+    return make_instance("inline", n=1000, cap=1.0, budget=1.0, reg_weight=0.0)
+
+
+# (instance, a, K, runs, noise rows per block): a block is max(1, 32 * 4096 //
+# (runs n)) iterations, block_rows(n) for a full batch of 32 runs and more for
+# fewer; every case spans three blocks and ends on a partial one
 ENGINE_CASES = [
-    pytest.param(lambda: default_instance("test1", reg_weight=100.0), 10.0, 100,
-                 [40, 40, 20], id="test1-K100"),
-    pytest.param(lambda: make_instance("inline", n=1000, cap=1.0, budget=1.0,
-                                       reg_weight=0.0), 1.0, 9, [4, 4, 1], id="n1000-K9"),
+    pytest.param(instance_test1, 10.0, 100, 32, [40, 40, 20], id="test1-K100"),
+    pytest.param(instance_n1000, 1.0, 9, 32, [4, 4, 1], id="n1000-K9"),
+    pytest.param(instance_test1, 10.0, 1000, 3, [436, 436, 128], id="test1-K1000-R3"),
+    pytest.param(instance_n1000, 1.0, 300, 1, [131, 131, 38], id="n1000-K300"),
 ]
 
 
-@pytest.mark.parametrize("build, a, num_iterations, noise_rows", ENGINE_CASES)
-def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, noise_rows):
-    # the engine draws the oracle noise once per block; a loop drawing n
-    # normals per iteration from the same seed gives the same run, bit for bit
+@pytest.mark.parametrize("build, a, num_iterations, runs, noise_rows", ENGINE_CASES)
+def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, runs, noise_rows):
+    # the engine draws each run's oracle noise once per block; a loop drawing n
+    # normals per iteration from run 0's seed gives run 0, bit for bit
     inst = build()
     problem = make_problem(inst)
     rows = []
@@ -419,9 +437,10 @@ def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, noise_r
         return problem.noise(rng, count)
 
     trace = run_compact(replace(problem, noise=recording_noise), a, num_iterations,
-                        rng_from_seed(4))
-    assert block_rows(inst.n) == noise_rows[0] > noise_rows[-1]  # last block partial
-    assert rows == noise_rows and sum(rows) == num_iterations
+                        [rng_from_seed(4 + i) for i in range(runs)])[0]
+    assert len(noise_rows) == 3 and noise_rows[0] > noise_rows[-1]
+    assert rows == [count for count in noise_rows for _ in range(runs)]
+    assert sum(noise_rows) == num_iterations
 
     rng = rng_from_seed(4)
     x, state = inst.x0.astype(float), AverageState.empty()
@@ -439,14 +458,16 @@ def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, noise_r
     assert np.array_equal(trace.x_hat_final, state.x_hat)
 
 
-@pytest.mark.parametrize("build, a, num_iterations, noise_rows", ENGINE_CASES)
-def test_run_draws_exactly_k_noise_rows(build, a, num_iterations, noise_rows):
-    # after a K-iteration run the stream stands where K rows of n normals leave it
+@pytest.mark.parametrize("build, a, num_iterations, runs, noise_rows", ENGINE_CASES)
+def test_run_draws_exactly_k_noise_rows(build, a, num_iterations, runs, noise_rows):
+    # after a K-iteration run each stream stands where K rows of n normals leave it
     inst = build()
-    rng, fresh = rng_from_seed(6), rng_from_seed(6)
-    run_compact(make_problem(inst), a, num_iterations, rng)
-    standard_normals(fresh, (num_iterations, inst.n))
-    assert np.array_equal(rng.random(8), fresh.random(8))
+    rngs = [rng_from_seed(6 + i) for i in range(runs)]
+    run_compact(make_problem(inst), a, num_iterations, rngs)
+    for i, rng in enumerate(rngs):
+        fresh = rng_from_seed(6 + i)
+        standard_normals(fresh, (num_iterations, inst.n))
+        assert np.array_equal(rng.random(8), fresh.random(8))
 
 
 def test_scalar_valued_f_is_rejected():

@@ -9,8 +9,10 @@ from ssmd.stepsizes import (
     NesterovStepsize,
     TsengStepsize,
     alpha_cap_violations,
+    alpha_sq_sum_violations,
     kahan_cumsum,
     schedule_alphas,
+    step_condition_violations,
     verify_alpha_cap,
     verify_alpha_sq_sum_bound,
     verify_sqrt_sum_growth,
@@ -175,3 +177,21 @@ def test_non_finite_scale_is_rejected(bad):
         InverseSqrtStepsize(bad)
     with pytest.raises(ValueError, match="positive and finite"):
         verify_sqrt_sum_growth(bad, 10)
+
+
+class SpoiledTseng:
+    """Tseng's schedule with one bad value at k = 2."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def alpha(self, k):
+        return self.bad if k == 2 else TsengStepsize().alpha(k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("check", [step_condition_violations, alpha_sq_sum_violations,
+                                   alpha_cap_violations])
+def test_non_finite_alpha_is_a_violation(check, bad):
+    # k = 0, 1 hold; k = 2 is out of range, and no check may warn about it
+    assert list(check(SpoiledTseng(bad), 5)[:1]) == [2]
