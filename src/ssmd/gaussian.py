@@ -132,15 +132,12 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
-    """Uniforms strictly inside (0, 1): midpoints of 2**53 dyadic cells."""
-    return (rng.integers(0, _CELLS, size=size, dtype=np.int64) + 0.5) / _CELLS
-
-
-def uniform_pairs(rng: np.random.Generator, rows: int, n: int):
-    """`rows` successive pairs (rng.random(n), uniform_open(rng, n)) in one draw,
-    bit for bit: 2**53-cell indices scaled to the cell's lower end or midpoint."""
-    cells = rng.integers(0, _CELLS, size=(rows, 2, n), dtype=np.int64)
-    return cells[:, 0] / _CELLS, (cells[:, 1] + 0.5) / _CELLS
+    """Uniforms strictly inside (0, 1): midpoints of 2**53 dyadic cells.
+    rng.random() is a 2**53-cell index times 2**-53, so adding half a cell
+    equals (index + 0.5) / 2**53 bit for bit."""
+    u = rng.random(size)
+    u += 0.5 / _CELLS
+    return u
 
 
 def standard_normals(rng: np.random.Generator, size) -> np.ndarray:

@@ -255,7 +255,9 @@ def _mc_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 
 
 def instance_constants(cfg: ExperimentConfig) -> dict:
-    """Empirical constants behind the bound column, derived from base_seed."""
+    """Empirical constants behind the bound column, derived from base_seed:
+    C and nu are maxima over sampled points of the grad_f norm and of the
+    closed-form root noise second moment (see estimate_constants)."""
     instance = build_instance(cfg)
     const_rng = rng_from_seed(cfg.base_seed ^ _CONSTANTS_SEED_XOR)
     c_est, nu_est = estimate_constants(instance, CONSTANT_SAMPLES, const_rng)

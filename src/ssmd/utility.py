@@ -23,11 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gaussian import (norm_cells, norm_ppf, rng_from_seed, standard_normals,
-                       uniform_pairs)
+from .gaussian import norm_cells, norm_pdf, rng_from_seed, standard_normals
 from .sets import CappedBox
 from .mirror import MirrorMap
-from .solver import ProblemHandle, block_rows
+from .solver import ProblemHandle
 
 # Seed for the one-time draw of the linear coefficients a (kept in the
 # instance and its serialized metadata so runs are reproducible).
@@ -251,6 +250,46 @@ def f_value(instance: UtilityInstance, x, check_feasible: bool = True):
     return float(out) if out.ndim == 0 else out
 
 
+def _oracle_mean(instance: UtilityInstance, x: np.ndarray):
+    """m(x) = E[phi'(t) (a + xi)] = a E[phi'(t)] + (x/sigma) E[phi'(t) Z] per
+    row of x, with t ~ N(mu, sigma^2) and Z = (t - mu)/sigma (x = 0 rows take
+    phi'(0) a), and the cells: mu, sigma (1 on x = 0 rows, flagged by zero),
+    the breakpoints in standard units z and norm_cells(z), each (..., 1) or
+    (..., cells)."""
+    env = instance.envelope
+    mu, sigma, _ = _moments(instance, x[..., None, :])
+    zero = sigma == 0.0
+    sigma = np.where(zero, 1.0, sigma)
+    z = (env.breakpoints - mu) / sigma
+    prob, pdf_diff = norm_cells(z)
+    e_slope = np.where(zero, env.slopes[_active_piece(env, mu)],
+                       np.sum(env.slopes * prob, axis=-1, keepdims=True))
+    e_slope_z = np.where(zero, 0.0, np.sum(env.slopes * pdf_diff, axis=-1, keepdims=True))
+    return e_slope * instance.coeffs + e_slope_z * (x / sigma), \
+        (mu, sigma, zero, z, prob, pdf_diff)
+
+
+def _noise_sq(instance: UtilityInstance, mean: np.ndarray, cells) -> np.ndarray:
+    """E||eps(x)||^2 per row, from _oracle_mean of the same rows.
+
+    Given Z, xi is Z u plus a normal part orthogonal to u = x/sigma, so
+    E[||a + xi||^2 | Z] = ||a||^2 + n - 1 + 2 (a'u) Z + Z^2, and per cell j of
+    slope d_j, with M1_j = E[Z; j] and M2_j = E[Z^2; j],
+    E||phi'(t)(a + xi)||^2 = sum_j d_j^2 [(||a||^2 + n - 1) P_j + 2 (a'u) M1_j + M2_j].
+    The oracle's variance is that minus ||m(x)||^2; x = 0 rows take phi'(0)^2 n.
+    """
+    mu, sigma, zero, z, prob, m1 = cells
+    n, a = instance.n, instance.coeffs
+    zp = np.zeros(prob.shape[:-1] + (prob.shape[-1] + 1,))
+    zp[..., 1:-1] = z * norm_pdf(z)
+    m2 = prob + zp[..., :-1] - zp[..., 1:]
+    d_sq = instance.envelope.slopes ** 2
+    second = np.sum(d_sq * ((float(a @ a) + n - 1) * prob + 2.0 * (mu / sigma) * m1 + m2),
+                    axis=-1)
+    slope_0 = instance.envelope.slopes[_active_piece(instance.envelope, mu[..., 0])]
+    return np.where(zero[..., 0], slope_0 * slope_0 * n, second - np.sum(mean * mean, axis=-1))
+
+
 def grad_f(instance: UtilityInstance, x) -> np.ndarray:
     """Gradient of the smoothed objective (subgradient selection at x = 0),
     per row of x.
@@ -260,16 +299,7 @@ def grad_f(instance: UtilityInstance, x) -> np.ndarray:
     both closed-form sums over the envelope pieces.
     """
     x = np.asarray(x, dtype=float)
-    env = instance.envelope
-    mu, sigma, _ = _moments(instance, x[..., None, :])  # shapes (..., 1)
-    zero = sigma == 0.0
-    sigma = np.where(zero, 1.0, sigma)
-    prob, pdf_diff = norm_cells((env.breakpoints - mu) / sigma)
-    e_slope = np.where(zero, env.slopes[_active_piece(env, mu)],
-                       np.sum(env.slopes * prob, axis=-1, keepdims=True))
-    e_slope_z = np.where(zero, 0.0, np.sum(env.slopes * pdf_diff, axis=-1, keepdims=True))
-    return e_slope * instance.coeffs + e_slope_z * (x / sigma) \
-        + instance.reg_weight * (x - instance.anchor)
+    return _oracle_mean(instance, x)[0] + instance.reg_weight * (x - instance.anchor)
 
 
 def _subgradient(instance: UtilityInstance, x: np.ndarray, noisy: np.ndarray) -> np.ndarray:
@@ -337,28 +367,24 @@ def reference_solution(instance: UtilityInstance, tol: float,
 
 def estimate_constants(instance: UtilityInstance, sample_count: int,
                        rng: np.random.Generator) -> tuple[float, float]:
-    """Empirical (C, nu): max deterministic-subgradient norm over uniformly
-    sampled feasible points, and the RMS noise norm of the stochastic oracle.
-    Each sample draws its point, then its oracle noise, as one oracle call
-    would; points are drawn, projected and differentiated in chunks of
-    block_rows(n) * k samples (at most 32,768 floats per array), and the noise
-    is summed once per block_rows(n) samples, in order."""
+    """Empirical (C, nu) over uniformly sampled feasible points: the max norm
+    of grad_f, and nu^2 as the max of the oracle's closed-form noise second
+    moment E||eps(x)||^2 (the paper's bound holds at every x).  Each sample's
+    point is rng.random(n), projected after scaling by cap; the n uniforms
+    after it are skipped.  Points go in chunks of at most 32,768 floats, and
+    no value depends on the chunk size."""
     if sample_count < 1000:
         raise ValueError("sample_count must be at least 1000")
     set_, n = instance.feasible_set, instance.n
-    rows = block_rows(n)
-    chunk = rows * max(1, 32_768 // (rows * n))
+    chunk = max(1, 32_768 // n)
     c_sq = noise_sq = 0.0
     for start in range(0, sample_count, chunk):
-        corner, u = uniform_pairs(rng, min(chunk, sample_count - start), n)
-        x = set_.project(set_.cap * corner)
-        g = grad_f(instance, x)
-        d = _subgradient(instance, x, instance.coeffs + norm_ppf(u)) - g
+        x = set_.project(set_.cap * rng.random((min(chunk, sample_count - start), 2, n))[:, 0])
+        mean, cells = _oracle_mean(instance, x)
+        g = mean + instance.reg_weight * (x - instance.anchor)
         c_sq = max(c_sq, float(np.max(np.sum(g * g, axis=-1))))
-        d *= d
-        for j in range(0, len(d), rows):
-            noise_sq += float(np.sum(d[j:j + rows]))
-    return float(np.sqrt(c_sq)), float(np.sqrt(noise_sq / sample_count))
+        noise_sq = max(noise_sq, float(np.max(_noise_sq(instance, mean, cells))))
+    return float(np.sqrt(c_sq)), float(np.sqrt(noise_sq))
 
 
 def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,

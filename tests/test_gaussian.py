@@ -87,6 +87,12 @@ def test_uniform_open_strictly_inside():
     assert u.min() > 0.0 and u.max() < 1.0
 
 
+def test_uniform_open_equals_cell_midpoints():
+    # random() plus half a cell is (2**53-cell index + 0.5) / 2**53, bit for bit
+    cells = rng_from_seed(19).integers(0, 2**53, size=100_000, dtype=np.int64)
+    assert np.array_equal(uniform_open(rng_from_seed(19), 100_000), (cells + 0.5) / 2**53)
+
+
 def test_normal_stream_is_pure_function_of_seed():
     z1 = standard_normals(rng_from_seed(123), 5000)
     z2 = standard_normals(rng_from_seed(123), 5000)
