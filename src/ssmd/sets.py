@@ -247,7 +247,8 @@ def bregman_diameter_sq(feasible_set, mirror_map: MirrorMap) -> float:
     sizes m and n - m, where g(m), the largest ||x||^2 on m components, is
     m cap^2 up to q = floor(budget/cap) and q cap^2 + r^2 beyond (r the
     remainder).  g has non-increasing increments, so g(m) + g(n - m) peaks at
-    m = n // 2.
+    m = n // 2.  q is clamped at n, where g(m) = m cap^2 for every m <= n, so
+    a budget far above n cap (budget/cap may overflow) gives n cap^2 / 2.
     """
     if mirror_map.kind != EUCLIDEAN:
         raise ValueError("diameter closed form is only available for the euclidean map")
@@ -255,7 +256,7 @@ def bregman_diameter_sq(feasible_set, mirror_map: MirrorMap) -> float:
         return 1.0 if feasible_set.n >= 2 else 0.0
     if isinstance(feasible_set, CappedBox):
         cap, n = feasible_set.cap, feasible_set.n
-        q = int(np.floor(feasible_set.budget / cap + 1e-12))
+        q = int(np.floor(min(feasible_set.budget / cap + 1e-12, n)))
         r = max(feasible_set.budget - q * cap, 0.0)
 
         def g(m):

@@ -24,7 +24,7 @@ Bregman diameter of the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,16 +34,10 @@ from .mirror import FEAS_TOL, MirrorMap, prox, prox_step  # noqa: F401 (re-expor
 from .stepsizes import InverseSqrtStepsize, kahan_cumsum, schedule_alphas
 
 
-def block_rows(n: int) -> int:
-    """Rows per block of n-vectors: at most 4096 floats, or one row."""
-    return max(1, 4096 // n)
-
-
-# Floats in the engine's per-block stack of iterates x_k of all R runs: the
-# x-stack of a full harness batch (BATCH_RUNS = 32 runs of block_rows' 4096
-# floats).  A block is max(1, BLOCK_FLOATS // (R n)) iterations, so a full batch
-# keeps block_rows(n) and a smaller one, for R <= 32 never fewer iterations,
-# pays the per-block noise draw, f call and feasibility check fewer times.
+# Floats in the engine's per-block stack of iterates x_k of all R runs: 4096
+# per run of a full harness batch (BATCH_RUNS = 32).  A block is
+# max(1, BLOCK_FLOATS // (R n)) iterations, so a smaller batch gets longer blocks
+# and pays the per-block noise draw, f call and feasibility check fewer times.
 BLOCK_FLOATS = 32 * 4096
 
 
@@ -60,10 +54,12 @@ class ProblemHandle:
     row per iteration; oracle(x, xi) returns the stochastic subgradients at a
     stack of points x (R, n), one per run, given each run's noise row xi (R, d),
     or one (n,) for every point.  f_exact maps a stack of points (..., n) to
-    one value per point (...).  f_sampler(x, rng, draws=None) returns one
+    one value per point (...).  f_sampler(x, rng, samples=None) returns one
     sample of f per point (...) from one draw shared by every point, or with
-    draws = d the samples of d successive such draws (d, ...), equal to d
-    calls bit for bit."""
+    samples = N each point's mean over the N draws that N such calls make;
+    a point's value does not depend on the points stacked with it.  The
+    engine takes f_exact if set, and otherwise the mean of f_eval_samples
+    draws from f_eval_seed, with one f_sampler call per block."""
 
     oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
     feasible_set: object
@@ -90,37 +86,14 @@ class RunTrace:
     dist_avg_sq: Optional[np.ndarray]
     x_hat_final: np.ndarray
     seed: Optional[int]
-    meta: dict = field(default_factory=dict)
 
 
 def _f_evaluator(problem: ProblemHandle):
-    """f on a stack of points (m, n) -> (m,), and the run's f metadata."""
-    if problem.f_exact is not None:
-        return problem.f_exact, {"f_mode": "exact"}
-    if problem.f_sampler is None:
-        return None, {"f_mode": "none"}
-
-    def estimate(points):
-        # every point sees the same f_eval_samples draws from f_eval_seed, d per
-        # call; added in draw order, each sum is the one-draw loop's bit for bit.
-        # Points go in sub-stacks of at most block_rows(n), each seeded afresh:
-        # a call recomputes all its points' moments, so a block's cost stays
-        # linear in its points
-        samples, out = problem.f_eval_samples, np.empty(len(points))
-        size = block_rows(points.shape[-1])
-        for lo in range(0, len(points), size):
-            part = points[lo:lo + size]
-            rng, m = rng_from_seed(problem.f_eval_seed), len(part)
-            total = np.zeros(m)
-            for start in range(0, samples, block_rows(m)):
-                d = min(block_rows(m), samples - start)
-                for row in _checked(problem.f_sampler(part, rng, d), (d, m)):
-                    total += row
-            out[lo:lo + size] = total / samples
-        return out
-
-    return estimate, {"f_mode": "sample_average", "f_eval_samples": problem.f_eval_samples,
-                      "f_eval_seed": problem.f_eval_seed}
+    """f on a stack of points (m, n) -> (m,), or None."""
+    if problem.f_exact is not None or problem.f_sampler is None:
+        return problem.f_exact
+    return lambda points: problem.f_sampler(points, rng_from_seed(problem.f_eval_seed),
+                                            problem.f_eval_samples)
 
 
 def _checked(values, shape: tuple):
@@ -151,7 +124,7 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
         raise ValueError("stepsizes must be positive and finite")
     steps = alphas[..., None] * step_scale
 
-    f, meta = _f_evaluator(problem)
+    f = _f_evaluator(problem)
     m = num_iterations + 1
     x = np.tile(x0, (len(rngs), 1))
     runs, n = x.shape
@@ -210,7 +183,6 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
         dist_avg_sq=None if dist is None else dist[:, 1, i].copy(),
         x_hat_final=x_hat[i].copy(),
         seed=seeds[i],
-        meta=dict(meta),
     ) for i in range(runs)]
     return traces[0] if single else traces
 

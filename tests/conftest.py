@@ -12,8 +12,10 @@ import pytest
 from scipy.integrate import quad
 
 from ssmd.gaussian import erfc, rng_from_seed, standard_normals
-from ssmd.solver import block_rows
 from ssmd.utility import _moments, phi
+
+# Floats per stack of n-vectors: a stack holds max(1, STACK_FLOATS // n) rows
+STACK_FLOATS = 4096
 
 
 @pytest.fixture
@@ -127,11 +129,13 @@ def project_bisection(feasible_set, x, tol: float = 1e-12) -> np.ndarray:
 
 def fd_grad(f, x: np.ndarray, h: float) -> np.ndarray:
     """Central finite-difference gradient of f at x; f takes the points
-    x +- h e_i in stacks of block_rows(n) rows and values each as if alone."""
+    x +- h e_i in stacks of max(1, STACK_FLOATS // n) rows and values each
+    as if alone."""
     n = x.shape[0]
     g = np.empty_like(x)
-    for start in range(0, n, block_rows(n)):
-        i = np.arange(start, min(start + block_rows(n), n))
+    rows = max(1, STACK_FLOATS // n)
+    for start in range(0, n, rows):
+        i = np.arange(start, min(start + rows, n))
         e = np.zeros((i.size, n))
         e[np.arange(i.size), i] = h
         g[i] = (f(x + e) - f(x - e)) / (2.0 * h)

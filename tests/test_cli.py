@@ -138,6 +138,16 @@ def test_bounds_command(tmp_path, capsys):
     assert len(rows) == 2 * 11  # two a values, k = 0..10 each
 
 
+def test_bounds_with_budget_over_cap_overflowing_exits_0(tmp_path, capsys):
+    # budget / cap = 1e310 overflows to inf; the budget never binds, and the
+    # diameter is the box's, n cap^2 / 2
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL.replace("n = 4", "n = 3").replace("cap = 1.0", "cap = 1e-10")
+                   .replace("budget = 1.5", "budget = 1e300"))
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    assert "k,bound" in capsys.readouterr().out
+
+
 INLINE = "regime = compact\ninstance = inline\nn = 4\ncap = 1.0\nbudget = 1.5\n"
 NAMED = "regime = compact\ninstance = test1\n"
 

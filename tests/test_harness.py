@@ -309,6 +309,9 @@ DETERMINISM_CONFIGS = [
                  "iterations = 12\nruns = 20\nseed = 5\n", id="strongly-convex-20-runs"),
     pytest.param("regime = compact\ninstance = test1\na = 1, 10, 30\n"
                  "iterations = 12\nruns = 5\nseed = 5\n", id="compact-3-a"),
+    pytest.param("regime = compact\ninstance = test1\na = 1, 10\nanalytic_f = false\n"
+                 "eval_samples = 500\niterations = 12\nruns = 5\nseed = 5\n",
+                 id="compact-sampled"),
 ]
 
 

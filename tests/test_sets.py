@@ -170,6 +170,8 @@ def test_diameter_formula_examples():
     assert bregman_diameter_sq(CappedBox(100, 10.0, 10.0), EU) == 100.0
     assert bregman_diameter_sq(CappedBox(100, 10.0, 100.0), EU) == 1000.0
     assert abs(bregman_diameter_sq(CappedBox(2, 10.0, 1e-4), EU) - 1e-8) < 1e-22
+    # budget / cap overflows to inf: q is clamped at n, every point of the box fits
+    assert bregman_diameter_sq(CappedBox(3, 1e-10, 1e300), EU) == 1.5 * 1e-10**2
 
 
 def test_diameter_against_vertex_enumeration():

@@ -11,7 +11,6 @@ from ssmd.sets import CappedBox
 from ssmd.solver import (
     BLOCK_FLOATS,
     ProblemHandle,
-    block_rows,
     combined_second_moment,
     compact_rate_bound,
     noiseless_compact_rate_bound,
@@ -278,8 +277,10 @@ def test_baseline_average_feasible(rng):
 
 
 def test_sampled_f_fallback():
-    def sampler(x, rng, draws=None):
-        u = rng.random() if draws is None else rng.random((draws,) + x.shape[:-1])
+    # a handle that is not a utility instance: samples = N gives the mean of N
+    # draws shared by every point
+    def sampler(x, rng, samples=None):
+        u = rng.random() if samples is None else np.mean(rng.random(samples))
         return x[..., 0] ** 2 + u - 0.5
 
     problem = ProblemHandle(
@@ -290,7 +291,7 @@ def test_sampled_f_fallback():
     t2 = run_compact(problem, 1.0, 5, rng_from_seed(0))
     assert np.array_equal(t1.f_iter, t2.f_iter)
     assert abs(t1.f_iter[0] - 1.0) < 0.02  # x0 = 1, f = 1 plus estimator noise
-    assert t1.meta["f_mode"] == "sample_average"
+    assert t1.f_iter[0] == 1.0 + np.mean(rng_from_seed(123).random(4000)) - 0.5
 
 
 def test_eval_mask_beyond_1000():
@@ -339,29 +340,25 @@ def test_blocked_f_equals_pointwise_f_value(n, num_iterations):
     assert np.array_equal(trace.f_min, np.minimum.accumulate(trace.f_iter))
 
 
-def test_blocked_sample_average_equals_per_point_estimator():
-    inst = default_instance("test1", reg_weight=0.0)
-    # the one block's 46 iterates give 92 points, estimated in sub-stacks of
-    # 40, 40 and 12, each drawing afresh from f_eval_seed; a sub-stack of 40
-    # draws in chunks of 102, so 50 samples fit in one chunk and 125 = 102 + 23
-    # span two, and one of 12 draws both in one chunk of 341
-    size = block_rows(inst.n)
-    assert 2 * size < 2 * 46 < 3 * size and 46 <= BLOCK_FLOATS // inst.n
-    assert 50 <= block_rows(size) < 125 and 125 % block_rows(size)
-    xs, x_hats = replay_iterates(make_problem(inst), 10.0, 45)
-    for samples in (50, 125):
-        problem = make_problem(inst, f_eval_samples=samples, analytic_f=False)
-        trace = run_compact(problem, 10.0, 45, rng_from_seed(0))
+@pytest.mark.parametrize("build, a, num_iterations, blocks", [
+    pytest.param(lambda: default_instance("test1", reg_weight=0.0), 10.0, 45, 1, id="test1"),
+    pytest.param(lambda: make_instance("inline", n=1000, cap=1.0, budget=1.0, reg_weight=0.0),
+                 1.0, 150, 2, id="n1000"),
+])
+def test_sampled_f_equals_f_sampler_on_replayed_iterates(build, a, num_iterations, blocks):
+    # the engine's f_iter and f_avg are f_sampler's mean of f_eval_samples draws
+    # from f_eval_seed at each point alone, bit for bit
+    inst = build()
+    assert -(-(num_iterations + 1) // (BLOCK_FLOATS // inst.n)) == blocks
+    xs, x_hats = replay_iterates(make_problem(inst), a, num_iterations)
+    problem = make_problem(inst, f_eval_samples=500, analytic_f=False)
+    trace = run_compact(problem, a, num_iterations, rng_from_seed(0))
 
-        def per_point(x):
-            rng = rng_from_seed(problem.f_eval_seed)
-            total = 0.0
-            for _ in range(problem.f_eval_samples):
-                total += float(problem.f_sampler(x, rng))
-            return total / problem.f_eval_samples
+    def sampled(x):
+        return problem.f_sampler(x, rng_from_seed(problem.f_eval_seed), 500)
 
-        assert np.array_equal(trace.f_iter, [per_point(x) for x in xs])
-        assert np.array_equal(trace.f_avg, [per_point(x) for x in x_hats])
+    assert np.array_equal(trace.f_iter, [sampled(x) for x in xs])
+    assert np.array_equal(trace.f_avg, [sampled(x) for x in x_hats])
 
 
 @pytest.mark.parametrize("regime", ["compact", "strongly_convex"])
@@ -414,7 +411,7 @@ def instance_n1000():
 
 
 # (instance, a, K, runs, noise rows per block): a block is max(1, 32 * 4096 //
-# (runs n)) iterations, block_rows(n) for a full batch of 32 runs and more for
+# (runs n)) iterations, 4096 // n for a full batch of 32 runs and more for
 # fewer; every case spans three blocks and ends on a partial one
 ENGINE_CASES = [
     pytest.param(instance_test1, 10.0, 100, 32, [40, 40, 20], id="test1-K100"),
@@ -476,7 +473,7 @@ def test_scalar_valued_f_is_rejected():
     with pytest.raises(ValueError, match="f must map"):
         run_compact(problem, 1.0, 10, rng_from_seed(0))
     problem.f_exact = None
-    problem.f_sampler = lambda x, rng, draws=None: float(np.sum(x)) + rng.random()
+    problem.f_sampler = lambda x, rng, samples=None: float(np.sum(x)) + rng.random()
     with pytest.raises(ValueError, match="f must map"):
         run_compact(problem, 1.0, 10, rng_from_seed(0))
 
@@ -525,7 +522,7 @@ def assert_same_trace(got, want):
                 "x_hat_final"):
         a, b = getattr(got, col), getattr(want, col)
         assert (a is None and b is None) or np.array_equal(a, b), col
-    assert got.seed == want.seed and got.meta == want.meta
+    assert got.seed == want.seed
 
 
 BATCH_CASES = [

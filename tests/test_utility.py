@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import (fd_grad, mc_estimate_f, mc_estimate_f_dense, norm_cdf_interval,
                       piecewise_gaussian_quadrature)
 
 from ssmd.gaussian import norm_pdf, rng_from_seed, standard_normals
-from ssmd.solver import block_rows
 from ssmd.utility import (
     AffinePiece,
     build_envelope,
@@ -25,6 +26,9 @@ from ssmd.utility import (
 from ssmd.utility import _noise_sq, _oracle_mean, _subgradient
 
 SQRT_2_OVER_PI = 0.7978845608028653559
+
+# Floats per block of n-vectors: a block holds max(1, BLOCK_ROW_FLOATS // n) rows
+BLOCK_ROW_FLOATS = 4096
 
 ABS_PIECES = [AffinePiece(0.0, -1.0), AffinePiece(0.0, 1.0)]
 
@@ -206,17 +210,50 @@ def test_f_sampler_shares_one_draw_across_rows(rng):
     assert np.ndim(single) == 0 and single == sampler(stack, rng_from_seed(5))[0]
 
 
-def test_f_sampler_draws_equal_successive_calls(rng):
-    # f_sampler(x, rng, d) is d successive one-draw calls, bit for bit
-    inst = default_instance("test1", reg_weight=100.0)
-    sampler = make_problem(inst, analytic_f=False).f_sampler
+SAMPLER_INSTANCES = [
+    pytest.param(lambda: default_instance("test1", reg_weight=0.0), id="test1"),
+    pytest.param(lambda: default_instance("test3", reg_weight=0.0), id="test3"),
+    pytest.param(lambda: make_instance("inline", n=1000, cap=1.0, budget=1.0,
+                                       reg_weight=1.0), id="n1000"),
+]
+
+
+def sampler_stack(inst, rng, rows):
+    """x0 (unless it is 0) and random feasible points, one per row."""
     box = inst.feasible_set
-    stack = np.array([box.project(box.cap * rng.random(100)) for _ in range(4)])
-    for x in (stack, stack[0]):
-        r1, r2 = rng_from_seed(5), rng_from_seed(5)
-        got = np.concatenate([sampler(x, r1, 7), sampler(x, r1, 3)])
-        assert got.shape == (10,) + x.shape[:-1]
-        assert np.array_equal(got, [sampler(x, r2) for _ in range(10)])
+    points = [box.project(box.cap * rng.random(inst.n)) for _ in range(rows)]
+    return np.array(points + ([inst.x0] if np.any(inst.x0) else []))
+
+
+@pytest.mark.parametrize("build", SAMPLER_INSTANCES)
+def test_f_sampler_mean_is_exactly_rounded_mean_of_draws(build, rng):
+    # f_sampler(x, rng, N) against the exactly rounded mean of N one-draw
+    # calls: within 1e-13 of the mean |term|, where summing the terms in draw
+    # order is off by about 1e-13 at N = 10^4
+    inst, samples = build(), 2000
+    sampler = make_problem(inst, analytic_f=False).f_sampler
+    stack = sampler_stack(inst, rng, 4)
+    draws = rng_from_seed(31)
+    terms = np.array([sampler(stack, draws) for _ in range(samples)])
+    want = np.array([math.fsum(col) / samples for col in terms.T])
+    got = sampler(stack, rng_from_seed(31), samples)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.mean(np.abs(terms), axis=0))
+
+
+@pytest.mark.parametrize("build", SAMPLER_INSTANCES)
+def test_f_sampler_mean_per_row_as_if_alone(build, rng):
+    # each row's mean is the same bits alone as in a stack, and a sigma = 0
+    # row (x = 0) is phi(mu) + reg bit for bit
+    inst = build()
+    sampler = make_problem(inst, analytic_f=False).f_sampler
+    stack = np.vstack([sampler_stack(inst, rng, 5)[-5:], np.zeros(inst.n)])
+    got = sampler(stack, rng_from_seed(7), 300)
+    assert np.array_equal(got, [sampler(x, rng_from_seed(7), 300) for x in stack])
+    assert np.array_equal(sampler(stack.reshape(2, 3, -1), rng_from_seed(7), 300),
+                          got.reshape(2, 3))
+    reg = 0.5 * inst.reg_weight * np.sum(inst.anchor ** 2)
+    assert got[-1] == phi(inst.envelope, 0.0) + reg
 
 
 @pytest.mark.parametrize("inst", [
@@ -225,7 +262,7 @@ def test_f_sampler_draws_equal_successive_calls(rng):
 ], ids=["test1", "n1000"])
 def test_noise_block_equals_per_iteration_draws(inst):
     # one draw of B rows of n normals is B successive draws of n, bit for bit
-    rows = block_rows(inst.n)
+    rows = max(1, BLOCK_ROW_FLOATS // inst.n)
     block = make_problem(inst).noise(rng_from_seed(12), rows)
     r = rng_from_seed(12)
     assert block.shape == (rows, inst.n) and rows == {100: 40, 1000: 4}[inst.n]
