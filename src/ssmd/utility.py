@@ -376,16 +376,15 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
     """Empirical (C, nu) over uniformly sampled feasible points: the max norm
     of grad_f, and nu^2 as the max of the oracle's closed-form noise second
     moment E||eps(x)||^2 (the paper's bound holds at every x).  Each sample's
-    point is rng.random(n), projected after scaling by cap; the n uniforms
-    after it are skipped.  Points go in chunks of at most 32,768 floats, and
-    no value depends on the chunk size."""
+    point is rng.random(n), projected after scaling by cap.  Points go in
+    chunks of at most 32,768 floats, and no value depends on the chunk size."""
     if sample_count < 1000:
         raise ValueError("sample_count must be at least 1000")
     set_, n = instance.feasible_set, instance.n
     chunk = max(1, 32_768 // n)
     c_sq = noise_sq = 0.0
     for start in range(0, sample_count, chunk):
-        x = set_.project(set_.cap * rng.random((min(chunk, sample_count - start), 2, n))[:, 0])
+        x = set_.project(set_.cap * rng.random((min(chunk, sample_count - start), n)))
         mean, cells = _oracle_mean(instance, x)
         g = mean + instance.reg_weight * (x - instance.anchor)
         c_sq = max(c_sq, float(np.max(np.sum(g * g, axis=-1))))

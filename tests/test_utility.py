@@ -464,13 +464,12 @@ def oracle_noise_sq(inst, x):
 
 
 def per_sample_constants(inst, samples, rng):
-    """(C, nu) one sample at a time: the point is rng.random(n) and the n
-    uniforms after it are skipped; nu^2 is the max closed-form noise moment."""
+    """(C, nu) one sample at a time: the point is rng.random(n); nu^2 is the
+    max closed-form noise moment."""
     box, n = inst.feasible_set, inst.n
     c_sq = noise_sq = 0.0
     for _ in range(samples):
         x = box.project(box.cap * rng.random(n))
-        rng.random(n)
         g = grad_f(inst, x)
         c_sq = max(c_sq, float(np.sum(g * g)))
         noise_sq = max(noise_sq, float(oracle_noise_sq(inst, x)))
