@@ -397,7 +397,8 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
     """Bridge an instance to the solver engines.  The oracle noise of a block
     of iterations is one standard_normals draw, which equals the per-iteration
     draws of the same stream bit for bit.  f_sampler(x, rng, N) is exact over
-    its N draws: its mean is within a few ulp of the mean of N one-draw calls."""
+    its N draws: it is within about 1e-15 of the mean |value| of the exactly
+    rounded mean of N one-draw calls."""
 
     def noise(rng, rows):
         return standard_normals(rng, (rows, instance.n))
@@ -414,8 +415,9 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
     def f_sampler(x, rng, samples=None):
         # each draw of xi is shared by every row of x.  The mean over N draws
         # is the piece sum over the sorted draws z: piece j of row (mu, sigma)
-        # takes z in [(b_{j-1} - mu)/sigma, (b_j - mu)/sigma), whose count and
-        # sum two searchsorted ends into z and its prefix sums give
+        # takes z in [(b_{j-1} - mu)/sigma, (b_j - mu)/sigma), outer ends -inf
+        # and inf, whose count and sum are differences of the cell ends'
+        # positions in z and of z's prefix sums there
         mu, sigma, reg = _moments(instance, x)
         if samples is None:
             return phi(env, mu + sigma * standard_normals(rng, 1)[0]) + reg
