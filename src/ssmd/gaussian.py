@@ -3,7 +3,9 @@
 The CDF goes through the complementary error function of the platform libm
 (``math.erfc``, applied elementwise), which is accurate to a few ulp in
 double precision; the quantile function is Wichura's rational approximation
-AS 241 (PPND16), accurate to about 1e-15 relative over the full range.
+AS 241 (PPND16), accurate to about 1e-15 relative over the full range.  Its
+central branch runs in place over cache-sized blocks and its tails in one
+pass over the rest, with the values of the plain expressions bit for bit.
 
 Normal variates are produced by inverse-CDF transform of uniforms drawn
 from a Philox counter-based generator.  This makes every normal stream a
@@ -85,32 +87,56 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
       2.04426310338993978564e-15)
 
 
-def _poly(coeffs, r):
-    # Horner in place: out * r, then + c, as the out * r + c expression
-    out = np.full_like(r, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out *= r
+# Values per block of norm_ppf's central pass: its work buffers, 4 of 64 KiB,
+# stay in the L2 cache while about 35 in-place passes run over them.
+_BLOCK = 8192
+
+
+def _poly(coeffs, r, out=None):
+    # Horner in place, each step out * r + c as in the expression
+    out = np.multiply(r, coeffs[-1], out=out)
+    for c in coeffs[-2:0:-1]:
         out += c
+        out *= r
+    out += coeffs[0]
     return out
 
 
 def norm_ppf(p):
     """Standard normal quantile function (AS 241, PPND16).
 
-    Requires 0 < p < 1 elementwise; values outside give nan.
+    Requires 0 < p < 1 elementwise; values outside give nan.  The central
+    branch runs over blocks of _BLOCK values in place and the tails in one
+    pass over the rest; every value is the same as that of the plain
+    expressions, bit for bit.
     """
     p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    bad = ~((p > 0.0) & (p < 1.0))
-    q = np.where(bad, 0.0, p - 0.5)
-    # the central branch on every element, then the tails overwritten
-    r = 0.180625 - q * q
-    out = q * _poly(_A, r) / _poly(_B, r)
-    tail = np.abs(q) > 0.425
-    if tail.any():
-        qt = q[tail]
-        r = np.sqrt(-np.log(np.where(qt < 0.0, p[tail], 1.0 - p[tail])))
+    flat = p.ravel()
+    bad = None
+    if flat.size and not (flat.min() > 0.0 and flat.max() < 1.0):
+        # p outside (0, 1) and nan pass as 0.5, central and harmless, then nan
+        bad = ~((flat > 0.0) & (flat < 1.0))
+        flat = np.where(bad, 0.5, flat)
+    out = np.empty(flat.shape)
+    central = np.empty(flat.shape, dtype=bool)
+    q, r, num, den = (np.empty(min(flat.size, _BLOCK)) for _ in range(4))
+    for start in range(0, flat.size, _BLOCK):
+        stop = min(start + _BLOCK, flat.size)
+        k = stop - start
+        qk, rk, num_k, den_k = q[:k], r[:k], num[:k], den[:k]
+        np.subtract(flat[start:stop], 0.5, out=qk)
+        np.abs(qk, out=rk)
+        np.less_equal(rk, 0.425, out=central[start:stop])
+        np.multiply(qk, qk, out=rk)
+        np.subtract(0.180625, rk, out=rk)
+        _poly(_A, rk, num_k)
+        num_k *= qk
+        np.divide(num_k, _poly(_B, rk, den_k), out=out[start:stop])
+    tail = np.flatnonzero(~central)
+    if tail.size:
+        pt = flat[tail]
+        lower = pt < 0.5
+        r = np.sqrt(-np.log(np.where(lower, pt, 1.0 - pt)))
         near = r <= 5.0
         if near.all():
             r -= 1.6
@@ -121,9 +147,10 @@ def norm_ppf(p):
             val[near] = _poly(_C, rn) / _poly(_D, rn)
             rf = r[~near] - 5.0
             val[~near] = _poly(_E, rf) / _poly(_F, rf)
-        out[tail] = np.where(qt < 0.0, -val, val)
-    out[bad] = np.nan
-    return float(out[0]) if scalar else out
+        out[tail] = np.where(lower, -val, val)
+    if bad is not None:
+        out[bad] = np.nan
+    return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

@@ -4,8 +4,9 @@
 its projection clamps componentwise and, when the budget binds, shifts by
 the unique threshold tau >= 0 with sum clip(x - tau, 0, cap) = budget.
 The threshold is found exactly among the sorted kinks of that piecewise-linear
-sum, searched per row in a window of its largest components that widens until
-it provably holds the solution, so the projection is deterministic to roundoff.
+sum, searched per row in a window of its largest components, taken from one
+partition, that widens until it provably holds the solution, so the projection
+is deterministic to roundoff.
 A lone binding row is searched in scalar steps instead, by a bisection that the
 same rounding-error bound certifies, with the same result bit for bit.
 
@@ -84,16 +85,23 @@ class CappedBox:
             s = (x - r).clip(-cap, cap)
             tau = self._row_tau((xs[0] - r[0]).clip(-cap, cap), max(-cap, -float(r[0, 0])))
         else:
-            r = np.partition(x, n - 1 - q, axis=-1)[:, n - 1 - q, None]
-            s = (x - r).clip(-cap, cap)
-            tau = self._budget_tau(np.sort(s, axis=-1), np.maximum(-cap, -r),
-                                   n if binding * n <= 4096 else min(n, 64))
+            # _budget_tau's window: each row's top max(width, q) + 1 values (all
+            # n when width = n), from one partition and a sort of the values
+            # above it; shifted and clipped, they are s's top values, sorted
+            width = n if binding * n <= 4096 else min(n, 64)
+            lo = max(n - 1 - max(width, q), 0)
+            xs = np.sort(np.partition(x, lo, axis=-1)[:, lo:] if lo else x, axis=-1)
+            r = xs[:, n - 1 - q - lo, None]
+            s = np.subtract(x, r)
+            s.clip(-cap, cap, out=s)
+            tau = self._budget_tau(s, (xs - r).clip(-cap, cap), np.maximum(-cap, -r), width)
         # nudge a row's tau up by doubling ulps if roundoff left its sum a hair
         # over budget, so the result is exactly feasible and projection is
         # idempotent; a row once within budget stays so, hence one step for all
         step = np.spacing(cap)
         for _ in range(64):
-            p = (s - tau[:, None]).clip(0.0, cap)
+            p = np.subtract(s, tau[:, None])
+            p.clip(0.0, cap, out=p)
             high = p.sum(axis=-1) > self.budget
             if not np.count_nonzero(high):
                 if every:
@@ -104,25 +112,28 @@ class CappedBox:
             step *= 2.0
         raise ArithmeticError("capped-box projection stayed over budget")
 
-    def _budget_tau(self, xs: np.ndarray, t0: np.ndarray, width: int) -> np.ndarray:
-        # xs: each row's s, sorted.  Per row, h(t) = sum clip(s - t, 0, cap) is
-        # piecewise linear and non-increasing, with kinks at s_i and s_i - cap;
-        # tau >= t0 solves h(tau) = budget between the first kink where h <=
-        # budget and the kink before.  A row is searched in a window, its top
-        # `width` values (all of them in a stack of at most 4096 values, where a
-        # window saves little and may cost a second pass): for t >= L, the
-        # largest value left out, the window's h is the whole row's bit for bit
-        # (cumsum adds from the largest value down).  It holds the row's crossing
-        # and the kink before when L <= t0, or when h(L) > budget + 2E, E a bound
-        # on h's rounding error: computed h then exceeds budget at every kink
-        # below L.  Other rows get a window 8 times wider, capped at one holding
-        # every value above t0.  E = 16 n (n + 4) cap eps: values lie in [-cap,
-        # cap] and t in [-2cap, cap], so each cumsum errs by at most n^2 cap eps
-        # / 2 and h's other steps by 9n cap eps: n (n + 9) cap eps to first order.
+    def _budget_tau(self, s: np.ndarray, xs: np.ndarray, t0: np.ndarray,
+                    width: int) -> np.ndarray:
+        # s: each row's values; xs: the last columns of s sorted, at least
+        # width + 1 of them (all n when width = n).  Per row, h(t) = sum
+        # clip(s - t, 0, cap) is piecewise linear and non-increasing, with
+        # kinks at s_i and s_i - cap; tau >= t0 solves h(tau) = budget between
+        # the first kink where h <= budget and the kink before.  A row is
+        # searched in a window, its top `width` values (all of them in a stack
+        # of at most 4096 values, where a window saves little and may cost a
+        # second pass): for t >= L, the largest value left out, the window's h
+        # is the whole row's bit for bit (cumsum adds from the largest value
+        # down).  It holds the row's crossing and the kink before when L <= t0,
+        # or when h(L) > budget + 2E, E a bound on h's rounding error: computed
+        # h then exceeds budget at every kink below L.  Other rows are sorted
+        # in full and get a window 8 times wider, capped at one holding every
+        # value above t0.  E = 16 n (n + 4) cap eps: values lie in [-cap, cap]
+        # and t in [-2cap, cap], so each cumsum errs by at most n^2 cap eps / 2
+        # and h's other steps by 9n cap eps: n (n + 9) cap eps to first order.
         n, cap, budget = self.n, self.cap, self.budget
-        t, top = t0, xs[:, n - width:]
+        t, top = t0, xs[:, xs.shape[1] - width:]
         if width < n:
-            t = np.maximum(t0, xs[:, n - width - 1, None])
+            t = np.maximum(t0, xs[:, -width - 1, None])
         tail = np.zeros((len(top), width + 1))
         np.add.accumulate(top[:, ::-1], axis=-1, out=tail[:, width - 1::-1])
         # ties kept: equal t give equal h; kinks at or below t are read as t
@@ -145,9 +156,10 @@ class CappedBox:
         if width < n:
             redo = (t > t0)[:, 0] & (vals[:, 1] <= budget + 2.0 * self._h_error)
             if redo.any():
-                xs, t0 = xs[redo], t0[redo]
+                s, t0 = s[redo], t0[redo]
+                xs = np.sort(s, axis=-1)
                 need = int(np.count_nonzero(xs > t0, axis=-1).max())
-                tau[redo] = self._budget_tau(xs, t0, min(need, 8 * width))
+                tau[redo] = self._budget_tau(s, xs, t0, min(need, 8 * width))
         return tau
 
     def _row_tau(self, xs: np.ndarray, t0: float) -> np.ndarray:

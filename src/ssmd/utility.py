@@ -236,12 +236,17 @@ def default_instance(label: str, reg_weight: float) -> UtilityInstance:
 
 
 def _moments(instance: UtilityInstance, x: np.ndarray):
-    """Per row: mean a'x and std ||x|| of (a + xi)'x, and the regularizer.  Row
-    sums, not BLAS products, so no row depends on the rows stacked with it."""
-    mu = np.sum(instance.coeffs * x, axis=-1)
-    sigma = np.sqrt(np.sum(x * x, axis=-1))
-    reg = 0.5 * instance.reg_weight * np.sum((x - instance.anchor) ** 2, axis=-1)
-    return mu, sigma, reg
+    """Per row: mean a'x and std ||x|| of (a + xi)'x.  Row sums, not BLAS
+    products, so no row depends on the rows stacked with it."""
+    return np.sum(instance.coeffs * x, axis=-1), np.sqrt(np.sum(x * x, axis=-1))
+
+
+def _regulariser(instance: UtilityInstance, x: np.ndarray):
+    """(reg_weight/2) ||x - anchor||^2 per row: +0.0 when reg_weight = 0, as
+    the product would give, without the sum."""
+    if not instance.reg_weight:
+        return np.zeros(x.shape[:-1])
+    return 0.5 * instance.reg_weight * np.sum((x - instance.anchor) ** 2, axis=-1)
 
 
 def f_value(instance: UtilityInstance, x, check_feasible: bool = True):
@@ -251,8 +256,8 @@ def f_value(instance: UtilityInstance, x, check_feasible: bool = True):
     if check_feasible and not instance.feasible_set.contains(x.reshape(-1, instance.n),
                                                              F_FEAS_TOL):
         raise ValueError("x is infeasible")
-    mu, sigma, reg = _moments(instance, x)
-    out = expected_phi_gaussian(instance.envelope, mu, sigma) + reg
+    mu, sigma = _moments(instance, x)
+    out = expected_phi_gaussian(instance.envelope, mu, sigma) + _regulariser(instance, x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -263,7 +268,7 @@ def _oracle_mean(instance: UtilityInstance, x: np.ndarray):
     the breakpoints in standard units z and norm_cells(z), each (..., 1) or
     (..., cells)."""
     env = instance.envelope
-    mu, sigma, _ = _moments(instance, x[..., None, :])
+    mu, sigma = _moments(instance, x[..., None, :])
     zero = sigma == 0.0
     sigma = np.where(zero, 1.0, sigma)
     z = (env.breakpoints - mu) / sigma
@@ -275,8 +280,9 @@ def _oracle_mean(instance: UtilityInstance, x: np.ndarray):
         (mu, sigma, zero, z, prob, pdf_diff)
 
 
-def _noise_sq(instance: UtilityInstance, mean: np.ndarray, cells) -> np.ndarray:
-    """E||eps(x)||^2 per row, from _oracle_mean of the same rows.
+def _noise_sq(instance: UtilityInstance, mean_sq: np.ndarray, cells) -> np.ndarray:
+    """E||eps(x)||^2 per row, from ||m(x)||^2 and the cells of _oracle_mean of
+    the same rows.
 
     Given Z, xi is Z u plus a normal part orthogonal to u = x/sigma, so
     E[||a + xi||^2 | Z] = ||a||^2 + n - 1 + 2 (a'u) Z + Z^2, and per cell j of
@@ -293,7 +299,7 @@ def _noise_sq(instance: UtilityInstance, mean: np.ndarray, cells) -> np.ndarray:
     second = np.sum(d_sq * ((float(a @ a) + n - 1) * prob + 2.0 * (mu / sigma) * m1 + m2),
                     axis=-1)
     slope_0 = instance.envelope.slopes[_active_piece(instance.envelope, mu[..., 0])]
-    return np.where(zero[..., 0], slope_0 * slope_0 * n, second - np.sum(mean * mean, axis=-1))
+    return np.where(zero[..., 0], slope_0 * slope_0 * n, second - mean_sq)
 
 
 def grad_f(instance: UtilityInstance, x) -> np.ndarray:
@@ -311,8 +317,9 @@ def grad_f(instance: UtilityInstance, x) -> np.ndarray:
 def _subgradient(instance: UtilityInstance, x: np.ndarray, noisy: np.ndarray) -> np.ndarray:
     """phi'((a+xi)'x) (a+xi) + reg term per row, given noisy = a + xi."""
     t = np.sum(noisy * x, axis=-1)
-    return instance.envelope.slopes[_active_piece(instance.envelope, t)][..., None] * noisy \
-        + instance.reg_weight * (x - instance.anchor)
+    g = instance.envelope.slopes[_active_piece(instance.envelope, t)][..., None] * noisy
+    # reg_weight = 0 adds +-0.0, which changes only the sign of a zero g_i
+    return g + instance.reg_weight * (x - instance.anchor) if instance.reg_weight else g
 
 
 def stochastic_subgradient(instance: UtilityInstance, x,
@@ -386,9 +393,13 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
     for start in range(0, sample_count, chunk):
         x = set_.project(set_.cap * rng.random((min(chunk, sample_count - start), n)))
         mean, cells = _oracle_mean(instance, x)
-        g = mean + instance.reg_weight * (x - instance.anchor)
-        c_sq = max(c_sq, float(np.max(np.sum(g * g, axis=-1))))
-        noise_sq = max(noise_sq, float(np.max(_noise_sq(instance, mean, cells))))
+        # with reg_weight = 0, g = m + 0 (x - anchor) has the squares of m
+        g_sq = mean_sq = np.sum(mean * mean, axis=-1)
+        if instance.reg_weight:
+            g = mean + instance.reg_weight * (x - instance.anchor)
+            g_sq = np.sum(g * g, axis=-1)
+        c_sq = max(c_sq, float(np.max(g_sq)))
+        noise_sq = max(noise_sq, float(np.max(_noise_sq(instance, mean_sq, cells))))
     return float(np.sqrt(c_sq)), float(np.sqrt(noise_sq))
 
 
@@ -418,7 +429,8 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
         # takes z in [(b_{j-1} - mu)/sigma, (b_j - mu)/sigma), outer ends -inf
         # and inf, whose count and sum are differences of the cell ends'
         # positions in z and of z's prefix sums there
-        mu, sigma, reg = _moments(instance, x)
+        mu, sigma = _moments(instance, x)
+        reg = _regulariser(instance, x)
         if samples is None:
             return phi(env, mu + sigma * standard_normals(rng, 1)[0]) + reg
         z = np.sort(standard_normals(rng, samples))

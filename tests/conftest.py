@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from ssmd.gaussian import erfc, rng_from_seed, standard_normals
-from ssmd.utility import _moments, phi
+from ssmd.utility import _moments, _regulariser, phi
 
 # Floats per stack of n-vectors: a stack holds max(1, STACK_FLOATS // n) rows
 STACK_FLOATS = 4096
@@ -153,7 +153,9 @@ def norm_cdf_interval(lo, hi):
 def mc_estimate_f(instance, x, n_samples, rng):
     """Monte-Carlo estimate (mean, stderr) of f using the scalar reduction
     (a + xi)'x ~ N(a'x, ||x||^2)."""
-    mu, sigma, reg = _moments(instance, np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    mu, sigma = _moments(instance, x)
+    reg = _regulariser(instance, x)
     vals = phi(instance.envelope, mu + sigma * standard_normals(rng, n_samples))
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
     return float(vals.mean()) + reg, stderr
@@ -163,7 +165,8 @@ def mc_estimate_f_dense(instance, x, n_samples, rng, batch=20_000):
     """Monte-Carlo estimate (mean, stderr) of f drawing full xi vectors, which
     validates the scalar reduction of mc_estimate_f."""
     x = np.asarray(x, dtype=float)
-    mu, _, reg = _moments(instance, x)
+    mu, _ = _moments(instance, x)
+    reg = _regulariser(instance, x)
     total = 0.0
     total_sq = 0.0
     done = 0

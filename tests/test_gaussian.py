@@ -160,3 +160,42 @@ def test_ppf_outside_unit_interval_is_nan_without_warnings():
         assert np.array_equal(got, [np.nan, 0.0, np.nan], equal_nan=True)
         assert np.isnan(norm_ppf([-1.0, 2.0, np.nan, np.inf, -np.inf, 1e300])).all()
         assert np.isnan(norm_ppf(0.0)) and np.isnan(norm_ppf(1.0))
+
+
+def same_bits(got, want):
+    """Equal bit for bit, the sign of a zero included; any nan matches any nan."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return got.shape == want.shape and np.array_equal(np.isnan(got), nan) \
+        and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [1, gaussian._BLOCK - 1, gaussian._BLOCK, gaussian._BLOCK + 1,
+                                  3 * gaussian._BLOCK + 5])
+def test_blocked_ppf_equals_formula_with_temporaries(size):
+    # edge values and p outside (0, 1) placed on both sides of every block
+    # boundary, in C, strided and Fortran layouts: no warning, same bits
+    block = gaussian._BLOCK
+    special = np.array([0.0, 1.0, np.nan, np.inf, -np.inf, 1e300, 5e-324, 0.5,
+                        np.nextafter(0.075, 0.0), 0.075, np.nextafter(0.075, 1.0),
+                        np.nextafter(0.925, 0.0), 0.925, np.nextafter(0.925, 1.0),
+                        1e-300, 1.0 - 1e-16, -1e300, 1.7e308])
+    p = uniform_open(rng_from_seed(size), size)
+    at = np.concatenate([[0], (np.arange(block, size, block)[:, None] + [-2, -1, 0, 1]).ravel()])
+    at = at[at < size]
+    p[at] = special[np.arange(at.size) % special.size]
+    p[-1] = special[5]
+    with np.errstate(all="ignore"):  # the formula with temporaries overflows and divides inf
+        want = norm_ppf_with_temporaries(p)
+        strided = norm_ppf_with_temporaries(np.repeat(p, 2)[::2])
+        grid = np.asfortranarray(np.resize(p, (7, size)))
+        want_grid = norm_ppf_with_temporaries(grid.ravel(order="K")).reshape(grid.shape, order="F")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(norm_ppf(p), want)
+        assert same_bits(norm_ppf(np.repeat(p, 2)[::2]), strided)
+        assert same_bits(norm_ppf(grid), want_grid)
+        assert same_bits(norm_ppf(p[::-1]), want[::-1])
+        for i in range(min(size, 40)):
+            got = norm_ppf(np.array(p[i]))
+            assert isinstance(got, float) and same_bits(got, want[i])

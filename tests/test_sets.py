@@ -237,7 +237,7 @@ def test_budget_tau_with_ties_equals_unique_kinks(rng):
         r = np.partition(x, n - 1 - q)[n - 1 - q]
         s = np.clip(x - r, -cap, cap)
         t0 = max(-cap, -r)
-        assert box._budget_tau(np.sort(s)[None], np.array([[t0]]), n)[0] \
+        assert box._budget_tau(s[None], np.sort(s)[None], np.array([[t0]]), n)[0] \
             == budget_tau_per_row(box, s, t0, np.unique)
         checked += 1
     assert checked > 500
@@ -267,9 +267,9 @@ def test_stacked_window_search_equals_per_row_search(rng, monkeypatch, n):
     calls, grown = [], 0
     search = CappedBox._budget_tau
 
-    def spy(box, xs, t0, width):
+    def spy(box, s, xs, t0, width):
         calls.append(width)
-        return search(box, xs, t0, width)
+        return search(box, s, xs, t0, width)
 
     monkeypatch.setattr(CappedBox, "_budget_tau", spy)
     for box, stack in window_search_cases(rng, n):
@@ -281,11 +281,14 @@ def test_stacked_window_search_equals_per_row_search(rng, monkeypatch, n):
         xs = np.sort(s, axis=-1)
         for width in {min(n, 64), n}:
             calls.clear()
-            got = box._budget_tau(xs, t0, width)
+            got = box._budget_tau(s, xs, t0, width)
             grown += len(calls) > 1
             assert got.shape == (len(s),)
             assert [float(v) for v in got] == want
-            assert np.array_equal(box._budget_tau(xs[:1], t0[:1], width), got[:1])
+            assert np.array_equal(box._budget_tau(s[:1], xs[:1], t0[:1], width), got[:1])
+            # the window alone, the top width + 1 values, gives the same tau
+            window = xs[:, max(n - width - 1, 0):]
+            assert np.array_equal(box._budget_tau(s, window, t0, width), got)
     if n == 1000:
         # rows with hundreds of components active outgrow the first window
         assert grown
@@ -339,6 +342,55 @@ def test_stacked_project_equals_rows(rng, n):
             assert box.contains(got, 0.0)
         assert box.contains(stack[:1] * 0.0) and not box.contains(stack)
         assert np.array_equal(box.project(stack[3:4]), box.project(stack[3])[None])
+
+
+def partial_sort_cases(rng):
+    """(box, stack) pairs for the stacked search on one partition's window, at
+    n = 1000: engine-like rows the first window does not hold, q = 100 >= 64,
+    ties at L (the largest value left out of the window), a stack of at most
+    4096 values, and slack rows among binding ones."""
+    n = 1000
+    unit, wide = CappedBox(n, 1.0, 1.0), CappedBox(n, 1.0, 100.0)
+    spread = np.where(rng.random((12, n)) < 0.6, rng.uniform(0.0, 0.01, (12, n)),
+                      -rng.random((12, n)))
+    ties = rng.uniform(-1.0, 0.0, (12, n))
+    ties[:, :64] = rng.uniform(0.2, 2.0, (12, 64))
+    ties[:, 64:300] = np.round(rng.uniform(0.0, 0.2, (12, 1)), 1)
+    slack = rng.uniform(0.0, 1.0 / n, (12, n))
+    return [(unit, spread), (unit, ties), (unit, unit.cap * rng.random((32, n))),
+            (wide, rng.uniform(-0.5, 1.5, (12, n))), (wide, ties + 0.05),
+            (unit, spread[:4]), (unit, np.concatenate([slack[:5], spread[:2], ties[:3]])),
+            (wide, np.concatenate([slack[:1], rng.uniform(-0.5, 1.5, (3, n))]))]
+
+
+def test_partial_sort_project_equals_full_sort_and_rows(rng, monkeypatch):
+    # the stacked search takes its window from one partition; its tau equals
+    # the search on the rows sorted in full, and each projected row equals the
+    # row projected alone (the scalar search), bit for bit
+    top, search = [], CappedBox._budget_tau
+
+    def spy(box, s, xs, t0, width):
+        top.append((s, xs, t0, width))
+        return search(box, s, xs, t0, width)
+
+    monkeypatch.setattr(CappedBox, "_budget_tau", spy)
+    seen = set()
+    for box, stack in partial_sort_cases(rng):
+        n, q = box.n, int(box.budget // box.cap)
+        top.clear()
+        got = box.project(stack)
+        s, xs, t0, width = top[0]
+        assert xs.shape[1] == (n if width == n else max(width, q) + 1)
+        assert np.sort(s, axis=-1)[:, n - xs.shape[1]:].tobytes() == xs.tobytes()
+        assert search(box, s, xs, t0, width).tobytes() \
+            == search(box, s, np.sort(s, axis=-1), t0, width).tobytes()
+        for row, p in zip(stack, got):
+            assert p.tobytes() == box.project(row).tobytes()
+        assert box.contains(got, 0.0)
+        seen.update({("redo", len(top) > 1), ("q >= width", q >= width < n),
+                     ("width", width), ("slack", len(s) < len(stack))})
+    assert {("redo", True), ("q >= width", True), ("width", 1000), ("width", 64),
+            ("slack", True)} <= seen
 
 
 def test_stacked_project_rejects_non_finite():

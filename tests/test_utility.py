@@ -456,7 +456,8 @@ def test_estimate_constants_zero_envelope():
 
 def oracle_noise_sq(inst, x):
     """Closed-form E||eps(x)||^2 per row of x, as the constants estimate forms it."""
-    return _noise_sq(inst, *_oracle_mean(inst, np.asarray(x, dtype=float)))
+    mean, cells = _oracle_mean(inst, np.asarray(x, dtype=float))
+    return _noise_sq(inst, np.sum(mean * mean, axis=-1), cells)
 
 
 def per_sample_constants(inst, samples, rng):
