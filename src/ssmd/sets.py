@@ -131,7 +131,7 @@ class CappedBox:
         # and t in [-2cap, cap], so each cumsum errs by at most n^2 cap eps / 2
         # and h's other steps by 9n cap eps: n (n + 9) cap eps to first order.
         n, cap, budget = self.n, self.cap, self.budget
-        t, top = t0, xs[:, xs.shape[1] - width:]
+        t, top = t0, xs[:, -width:]
         if width < n:
             t = np.maximum(t0, xs[:, -width - 1, None])
         tail = np.zeros((len(top), width + 1))
