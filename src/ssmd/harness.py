@@ -18,7 +18,7 @@ import numpy as np
 
 from .gaussian import rng_from_seed
 from .mirror import MirrorMap
-from .sets import bregman_diameter_sq
+from .sets import CappedBox, bregman_diameter_sq
 from .solver import (
     combined_second_moment,
     compact_rate_bound,
@@ -176,8 +176,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if cfg.n is None or cfg.cap is None or cfg.budget is None:
             errors.append("inline instance requires n, cap and budget")
         else:
-            errors += [f"{key} must be positive and finite" for key in ("n", "cap", "budget")
-                       if not 0 < getattr(cfg, key) < np.inf]
+            bad = [f"{key} must be positive and finite" for key in ("n", "cap", "budget")
+                   if not 0 < getattr(cfg, key) < np.inf]
+            if not bad:
+                try:
+                    CappedBox(cfg.n, cfg.cap, cfg.budget)
+                except ValueError as exc:  # the cap's range
+                    bad.append(str(exc))
+            errors += bad
     elif cfg.instance not in _INSTANCE_LABELS:
         errors.append(f"instance must be one of {list(_INSTANCE_LABELS)} or 'inline'")
     else:

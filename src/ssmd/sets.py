@@ -4,11 +4,14 @@
 its projection clamps componentwise and, when the budget binds, shifts by
 the unique threshold tau >= 0 with sum clip(x - tau, 0, cap) = budget.
 The threshold is found exactly among the sorted kinks of that piecewise-linear
-sum, searched per row in a window of its largest components, taken from one
-partition, that widens until it provably holds the solution, so the projection
-is deterministic to roundoff.
-A lone binding row is searched in scalar steps instead, by a bisection that the
-same rounding-error bound certifies, with the same result bit for bit.
+sum, by one scalar search per binding row: a bisection over the row's sorted
+values that an a-priori rounding-error bound certifies, then a scan of the kinks
+above the last value it rules out, so the projection is deterministic to
+roundoff.  A lone row is sorted in full; the rows of a stack are searched in a
+window of their largest components, taken from one partition, and a row is
+sorted in full only when the bound does not certify its window.  The final
+interpolation is scaled by a power of two, so any normal cap with 4 n cap
+finite is projected to working precision.
 
 ``project`` and ``contains`` take a point (n,) or a stack (m, n): each row is
 projected exactly as if alone, and a stack is contained when every row is.
@@ -18,13 +21,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf, nextafter
+from math import frexp, inf, ldexp, nextafter
 
 import numpy as np
 
 from .mirror import EUCLIDEAN, MirrorMap
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _as_rows(x, n: int) -> np.ndarray:
@@ -54,6 +58,11 @@ class CappedBox:
             raise ValueError("n must be a positive integer")
         if not (0.0 < self.cap < np.inf and 0.0 < self.budget < np.inf):
             raise ValueError("cap and budget must be positive and finite")
+        # _tau's sums reach 2 n cap in magnitude, and its error bound E holds
+        # for normal floats only
+        if not (_TINY <= self.cap and 4.0 * self.n * self.cap < np.inf):
+            raise ValueError(f"cap must be at least {_TINY!r} with 4 n cap finite, "
+                             f"got cap = {self.cap!r} at n = {self.n}")
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = _as_rows(x, self.n)
@@ -77,24 +86,16 @@ class CappedBox:
         q = min(int(self.budget // cap), n - 1)
         every = binding == over.size
         x = x.reshape(-1, n) if every else x[over]
-        if binding == 1:
-            # a lone row is sorted once: x -> clip(x - r) keeps order, so its s
-            # sorted is its x sorted, shifted and clipped
-            xs = np.sort(x, axis=-1)
-            r = xs[:, n - 1 - q, None]
-            s = (x - r).clip(-cap, cap)
-            tau = self._row_tau((xs[0] - r[0]).clip(-cap, cap), max(-cap, -float(r[0, 0])))
-        else:
-            # _budget_tau's window: each row's top max(width, q) + 1 values (all
-            # n when width = n), from one partition and a sort of the values
-            # above it; shifted and clipped, they are s's top values, sorted
-            width = n if binding * n <= 4096 else min(n, 64)
-            lo = max(n - 1 - max(width, q), 0)
-            xs = np.sort(np.partition(x, lo, axis=-1)[:, lo:] if lo else x, axis=-1)
-            r = xs[:, n - 1 - q - lo, None]
-            s = np.subtract(x, r)
-            s.clip(-cap, cap, out=s)
-            tau = self._budget_tau(s, (xs - r).clip(-cap, cap), np.maximum(-cap, -r), width)
+        # a lone row is sorted in full; a stack's window is each row's top
+        # max(64, q) + 1 values, from one partition and a sort of the values
+        # above it.  x -> clip(x - r) keeps order, so shifted and clipped, the
+        # window is s's top values, sorted
+        lo = max(n - 1 - max(64, q), 0) if binding > 1 else 0
+        xs = np.sort(np.partition(x, lo, axis=-1)[:, lo:] if lo else x, axis=-1)
+        r = xs[:, n - 1 - q - lo, None]
+        s = np.subtract(x, r)
+        s.clip(-cap, cap, out=s)
+        tau = self._tau(s, (xs - r).clip(-cap, cap), np.maximum(-cap, -r[:, 0]))
         # nudge a row's tau up by doubling ulps if roundoff left its sum a hair
         # over budget, so the result is exactly feasible and projection is
         # idempotent; a row once within budget stays so, hence one step for all
@@ -112,115 +113,76 @@ class CappedBox:
             step *= 2.0
         raise ArithmeticError("capped-box projection stayed over budget")
 
-    def _budget_tau(self, s: np.ndarray, xs: np.ndarray, t0: np.ndarray,
-                    width: int) -> np.ndarray:
-        # s: each row's values; xs: the last columns of s sorted, at least
-        # width + 1 of them (all n when width = n).  Per row, h(t) = sum
-        # clip(s - t, 0, cap) is piecewise linear and non-increasing, with
-        # kinks at s_i and s_i - cap; tau >= t0 solves h(tau) = budget between
-        # the first kink where h <= budget and the kink before.  A row is
-        # searched in a window, its top `width` values (all of them in a stack
-        # of at most 4096 values, where a window saves little and may cost a
-        # second pass): for t >= L, the largest value left out, the window's h
-        # is the whole row's bit for bit (cumsum adds from the largest value
-        # down).  It holds the row's crossing and the kink before when L <= t0,
-        # or when h(L) > budget + 2E, E a bound on h's rounding error: computed
-        # h then exceeds budget at every kink below L.  Other rows are sorted
-        # in full and get a window 8 times wider, capped at one holding every
-        # value above t0.  E = 16 n (n + 4) cap eps: values lie in [-cap, cap]
-        # and t in [-2cap, cap], so each cumsum errs by at most n^2 cap eps / 2
-        # and h's other steps by 9n cap eps: n (n + 9) cap eps to first order.
-        n, cap, budget = self.n, self.cap, self.budget
-        t, top = t0, xs[:, -width:]
-        if width < n:
-            t = np.maximum(t0, xs[:, -width - 1, None])
-        tail = np.zeros((len(top), width + 1))
-        np.add.accumulate(top[:, ::-1], axis=-1, out=tail[:, width - 1::-1])
-        # ties kept: equal t give equal h; kinks at or below t are read as t
-        kinks = np.sort(np.concatenate([top, top - cap], axis=-1), axis=-1, kind="stable")
-        kinks = kinks[:, _count_le(kinks, t).min():]
-        ts = np.concatenate([t, t, np.maximum(kinks, t)], axis=-1)
-        tc = ts + cap
-        i, i_c = _count_le(top, ts), _count_le(top, tc)
-        rows = np.arange(0, tail.size, width + 1)[:, None]
-        tail = tail.ravel()
-        above = tail[i + rows] - ts * np.subtract(width, i, dtype=float)
-        vals = above - (tail[i_c + rows] - tc * np.subtract(width, i_c, dtype=float))
-        # column 0, a copy of t valued just over budget, makes a crossing at t
-        # give tau = t; h is 0 at the largest kink, so every row crosses
-        vals[:, 0] = np.nextafter(budget, np.inf)
-        at = (vals <= budget).argmax(axis=-1) + np.arange(0, ts.size, ts.shape[1])
-        ts, flat, pre = ts.ravel(), vals.ravel(), at - 1
-        lo, hi, vlo, vhi = ts[pre], ts[at], flat[pre], flat[at]
-        tau = lo + (vlo - budget) * (hi - lo) / (vlo - vhi)
-        if width < n:
-            redo = (t > t0)[:, 0] & (vals[:, 1] <= budget + 2.0 * self._h_error)
-            if redo.any():
-                s, t0 = s[redo], t0[redo]
-                xs = np.sort(s, axis=-1)
-                need = int(np.count_nonzero(xs > t0, axis=-1).max())
-                tau[redo] = self._budget_tau(s, xs, t0, min(need, 8 * width))
-        return tau
+    def _tau(self, s: np.ndarray, xs: np.ndarray, t0: np.ndarray) -> np.ndarray:
+        # Per row, h(t) = sum clip(s - t, 0, cap) is piecewise linear and
+        # non-increasing, with kinks at s_i and s_i - cap; tau >= t0 solves
+        # h(tau) = budget between the first kink where computed h <= budget
+        # and the kink before (or is t0, if h(t0) <= budget).  xs is each row's
+        # s sorted, in full or a window of its top values: for t >= L, the
+        # window's smallest value, its h is the whole row's bit for bit (tail
+        # sums add from the largest value down).  A row is searched from
+        # max(t0, L), and sorted in full when L > t0 and h(L) <= budget + 2E.
+        # E = 16 n (n + 4) cap eps bounds h's rounding error: values lie in
+        # [-cap, cap] and t in [-2cap, cap], so each tail sum errs by at most
+        # n^2 cap eps / 2 and h's other steps by 9n cap eps.  Bisecting the
+        # values above the start finds one with h <= budget + 2E whose
+        # predecessor has h > budget + 2E, so no kink at or below it has
+        # computed h <= budget; a scan of the kinks above it, s_i and s_i - cap
+        # merged, finds the first.  h(max s) = 0 ends both.
+        m, w = xs.shape
+        cap, budget = self.cap, self.budget
+        bound = budget + 2.0 * (16.0 * self.n * (self.n + 4) * cap * _EPS)
+        # (vlo - budget)(hi - lo) is of order n cap^2: scaled by sc = 2^-e,
+        # cap = f 2^e, exactly, so it neither overflows nor leaves the normals
+        sc = ldexp(1.0, -frexp(cap)[1])
+        tail = np.zeros((m, w + 1))
+        np.add.accumulate(xs[:, ::-1], axis=-1, out=tail[:, w - 1::-1])
+        flat_s, flat_l = memoryview(xs.ravel()), memoryview((xs - cap).ravel())
+        flat_tail = memoryview(tail.ravel())
+        taus, redo = t0.tolist(), []
+        for k, t in enumerate(taus):
+            # row k's values, its values less cap and its tail sums
+            vs, vl = flat_s[k * w:k * w + w], flat_l[k * w:k * w + w]
+            vt = flat_tail[k * (w + 1):k * (w + 1) + w + 1]
 
-    def _row_tau(self, xs: np.ndarray, t0: float) -> np.ndarray:
-        # _budget_tau's search for one row, xs its s sorted, in scalar steps:
-        # the same h(t) by the same float operations (Python floats round as
-        # numpy's do), and the same bracket, so the same tau bit for bit.
-        # Bisecting the values s_j above t0 finds one with h <= budget + 2E
-        # whose predecessor (the value before it, or t0) has h > budget + 2E: h is
-        # non-increasing and computed within E, so no kink at or below that
-        # predecessor has computed h <= budget, and scanning every kink above
-        # it, s_i and s_i - cap merged, finds the first one as the full search
-        # does.  h(s_{n-1}) = 0 ends both.
-        n, cap, budget = self.n, self.cap, self.budget
-        tail = np.zeros(n + 1)
-        np.add.accumulate(xs[::-1], out=tail[n - 1::-1])
-        vs, vl, vt = memoryview(xs), memoryview(xs - cap), memoryview(tail)
+            def h(t):
+                i, tc = bisect_right(vs, t), t + cap
+                i_c = bisect_right(vs, tc, i)
+                return (vt[i] - t * (w - i)) - (vt[i_c] - tc * (w - i_c))
 
-        def h(t):
-            i, tc = bisect_right(vs, t), t + cap
-            i_c = bisect_right(vs, tc, i)
-            return (vt[i] - t * float(n - i)) - (vt[i_c] - tc * float(n - i_c))
-
-        lo, vlo = t0, h(t0)
-        if vlo <= budget:
-            # as _budget_tau's column 0: a crossing at t0 gives tau = t0
-            hi, vhi, vlo = t0, vlo, nextafter(budget, inf)
-        else:
-            bound = budget + 2.0 * self._h_error
-            if vlo > bound:
-                below, end = bisect_right(vs, t0) - 1, n - 1
-                while end - below > 1:
-                    mid = (below + end) // 2
-                    v = h(vs[mid])
-                    if v > bound:
-                        lo, vlo, below = vs[mid], v, mid
+            lo = vs[0] if w < self.n and vs[0] > t else t
+            vlo = h(lo)
+            if lo > t and vlo <= bound:
+                redo.append(k)
+                continue
+            if vlo <= budget:
+                # a crossing at t0 gives tau = t0
+                hi, vhi, vlo = lo, vlo, nextafter(budget, inf)
+            else:
+                if vlo > bound:
+                    below, end = bisect_right(vs, lo) - 1, w - 1
+                    while end - below > 1:
+                        mid = (below + end) // 2
+                        v = h(vs[mid])
+                        if v > bound:
+                            lo, vlo, below = vs[mid], v, mid
+                        else:
+                            end = mid
+                i, j = bisect_right(vs, lo), bisect_right(vl, lo)
+                while True:
+                    if j < w and vl[j] < vs[i]:
+                        hi, j = vl[j], j + 1
                     else:
-                        end = mid
-            i, j = bisect_right(vs, lo), bisect_right(vl, lo)
-            while True:
-                if j < n and vl[j] < vs[i]:
-                    hi, j = vl[j], j + 1
-                else:
-                    hi, i = vs[i], i + 1
-                vhi = h(hi)
-                if vhi <= budget:
-                    break
-                lo, vlo = hi, vhi
-        return np.array([lo + (vlo - budget) * (hi - lo) / (vlo - vhi)])
-
-    @property
-    def _h_error(self) -> float:
-        # E of _budget_tau: a bound on the rounding error of computed h
-        return 16.0 * self.n * (self.n + 4) * self.cap * _EPS
-
-
-def _count_le(top: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per row, the count of sorted `top`'s entries <= each of sorted `q`'s
-    (numpy's searchsorted takes one row at a time)."""
-    if len(top) == 1:
-        return top[0].searchsorted(q[0], side="right")[None]
-    return np.array([row.searchsorted(v, side="right") for row, v in zip(top, q)])
+                        hi, i = vs[i], i + 1
+                    vhi = h(hi)
+                    if vhi <= budget:
+                        break
+                    lo, vlo = hi, vhi
+            taus[k] = lo + (vlo - budget) * sc * (hi - lo) / (vlo - vhi) / sc
+        tau = np.array(taus)
+        if redo:
+            tau[redo] = self._tau(s[redo], np.sort(s[redo], axis=-1), t0[redo])
+        return tau
 
 
 @dataclass(frozen=True)
@@ -272,7 +234,7 @@ def bregman_diameter_sq(feasible_set, mirror_map: MirrorMap) -> float:
         r = max(feasible_set.budget - q * cap, 0.0)
 
         def g(m):
-            return m * cap**2 if m <= q else q * cap**2 + r * r
+            return m * cap * cap if m <= q else q * cap * cap + r * r
 
         return 0.5 * (g(n // 2) + g(n - n // 2))
     raise ValueError(f"unsupported set type: {type(feasible_set).__name__}")

@@ -19,6 +19,7 @@ xi vector per iteration and returns phi'(t) (a + xi) + reg_weight (x - anchor).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import frexp
 from typing import Optional, Sequence
 
 import numpy as np
@@ -237,8 +238,13 @@ def default_instance(label: str, reg_weight: float) -> UtilityInstance:
 
 def _moments(instance: UtilityInstance, x: np.ndarray):
     """Per row: mean a'x and std ||x|| of (a + xi)'x.  Row sums, not BLAS
-    products, so no row depends on the rows stacked with it."""
-    return np.sum(instance.coeffs * x, axis=-1), np.sqrt(np.sum(x * x, axis=-1))
+    products, so no row depends on the rows stacked with it.  Where x x may
+    over- or underflow, ||x|| is formed on x scaled by the cap's power of two."""
+    mean, cap = np.sum(instance.coeffs * x, axis=-1), instance.feasible_set.cap
+    if 1e-150 < cap < 1e150:
+        return mean, np.sqrt(np.sum(x * x, axis=-1))
+    x = np.ldexp(x, -frexp(cap)[1])
+    return mean, np.ldexp(np.sqrt(np.sum(x * x, axis=-1)), frexp(cap)[1])
 
 
 def _regulariser(instance: UtilityInstance, x: np.ndarray):
@@ -338,9 +344,10 @@ def reference_solution(instance: UtilityInstance, tol: float,
 
     Gradients are the closed-form :func:`grad_f` of the exact objective;
     backtracking keeps the procedure deterministic while the accepted steps
-    shrink near the solution.  Convergence requires both the last move and
-    the unit-step projected-gradient residual to drop below tol; hitting the
-    iteration cap raises :class:`ConvergenceError`.
+    shrink near the solution.  Convergence requires both the last move per
+    unit step, over max(1, step) (on flat optima the step reaches its 1e6 cap),
+    and the unit-step projected-gradient residual to drop below tol; hitting
+    the iteration cap raises :class:`ConvergenceError`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -356,7 +363,7 @@ def reference_solution(instance: UtilityInstance, tol: float,
     for _ in range(max_iter):
         g = grad_f(instance, x)
         residual = float(np.sqrt(np.sum((x - proj(x - g)) ** 2)))
-        if residual <= tol and last_move <= tol:
+        if residual <= tol and last_move <= tol * max(1.0, step):
             return x, fx
         step = min(step * 2.0, 1e6)
         # roundoff allowance proportional to the objective's own scale; an

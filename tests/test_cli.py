@@ -174,6 +174,28 @@ def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, text, key):
     assert f"{key} must be" in err or f"{key} applies only" in err
 
 
+EXTREME = "regime = compact\ninstance = inline\nn = 50\ncap = {0}\nbudget = {0}\n"
+
+
+@pytest.mark.parametrize("command, text, code", [
+    *[pytest.param("reference", f"regime = {regime}\ninstance = {name}\n", 0,
+                   id=f"reference-{regime}-{name}")
+      for regime in ("compact", "strongly_convex")
+      for name in ("test1", "test2", "test3", "test4")],
+    pytest.param("bounds", EXTREME.format("1e-300"), 0, id="bounds-cap-1e-300"),
+    pytest.param("bounds", EXTREME.format("1e300"), 0, id="bounds-cap-1e300"),
+    pytest.param("bounds", EXTREME.format("1e307"), 1, id="bounds-n-cap-overflows"),
+])
+def test_every_accepted_config_runs(tmp_path, capsys, command, text, code):
+    # the reference stops on the flat optima of test2 and test4; caps at both
+    # ends of the float range project, and one too large for n is rejected
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert "cap must be" in err if code else not err
+
+
 def test_reference_falls_back_to_config_tol(tmp_path, capsys):
     text = "regime = strongly_convex\ninstance = test1\nlambda = 100\nreference_tol = 1e-2\n"
     cfg = tmp_path / "cfg.txt"

@@ -312,8 +312,9 @@ DETERMINISM_CONFIGS = [
     pytest.param("regime = compact\ninstance = test1\na = 1, 10\nanalytic_f = false\n"
                  "eval_samples = 500\niterations = 12\nruns = 5\nseed = 5\n",
                  id="compact-sampled"),
-    # nearly every iterate binds: batches of 1 take the lone-row search, and
-    # batches of 7 (then 1) and 8 the windowed stacked one (over 4096 values)
+    # nearly every iterate binds: batches of 1 search each binding row in its
+    # full sort, and batches of 7 (then 1) and 8 in its window of the top 65
+    # values first, falling back to the full sort where the window is too short
     pytest.param("regime = compact\ninstance = inline\nn = 1000\ncap = 1\nbudget = 1\n"
                  "a = 1\niterations = 12\nruns = 8\nseed = 5\n", id="compact-binding-n1000"),
 ]

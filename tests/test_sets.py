@@ -151,6 +151,18 @@ def test_projection_kkt_any_magnitude(rng):
         assert box.contains(p, 0.0), (cap, budget, x)
         assert kkt_residual_any_scale(cap, budget, x, p) < 1e-9 * max(cap, budget), \
             (cap, budget, x)
+    # caps near both ends of the normal floats, where the threshold's
+    # interpolation, of order n cap^2 before it is scaled, over- or underflows
+    for cap in (1e-300, 1e-160, 1e160, 1e300):
+        for n in (50, 1000):
+            for budget in (cap, cap * rng.uniform(0.2, 3.0)):
+                box = CappedBox(n, cap, budget)
+                stack = cap * rng.uniform(-1.0, 3.0, (4, n))
+                for x, p in zip(stack, box.project(stack)):
+                    for p in (p, box.project(x)):
+                        assert box.contains(p, 0.0), (cap, budget)
+                        assert kkt_residual_any_scale(cap, budget, x, p) < 1e-9 * cap, \
+                            (cap, budget)
 
 
 def test_simplex_projection(rng):
@@ -237,61 +249,70 @@ def test_budget_tau_with_ties_equals_unique_kinks(rng):
         r = np.partition(x, n - 1 - q)[n - 1 - q]
         s = np.clip(x - r, -cap, cap)
         t0 = max(-cap, -r)
-        assert box._budget_tau(s[None], np.sort(s)[None], np.array([[t0]]), n)[0] \
-            == budget_tau_per_row(box, s, t0, np.unique)
+        got = box._tau(s[None], np.sort(s)[None], np.array([t0]))
+        assert isinstance(got, np.ndarray) and got.shape == (1,)
+        assert float(got[0]) == budget_tau_per_row(box, s, t0, np.unique)
         checked += 1
     assert checked > 500
 
 
 def window_search_cases(rng, n):
     """(box, stack) pairs: sampled corners as the constants estimate draws
-    them, engine-like rows with hundreds of components active, ties, and
-    magnitudes up to 1e300; every row binds."""
+    them, engine-like rows with hundreds of components active, ties,
+    magnitudes up to 1e300, and near-ties that only the rounding bound E
+    resolves (with budget = q cap, h is flat at budget); every row binds."""
     cases = []
-    for cap, budget in ((1.0, 1.0), (10.0, 10.0), (1.0, 0.3 * n + 0.5)):
+    for cap, budget in ((1.0, 1.0), (10.0, 10.0), (1.0, 0.3 * n + 0.5),
+                        (0.5, 0.5 * max(1, n // 3))):
         box = CappedBox(n, cap, budget)
         corners = cap * rng.random((40, n))
         spread = np.where(rng.random((40, n)) < 0.6, rng.uniform(0.0, 3.0 * budget / n, (40, n)),
                           -rng.random((40, n)))
         ties = np.round(rng.uniform(-1.0, 3.0, (40, n)) * cap, int(rng.integers(0, 3)))
         huge = np.sign(rng.standard_normal((40, n))) * 10.0 ** rng.uniform(-3, 300, (40, n))
-        for stack in (corners, spread, ties, huge, np.concatenate([corners[:3], spread[:1]])):
+        for stack in (corners, spread, ties, huge, np.concatenate([corners[:3], spread[:1]]),
+                      cluster_rows(rng, 24, n, cap, budget)):
             stack = stack[np.clip(stack, 0.0, cap).sum(axis=-1) > budget]
             if len(stack):
                 cases.append((box, stack))
     return cases
 
 
+def shifted_rows(box, stack):
+    """project's s, its sorted window (the top max(64, q) + 1 values) and t0."""
+    n, cap = box.n, box.cap
+    q = min(int(box.budget // cap), n - 1)
+    r = np.partition(stack, n - 1 - q, axis=-1)[:, n - 1 - q, None]
+    s = np.clip(stack - r, -cap, cap)
+    window = np.sort(s, axis=-1)[:, max(n - 1 - max(64, q), 0):]
+    return s, window, np.maximum(-cap, -r[:, 0])
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
 def test_stacked_window_search_equals_per_row_search(rng, monkeypatch, n):
-    calls, grown = [], 0
-    search = CappedBox._budget_tau
+    # each row's tau, searched in its window (falling back to its full sort)
+    # or in its full sort, equals the reference search over all its kinks
+    calls, fallback = [], 0
+    search = CappedBox._tau
 
-    def spy(box, s, xs, t0, width):
-        calls.append(width)
-        return search(box, s, xs, t0, width)
+    def spy(box, s, xs, t0):
+        calls.append(xs.shape[1])
+        return search(box, s, xs, t0)
 
-    monkeypatch.setattr(CappedBox, "_budget_tau", spy)
+    monkeypatch.setattr(CappedBox, "_tau", spy)
     for box, stack in window_search_cases(rng, n):
-        q = min(int(box.budget // box.cap), n - 1)
-        r = np.partition(stack, n - 1 - q, axis=-1)[:, n - 1 - q, None]
-        s = np.clip(stack - r, -box.cap, box.cap)
-        t0 = np.maximum(-box.cap, -r)
-        want = [budget_tau_per_row(box, row, t) for row, t in zip(s, t0[:, 0])]
-        xs = np.sort(s, axis=-1)
-        for width in {min(n, 64), n}:
+        s, window, t0 = shifted_rows(box, stack)
+        want = [budget_tau_per_row(box, row, t) for row, t in zip(s, t0)]
+        for xs in (window, np.sort(s, axis=-1)):
             calls.clear()
-            got = box._budget_tau(s, xs, t0, width)
-            grown += len(calls) > 1
+            got = box._tau(s, xs, t0)
+            fallback += len(calls) > 1
             assert got.shape == (len(s),)
             assert [float(v) for v in got] == want
-            assert np.array_equal(box._budget_tau(s[:1], xs[:1], t0[:1], width), got[:1])
-            # the window alone, the top width + 1 values, gives the same tau
-            window = xs[:, max(n - width - 1, 0):]
-            assert np.array_equal(box._budget_tau(s, window, t0, width), got)
+            assert np.array_equal(box._tau(s[:1], xs[:1], t0[:1]), got[:1])
     if n == 1000:
-        # rows with hundreds of components active outgrow the first window
-        assert grown
+        # rows with hundreds of components active fall back to their full sort
+        assert fallback
 
 
 def random_rows(rng, m, n, cap, budget):
@@ -324,8 +345,8 @@ def cluster_rows(rng, m, n, cap, budget):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 1000])
 def test_stacked_project_equals_rows(rng, n):
-    # a stack of binding rows is searched by _budget_tau, a lone binding row by
-    # _row_tau: the results agree row by row, bit for bit
+    # a stack's binding rows are searched in their windows first, a lone
+    # binding row in its full sort: the results agree row by row, bit for bit
     k = max(1, n // 3)
     for cap, budget in ((1.0, 0.7), (1.0, 1.0), (2.5, 0.3 * n + 1.0), (0.5, 0.5 * k)):
         box = CappedBox(n, cap, budget)
@@ -346,9 +367,9 @@ def test_stacked_project_equals_rows(rng, n):
 
 def partial_sort_cases(rng):
     """(box, stack) pairs for the stacked search on one partition's window, at
-    n = 1000: engine-like rows the first window does not hold, q = 100 >= 64,
-    ties at L (the largest value left out of the window), a stack of at most
-    4096 values, and slack rows among binding ones."""
+    n = 1000: engine-like rows the window does not hold, q = 100 >= 64, ties
+    at L (the smallest value in the window), a stack of four rows, and slack
+    rows among binding ones."""
     n = 1000
     unit, wide = CappedBox(n, 1.0, 1.0), CappedBox(n, 1.0, 100.0)
     spread = np.where(rng.random((12, n)) < 0.6, rng.uniform(0.0, 0.01, (12, n)),
@@ -365,32 +386,33 @@ def partial_sort_cases(rng):
 
 def test_partial_sort_project_equals_full_sort_and_rows(rng, monkeypatch):
     # the stacked search takes its window from one partition; its tau equals
-    # the search on the rows sorted in full, and each projected row equals the
-    # row projected alone (the scalar search), bit for bit
-    top, search = [], CappedBox._budget_tau
+    # the search on the rows sorted in full and the reference search, and each
+    # projected row equals the row projected alone, bit for bit
+    calls, search = [], CappedBox._tau
 
-    def spy(box, s, xs, t0, width):
-        top.append((s, xs, t0, width))
-        return search(box, s, xs, t0, width)
+    def spy(box, s, xs, t0):
+        calls.append((s, xs, t0))
+        return search(box, s, xs, t0)
 
-    monkeypatch.setattr(CappedBox, "_budget_tau", spy)
+    monkeypatch.setattr(CappedBox, "_tau", spy)
     seen = set()
     for box, stack in partial_sort_cases(rng):
         n, q = box.n, int(box.budget // box.cap)
-        top.clear()
+        calls.clear()
         got = box.project(stack)
-        s, xs, t0, width = top[0]
-        assert xs.shape[1] == (n if width == n else max(width, q) + 1)
+        s, xs, t0 = calls[0]
+        assert xs.shape[1] == max(64, q) + 1
         assert np.sort(s, axis=-1)[:, n - xs.shape[1]:].tobytes() == xs.tobytes()
-        assert search(box, s, xs, t0, width).tobytes() \
-            == search(box, s, np.sort(s, axis=-1), t0, width).tobytes()
+        tau = search(box, s, xs, t0)
+        assert tau.tobytes() == search(box, s, np.sort(s, axis=-1), t0).tobytes()
+        assert [float(v) for v in tau] == [budget_tau_per_row(box, row, t)
+                                           for row, t in zip(s, t0)]
         for row, p in zip(stack, got):
             assert p.tobytes() == box.project(row).tobytes()
         assert box.contains(got, 0.0)
-        seen.update({("redo", len(top) > 1), ("q >= width", q >= width < n),
-                     ("width", width), ("slack", len(s) < len(stack))})
-    assert {("redo", True), ("q >= width", True), ("width", 1000), ("width", 64),
-            ("slack", True)} <= seen
+        seen.update({("fallback", len(calls) > 1), ("q >= 64", q >= 64),
+                     ("slack", len(s) < len(stack))})
+    assert {("fallback", True), ("q >= 64", True), ("slack", True)} <= seen
 
 
 def test_stacked_project_rejects_non_finite():
@@ -421,3 +443,10 @@ def test_non_finite_cap_or_budget_is_rejected(cap, budget):
     for n in (1, 2):
         with pytest.raises(ValueError, match="positive and finite"):
             CappedBox(n, cap, budget)
+
+
+@pytest.mark.parametrize("n, cap", [(50, 1e-310), (1, 5e-324), (50, 1e307), (1, 1e308)])
+def test_cap_outside_the_search_range_is_rejected(n, cap):
+    # a subnormal cap, or one with 4 n cap infinite, is out of the search's range
+    with pytest.raises(ValueError, match="cap must be"):
+        CappedBox(n, cap, 1.0)
