@@ -1,6 +1,6 @@
 """Stochastic subgradient mirror descent with weighted iterate averaging."""
 
-from .averaging import AverageState, weights
+from .averaging import AverageState
 from .gaussian import norm_cdf, norm_pdf, norm_ppf, rng_from_seed, standard_normals
 from .harness import (
     ConfigError,
@@ -30,10 +30,10 @@ from .stepsizes import (
     InverseSqrtStepsize,
     NesterovStepsize,
     TsengStepsize,
-    verify_alpha_cap,
-    verify_alpha_sq_sum_bound,
-    verify_sqrt_sum_growth,
-    verify_step_condition,
+    alpha_cap_violations,
+    alpha_sq_sum_violations,
+    sqrt_sum_growth_violations,
+    step_condition_violations,
 )
 from .utility import (
     AffinePiece,

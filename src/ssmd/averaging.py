@@ -12,7 +12,6 @@ compensation term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
 from typing import Optional
 
 import numpy as np
@@ -24,12 +23,11 @@ class AverageState:
 
     x_hat: Optional[np.ndarray]
     weight_sum: float
-    count: int
     _carry: float = 0.0
 
     @staticmethod
     def empty() -> "AverageState":
-        return AverageState(x_hat=None, weight_sum=0.0, count=0)
+        return AverageState(x_hat=None, weight_sum=0.0)
 
     def absorb(self, x, alpha: float) -> "AverageState":
         """Absorb a point (n,) with weight 1/alpha; returns the updated state."""
@@ -42,18 +40,7 @@ class AverageState:
         new_sum = self.weight_sum + y
         carry = (new_sum - self.weight_sum) - y
         if self.x_hat is None:
-            return AverageState(x.copy(), new_sum, 1, carry)
+            return AverageState(x.copy(), new_sum, carry)
         ratio = self.weight_sum / new_sum
         x_hat = ratio * self.x_hat + (1.0 - ratio) * x
-        return AverageState(x_hat, new_sum, self.count + 1, carry)
-
-
-def weights(alphas) -> np.ndarray:
-    """Convex weights beta_t = (1/alpha_t) / sum_s (1/alpha_s)."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.size == 0:
-        raise ValueError("need at least one stepsize")
-    if not ((0.0 < alphas) & (alphas < np.inf)).all():
-        raise ValueError("stepsizes must be positive and finite")
-    inv = 1.0 / alphas
-    return inv / fsum(inv)
+        return AverageState(x_hat, new_sum, carry)

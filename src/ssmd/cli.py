@@ -55,7 +55,7 @@ def positive_int(text: str) -> int:
 
 def _load_config(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

@@ -254,9 +254,9 @@ def _mc_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     rngs = [rng_from_seed(seed) for seed in seeds]
     if cfg.regime == STRONGLY_CONVEX:
         traces = run_strongly_convex(problem, _SCHEDULES[cfg.schedule](),
-                                     cfg.iterations, rngs, seed=seeds)
+                                     cfg.iterations, rngs)
     else:
-        traces = run_compact(problem, a_list, cfg.iterations, rngs, seed=seeds)
+        traces = run_compact(problem, a_list, cfg.iterations, rngs)
     return [(trace.f_avg, trace.f_iter, trace.f_min) for trace in traces]
 
 

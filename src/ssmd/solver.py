@@ -85,7 +85,6 @@ class RunTrace:
     dist_iter_sq: Optional[np.ndarray]
     dist_avg_sq: Optional[np.ndarray]
     x_hat_final: np.ndarray
-    seed: Optional[int]
 
 
 def _f_evaluator(problem: ProblemHandle):
@@ -104,7 +103,7 @@ def _checked(values, shape: tuple):
 
 
 def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
-         num_iterations: int, rng, seed, uniform_average: bool):
+         num_iterations: int, rng, uniform_average: bool):
     """The runs of a batch, advanced together: row i of the (R, n) state is run
     i, with its own generator and its own column of alphas (K+1, R).  Returns
     one RunTrace, or a list of R of them when rng is a list."""
@@ -112,9 +111,6 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
         raise ValueError("num_iterations must be positive")
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
-    seeds = [seed] if single else [None] * len(rngs) if seed is None else list(seed)
-    if len(seeds) != len(rngs):
-        raise ValueError("need one seed per generator")
     set_ = problem.feasible_set
     x0 = np.asarray(problem.x0, dtype=float)
     if x0.ndim != 1 or not set_.contains(x0, FEAS_TOL):
@@ -182,17 +178,15 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
         dist_iter_sq=None if dist is None else dist[:, 0, i].copy(),
         dist_avg_sq=None if dist is None else dist[:, 1, i].copy(),
         x_hat_final=x_hat[i].copy(),
-        seed=seeds[i],
     ) for i in range(runs)]
     return traces[0] if single else traces
 
 
-def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int,
-                        rng, seed=None):
+def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int, rng):
     """Run the strongly convex engine: prox steps of size alpha_k / mu_f.
 
     rng is one generator, or a list of them for a batch of runs sharing the
-    schedule (seed then None or one per generator)."""
+    schedule."""
     if not 0.0 < problem.mu_f < np.inf:
         raise ValueError("the strongly convex engine requires a positive, finite mu_f")
     if not problem.mirror_map.satisfies_quadratic_upper_bound:
@@ -200,37 +194,35 @@ def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int,
     if isinstance(schedule, InverseSqrtStepsize):
         raise ValueError("a/sqrt(k+1) is not certified for the strongly convex engine")
     alphas = schedule_alphas(schedule, max(num_iterations, 0))[:, None]
-    return _run(problem, alphas, 1.0 / problem.mu_f, num_iterations, rng, seed,
+    return _run(problem, alphas, 1.0 / problem.mu_f, num_iterations, rng,
                 uniform_average=False)
 
 
-def run_compact(problem: ProblemHandle, a, num_iterations: int, rng, seed=None,
+def run_compact(problem: ProblemHandle, a, num_iterations: int, rng,
                 uniform_average: bool = False):
     """Run the compact-set engine, run i with the stepsizes of
     InverseSqrtStepsize(a_i): alpha_k = a_i/sqrt(k+1).
 
     rng is one generator, or a list of them for a batch of runs, with one a
-    for all of them or one per generator (seed then None or one per generator)."""
+    for all of them or one per generator."""
     if not getattr(problem.feasible_set, "is_bounded", False):
         raise ValueError("the compact engine requires a bounded feasible set")
     alphas = np.column_stack([InverseSqrtStepsize(v).alphas(num_iterations)
                               for v in np.ravel(a)])
-    return _run(problem, alphas, 1.0, num_iterations, rng, seed, uniform_average)
+    return _run(problem, alphas, 1.0, num_iterations, rng, uniform_average)
 
 
-def run_baseline_uniform(problem: ProblemHandle, a, num_iterations: int, rng, seed=None):
-    """Compact-engine iterates with a plain arithmetic-mean average; rng, a and
-    seed as in :func:`run_compact`."""
-    return run_compact(problem, a, num_iterations, rng, seed, uniform_average=True)
+def run_baseline_uniform(problem: ProblemHandle, a, num_iterations: int, rng):
+    """Compact-engine iterates with a plain arithmetic-mean average; rng and a
+    as in :func:`run_compact`."""
+    return run_compact(problem, a, num_iterations, rng, uniform_average=True)
 
 
-def combined_second_moment(grad_bound_sq: float, noise_var: float,
-                           euclidean_norm: bool = True) -> float:
-    """Second-moment bound Ct^2 for a noisy subgradient with ||g|| <= C and
-    noise variance <= nu^2: C^2 + nu^2 under the Euclidean norm, doubled for
-    a general norm."""
-    s = grad_bound_sq + noise_var
-    return s if euclidean_norm else 2.0 * s
+def combined_second_moment(grad_bound_sq: float, noise_var: float) -> float:
+    """Second-moment bound Ct^2 = C^2 + nu^2 for a noisy subgradient with
+    ||g|| <= C and noise variance <= nu^2, under the Euclidean norm that both
+    mirror maps use."""
+    return grad_bound_sq + noise_var
 
 
 def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float, mu_w: float):

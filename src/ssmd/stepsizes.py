@@ -8,8 +8,8 @@ Three schedules:
 
 The first two satisfy the recursive step condition
 ``alpha in (0, 1], alpha_0 = 1, (1 - alpha_{k+1})/alpha_{k+1}^2 <= 1/alpha_k^2``;
-the verify_* functions confirm this and the derived cumulative-weight bounds
-numerically, reporting violations rather than trusting the algebra.
+the *_violations functions check this and the derived cumulative-weight
+bounds numerically, returning the indices where they fail.
 """
 
 from __future__ import annotations
@@ -90,11 +90,8 @@ class InverseSqrtStepsize:
 
 
 def schedule_alphas(schedule, k_max: int) -> np.ndarray:
-    """alpha(0..k_max) as an array, for any object exposing alpha(k)."""
-    fn = getattr(schedule, "alphas", None)
-    if fn is not None:
-        return np.asarray(fn(k_max), dtype=float)
-    return np.array([schedule.alpha(k) for k in range(k_max + 1)], dtype=float)
+    """alpha(0..k_max) as a float array, from the schedule's alphas(k_max)."""
+    return np.asarray(schedule.alphas(k_max), dtype=float)
 
 
 def kahan_cumsum(terms: np.ndarray) -> np.ndarray:
@@ -133,10 +130,6 @@ def step_condition_violations(schedule, k_max: int) -> np.ndarray:
     return np.nonzero(bad)[0]
 
 
-def verify_step_condition(schedule, k_max: int) -> bool:
-    return step_condition_violations(schedule, k_max).size == 0
-
-
 def alpha_sq_sum_violations(schedule, k_max: int) -> np.ndarray:
     """Indices k where alpha_k^2 * sum_{t<=k} 1/alpha_t drops below 1, or
     alpha_k is not positive and finite."""
@@ -145,10 +138,6 @@ def alpha_sq_sum_violations(schedule, k_max: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         weighted = al**2 * kahan_cumsum(1.0 / al)
     return np.nonzero(~((0.0 < al) & (al < np.inf) & (weighted >= 1.0 - ABS_SLACK)))[0]
-
-
-def verify_alpha_sq_sum_bound(schedule, k_max: int) -> bool:
-    return alpha_sq_sum_violations(schedule, k_max).size == 0
 
 
 def sqrt_sum_growth_violations(a: float, k_max: int) -> np.ndarray:
@@ -161,18 +150,9 @@ def sqrt_sum_growth_violations(a: float, k_max: int) -> np.ndarray:
     return np.nonzero(s < bound * (1.0 - ABS_SLACK))[0]
 
 
-def verify_sqrt_sum_growth(a: float, k_max: int) -> bool:
-    return sqrt_sum_growth_violations(a, k_max).size == 0
-
-
 def alpha_cap_violations(schedule, k_max: int) -> np.ndarray:
     """Indices k where 0 < alpha_k <= 2/(k+1) + 1e-15 fails."""
     _reject_inverse_sqrt(schedule)
     al = schedule_alphas(schedule, k_max)
     cap = 2.0 / (np.arange(k_max + 1) + 1.0)
     return np.nonzero(~((0.0 < al) & (al <= cap + 1e-15)))[0]
-
-
-def verify_alpha_cap(schedule, k: int) -> bool:
-    a = schedule.alpha(k)
-    return 0.0 < a <= 2.0 / (k + 1) + 1e-15

@@ -125,28 +125,18 @@ def phi_slope(envelope: Envelope, t):
 def expected_phi_gaussian(envelope: Envelope, mu, sigma):
     """E[phi(S)] for S ~ N(mu, sigma^2), exact up to CDF accuracy.
 
-    mu and sigma broadcast; sigma must be >= 0, and sigma = 0 rows fall back
-    to a plain envelope evaluation.
+    mu and sigma broadcast; sigma must be >= 0, and sigma = 0 entries take
+    the plain envelope value phi(mu).
     """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+    mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float))
     if np.any(sigma < 0.0):
         raise ValueError("sigma must be nonnegative")
-    scalar = mu.ndim == 0 and sigma.ndim == 0
-    mu, sigma = np.broadcast_arrays(np.atleast_1d(mu), np.atleast_1d(sigma))
-    mu = mu.astype(float)
-    sigma = sigma.astype(float)
-
-    out = np.empty(mu.shape)
     zero = sigma == 0.0
+    m, s = mu[..., None], np.where(zero, 1.0, sigma)[..., None]
+    out = np.asarray(_piece_sum(envelope, m, s, *norm_cells((envelope.breakpoints - m) / s)))
     if np.any(zero):
         out[zero] = phi(envelope, mu[zero])
-    pos = ~zero
-    if np.any(pos):
-        mp = mu[pos][..., None]
-        sp = sigma[pos][..., None]
-        out[pos] = _piece_sum(envelope, mp, sp, *norm_cells((envelope.breakpoints - mp) / sp))
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _piece_sum(envelope: Envelope, mu, sigma, mass, first):
@@ -181,10 +171,6 @@ class UtilityInstance:
     @property
     def n(self) -> int:
         return self.feasible_set.n
-
-    @property
-    def mu_f(self) -> float:
-        return self.reg_weight
 
 
 def default_pieces(m: int = 10) -> list[AffinePiece]:

@@ -30,9 +30,9 @@ from ssmd.stepsizes import (
     NesterovStepsize,
     TsengStepsize,
     alpha_cap_violations,
-    verify_alpha_sq_sum_bound,
-    verify_sqrt_sum_growth,
-    verify_step_condition,
+    alpha_sq_sum_violations,
+    sqrt_sum_growth_violations,
+    step_condition_violations,
 )
 from ssmd.utility import (
     AffinePiece,
@@ -56,8 +56,8 @@ K_RUN = 1000
 
 def test_criterion_01_step_condition():
     t0 = time.perf_counter()
-    assert verify_step_condition(TsengStepsize(), 100_000)
-    assert verify_step_condition(NesterovStepsize(), 100_000)
+    assert step_condition_violations(TsengStepsize(), 100_000).size == 0
+    assert step_condition_violations(NesterovStepsize(), 100_000).size == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"\nPASS criterion 1: step condition holds for both schedules, "
@@ -69,8 +69,8 @@ def test_criterion_01_step_condition():
 
 def test_criterion_02_alpha_sq_weight_sum():
     t0 = time.perf_counter()
-    assert verify_alpha_sq_sum_bound(TsengStepsize(), 100_000)
-    assert verify_alpha_sq_sum_bound(NesterovStepsize(), 100_000)
+    assert alpha_sq_sum_violations(TsengStepsize(), 100_000).size == 0
+    assert alpha_sq_sum_violations(NesterovStepsize(), 100_000).size == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"\nPASS criterion 2: alpha_k^2 * sum(1/alpha) >= 1 for both "
@@ -82,7 +82,7 @@ def test_criterion_02_alpha_sq_weight_sum():
 
 def test_criterion_03_sqrt_sum_growth():
     for a in (0.1, 1.0, 10.0):
-        assert verify_sqrt_sum_growth(a, 100_000)
+        assert sqrt_sum_growth_violations(a, 100_000).size == 0
     print("\nPASS criterion 3: cumulative weight >= (2/(3a))(k+1)^1.5 for "
           "a in {0.1, 1, 10}, k <= 1e5")
 

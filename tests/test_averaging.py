@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssmd.averaging import AverageState, weights
+from ssmd.averaging import AverageState
 from ssmd.sets import CappedBox
 from ssmd.stepsizes import InverseSqrtStepsize, TsengStepsize
 
@@ -9,7 +9,7 @@ from ssmd.stepsizes import InverseSqrtStepsize, TsengStepsize
 def test_single_point():
     st = AverageState.empty().absorb(np.array([2.0, -1.0]), 1.0)
     assert np.array_equal(st.x_hat, [2.0, -1.0])
-    assert st.weight_sum == 1.0 and st.count == 1
+    assert st.weight_sum == 1.0
 
 
 def test_uniform_mean():
@@ -52,7 +52,6 @@ def test_recursion_matches_direct_sum(rng):
         assert np.max(np.abs(st.x_hat - direct)) <= 1e-10 * scale
         exact_sum = math.fsum(1.0 / a for a in alphas)
         assert abs(st.weight_sum - exact_sum) <= 1e-12 * exact_sum
-        assert st.count == length
 
 
 def test_recursion_with_schedule_weights(rng):
@@ -74,28 +73,6 @@ def test_average_stays_feasible(rng):
         assert box.contains(st.x_hat, 1e-8)
 
 
-def test_weights_examples():
-    assert np.array_equal(weights([1.0]), [1.0])
-    assert np.array_equal(weights([1.0, 1.0, 1.0, 1.0]), [0.25] * 4)
-    got = weights([1.0, 1.0, 2.0 / 3.0])
-    assert np.max(np.abs(got - np.array([2.0, 2.0, 3.0]) / 7.0)) < 1e-15
-
-
-def test_weights_normalized(rng):
-    for _ in range(200):
-        alphas = np.exp(rng.standard_normal(int(rng.integers(1, 400))))
-        b = weights(alphas)
-        assert np.all(b > 0.0)
-        assert abs(b.sum() - 1.0) < 1e-14
-
-
-def test_weights_errors():
-    with pytest.raises(ValueError):
-        weights([])
-    with pytest.raises(ValueError):
-        weights([1.0, -0.5])
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_stepsizes_are_rejected(bad):
     st = AverageState.empty().absorb(np.zeros(2), 1.0)
@@ -103,10 +80,6 @@ def test_non_finite_stepsizes_are_rejected(bad):
         st.absorb(np.zeros(2), bad)
     with pytest.raises(ValueError, match="positive and finite"):
         AverageState.empty().absorb(np.zeros(2), bad)
-    with pytest.raises(ValueError, match="positive and finite"):
-        weights([1.0, bad])
-    with pytest.raises(ValueError, match="positive and finite"):
-        weights([bad])
 
 
 def test_absorb_takes_one_point():

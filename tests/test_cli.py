@@ -138,6 +138,17 @@ def test_bounds_command(tmp_path, capsys):
     assert len(rows) == 2 * 11  # two a values, k = 0..10 each
 
 
+def test_bom_and_crlf_config_reads_as_the_plain_file(tmp_path, capsys):
+    # editors such as Notepad write UTF-8 with a byte-order mark and CRLF ends
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(SMALL)
+    marked.write_bytes(b"\xef\xbb\xbf" + SMALL.replace("\n", "\r\n").encode())
+    assert main(["bounds", "--config", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["bounds", "--config", str(marked)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_bounds_with_budget_over_cap_overflowing_exits_0(tmp_path, capsys):
     # budget / cap = 1e310 overflows to inf; the budget never binds, and the
     # diameter is the box's, n cap^2 / 2

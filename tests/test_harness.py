@@ -295,8 +295,8 @@ def test_verify_suite_boundary():
 
 def test_verify_suite_flags_faulty_schedule():
     class Faulty:
-        def alpha(self, k):
-            return 0.5
+        def alphas(self, k_max):
+            return np.full(k_max + 1, 0.5)
 
     results = verify_suite(100, extra_schedules={"faulty": Faulty()})
     res = [r for r in results if r.name == "step_condition[faulty]"][0]

@@ -179,10 +179,9 @@ def test_trace_structure_and_feasibility():
     problem = quadratic_problem(2.0, [0.4, 0.4, 0.4], box, [0.0, 0.0, 0.0],
                                 noise_halfwidth=1.0)
     rng = rng_from_seed(5)
-    trace = run_strongly_convex(problem, TsengStepsize(), 300, rng, seed=5)
+    trace = run_strongly_convex(problem, TsengStepsize(), 300, rng)
     assert trace.k.shape == (301,)
     assert np.all(np.diff(trace.f_min) <= 0.0 + 1e-15)
-    assert trace.seed == 5
     assert box.contains(trace.x_hat_final, 1e-8)
 
 
@@ -514,7 +513,6 @@ def test_optimal_scale_is_argmin():
 
 def test_combined_second_moment():
     assert combined_second_moment(4.0, 1.0) == 5.0
-    assert combined_second_moment(4.0, 1.0, euclidean_norm=False) == 10.0
 
 
 def assert_same_trace(got, want):
@@ -522,7 +520,6 @@ def assert_same_trace(got, want):
                 "x_hat_final"):
         a, b = getattr(got, col), getattr(want, col)
         assert (a is None and b is None) or np.array_equal(a, b), col
-    assert got.seed == want.seed
 
 
 BATCH_CASES = [
@@ -548,25 +545,21 @@ def test_batched_runs_equal_single_runs(build, num_iterations):
         return [rng_from_seed(s) for s in seeds]
 
     for run, a in ((run_compact, a_values), (run_baseline_uniform, 1.0)):
-        batch = run(problem, a, num_iterations, rngs(), seed=seeds)
+        batch = run(problem, a, num_iterations, rngs())
         assert len(batch) == len(seeds)
         for i, s in enumerate(seeds):
             a_i = a[i] if isinstance(a, list) else a
-            assert_same_trace(batch[i], run(problem, a_i, num_iterations,
-                                            rng_from_seed(s), seed=s))
+            assert_same_trace(batch[i], run(problem, a_i, num_iterations, rng_from_seed(s)))
     for sched in (TsengStepsize(), NesterovStepsize()):
-        batch = run_strongly_convex(problem, sched, num_iterations, rngs(), seed=seeds)
+        batch = run_strongly_convex(problem, sched, num_iterations, rngs())
         for i, s in enumerate(seeds):
             assert_same_trace(batch[i], run_strongly_convex(
-                problem, sched, num_iterations, rng_from_seed(s), seed=s))
-    assert [t.seed for t in run_compact(problem, 1.0, 2, rngs())] == [None] * len(seeds)
+                problem, sched, num_iterations, rng_from_seed(s)))
 
 
 def test_batch_arguments_are_checked():
     problem = l1_problem([0.25], UNIT_INTERVAL, [0.0])
     rngs = [rng_from_seed(0), rng_from_seed(1)]
-    with pytest.raises(ValueError, match="one seed per generator"):
-        run_compact(problem, 1.0, 5, rngs, seed=[0])
     with pytest.raises(ValueError):
         run_compact(problem, [1.0, 2.0, 3.0], 5, rngs)
     with pytest.raises(ValueError, match="positive and finite"):

@@ -12,11 +12,8 @@ from ssmd.stepsizes import (
     alpha_sq_sum_violations,
     kahan_cumsum,
     schedule_alphas,
+    sqrt_sum_growth_violations,
     step_condition_violations,
-    verify_alpha_cap,
-    verify_alpha_sq_sum_bound,
-    verify_sqrt_sum_growth,
-    verify_step_condition,
 )
 
 GOLDEN_RATIO_CONJ = 0.6180339887498948482  # (sqrt(5) - 1)/2
@@ -26,8 +23,8 @@ class ConstantSchedule:
     def __init__(self, value):
         self.value = value
 
-    def alpha(self, k):
-        return self.value
+    def alphas(self, k_max):
+        return np.full(k_max + 1, self.value)
 
 
 def test_alpha_values():
@@ -51,12 +48,12 @@ def test_alphas_match_alpha():
 
 
 def test_step_condition():
-    assert verify_step_condition(TsengStepsize(), 100_000)
-    assert verify_step_condition(NesterovStepsize(), 100_000)
-    assert verify_step_condition(ConstantSchedule(1.0), 1000)
-    assert not verify_step_condition(ConstantSchedule(0.5), 1000)
+    assert step_condition_violations(TsengStepsize(), 100_000).size == 0
+    assert step_condition_violations(NesterovStepsize(), 100_000).size == 0
+    assert step_condition_violations(ConstantSchedule(1.0), 1000).size == 0
+    assert step_condition_violations(ConstantSchedule(0.5), 1000).size != 0
     with pytest.raises(ValueError):
-        verify_step_condition(InverseSqrtStepsize(1.0), 10)
+        step_condition_violations(InverseSqrtStepsize(1.0), 10)
 
 
 def test_tseng_step_condition_algebra():
@@ -66,25 +63,23 @@ def test_tseng_step_condition_algebra():
 
 
 def test_alpha_sq_sum_bound():
-    assert verify_alpha_sq_sum_bound(TsengStepsize(), 100_000)
-    assert verify_alpha_sq_sum_bound(NesterovStepsize(), 100_000)
+    assert alpha_sq_sum_violations(TsengStepsize(), 100_000).size == 0
+    assert alpha_sq_sum_violations(NesterovStepsize(), 100_000).size == 0
     # k = 0 alone: alpha0^2 * (1/alpha0) = 1
-    assert verify_alpha_sq_sum_bound(ConstantSchedule(1.0), 0)
+    assert alpha_sq_sum_violations(ConstantSchedule(1.0), 0).size == 0
 
 
 def test_sqrt_sum_growth():
-    assert verify_sqrt_sum_growth(1.0, 100_000)
-    assert verify_sqrt_sum_growth(7.5, 1000)
-    assert verify_sqrt_sum_growth(0.1, 1000)
+    assert sqrt_sum_growth_violations(1.0, 100_000).size == 0
+    assert sqrt_sum_growth_violations(7.5, 1000).size == 0
+    assert sqrt_sum_growth_violations(0.1, 1000).size == 0
     # k = 0: 1/alpha_0 = 1/a >= 2/(3a)
-    assert verify_sqrt_sum_growth(1.0, 1)
+    assert sqrt_sum_growth_violations(1.0, 1).size == 0
     with pytest.raises(ValueError):
-        verify_sqrt_sum_growth(-1.0, 10)
+        sqrt_sum_growth_violations(-1.0, 10)
 
 
 def test_alpha_cap():
-    assert verify_alpha_cap(NesterovStepsize(), 1)
-    assert verify_alpha_cap(TsengStepsize(), 0)
     assert alpha_cap_violations(TsengStepsize(), 10_000).size == 0
     assert alpha_cap_violations(NesterovStepsize(), 10_000).size == 0
 
@@ -176,7 +171,7 @@ def test_non_finite_scale_is_rejected(bad):
     with pytest.raises(ValueError, match="positive and finite"):
         InverseSqrtStepsize(bad)
     with pytest.raises(ValueError, match="positive and finite"):
-        verify_sqrt_sum_growth(bad, 10)
+        sqrt_sum_growth_violations(bad, 10)
 
 
 class SpoiledTseng:
@@ -185,8 +180,10 @@ class SpoiledTseng:
     def __init__(self, bad):
         self.bad = bad
 
-    def alpha(self, k):
-        return self.bad if k == 2 else TsengStepsize().alpha(k)
+    def alphas(self, k_max):
+        out = TsengStepsize().alphas(k_max)
+        out[2] = self.bad
+        return out
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

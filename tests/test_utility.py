@@ -133,6 +133,27 @@ def test_expected_phi_broadcasts():
     want = [expected_phi_gaussian(env, m, s) for m, s in zip(mus, sigmas)]
     assert np.array_equal(got, want)
 
+    # a (3, 4) stack with sigma = 0 first, in the middle and last equals the
+    # per-element scalar calls bit for bit
+    mu = np.linspace(-0.7, 1.6, 12).reshape(3, 4)
+    sigma = np.geomspace(1e-3, 5.0, 12).reshape(3, 4)
+    sigma[0, 0] = sigma[1, 2] = sigma[2, 3] = 0.0
+    got = expected_phi_gaussian(env, mu, sigma)
+    assert got.shape == (3, 4)
+    want = [[expected_phi_gaussian(env, m, s) for m, s in zip(*rows)]
+            for rows in zip(mu, sigma)]
+    assert np.array_equal(got, want)
+    assert got[1, 2] == phi(env, mu[1, 2])
+
+    # scalars and 0-d arrays give a Python float, with sigma = 0 or not
+    for m, s in ((0.3, 0.7), (0.3, 0.0), (np.array(0.3), np.array(0.7)),
+                 (np.array(0.3), np.array(0.0))):
+        assert type(expected_phi_gaussian(env, m, s)) is float
+
+    # a negative sigma anywhere in a broadcast is rejected
+    with pytest.raises(ValueError, match="nonnegative"):
+        expected_phi_gaussian(env, mus, np.array([[1.0], [-1.0]]))
+
 
 def _two_sided_terms(breakpoints, mu, sigma):
     """The former per-piece form: erfc and the pdf at both ends of every piece."""
