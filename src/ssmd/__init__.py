@@ -12,8 +12,7 @@ from .harness import (
     sweep_a,
     verify_suite,
 )
-from .mirror import MirrorMap, bregman, check_quadratic_upper_bound, grad_w, prox_step
-from .sets import CappedBox, Simplex, bregman_diameter_sq
+from .sets import CappedBox, bregman_diameter_sq
 from .solver import (
     ProblemHandle,
     RunTrace,
@@ -21,7 +20,7 @@ from .solver import (
     compact_rate_bound,
     noiseless_compact_rate_bound,
     optimal_stepsize_scale,
-    run_baseline_uniform,
+    prox_step,
     run_compact,
     run_strongly_convex,
     strongly_convex_rate_bounds,

@@ -9,11 +9,17 @@ Subcommands:
 * ``bounds --config PATH`` print the theoretical bound curve as CSV.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
+
+A command does all its work, files included, before it prints, so its
+files and exit status do not depend on stdout: if the reader of stdout
+leaves early (``ssmd bounds ... | head -1``), the rest of the output is
+dropped without a message and the exit status is the command's.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -61,53 +67,49 @@ def _load_config(path: str):
     return parse_config(text)
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> tuple[int, list[str]]:
     cfg = _load_config(args.config)
     out_path = args.out if args.out is not None else cfg.out
     if out_path is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
     out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
+    lines = []
     for i, (a, summary) in enumerate(sweep_a(cfg, workers=args.workers)):
         if cfg.regime == COMPACT:
             path, label = out / f"experiment_a{i}.csv", f"a = {float(a)!r}: "
         else:
             path, label = out / "experiment.csv", ""
         emit_csv(summary, path)
-        print(f"{label}final mean f(x_hat) = {float(summary.mean_f_avg[-1])!r} -> {path}")
-    return 0
+        final = float(summary.mean_f_avg[-1])
+        lines.append(f"{label}final mean f(x_hat) = {final!r} -> {path}")
+    return 0, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, list[str]]:
     results = verify_suite(args.kmax)
-    failed = 0
-    for res in results:
-        if res.passed:
-            print(f"PASS {res.name}")
-        else:
-            failed += 1
-            print(f"FAIL {res.name} (first violating k = {res.first_violation})")
-    return 0 if failed == 0 else 2
+    lines = [f"PASS {res.name}" if res.passed else
+             f"FAIL {res.name} (first violating k = {res.first_violation})" for res in results]
+    return (0 if all(res.passed for res in results) else 2), lines
 
 
-def _cmd_reference(args) -> int:
+def _cmd_reference(args) -> tuple[int, list[str]]:
     cfg = _load_config(args.config)
     tol = cfg.reference_tol if args.tol is None else args.tol
     _, f_ref = reference_solution(build_instance(cfg), tol)
-    print(repr(f_ref))
-    return 0
+    return 0, [repr(f_ref)]
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[int, list[str]]:
     cfg = _load_config(args.config)
     constants = instance_constants(cfg)
+    lines = []
     for a in a_values(cfg):
         if cfg.regime == COMPACT:
-            print(f"# a = {a!r}")
-        print("k,bound")
-        for k, b in enumerate(bound_curve(cfg, a, constants)):
-            print(f"{k},{float(b)!r}")
-    return 0
+            lines.append(f"# a = {a!r}")
+        lines.append("k,bound")
+        lines += [f"{k},{float(b)!r}" for k, b in enumerate(bound_curve(cfg, a, constants))]
+    return 0, lines
 
 
 def main(argv=None) -> int:
@@ -141,13 +143,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status, lines = args.func(args)
     except ConfigError as exc:
         print(f"ssmd: config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"ssmd: error: {exc}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: the rest of stdout goes to the null device
+        sys.stdout = open(os.devnull, "w")
+    return status
 
 
 if __name__ == "__main__":

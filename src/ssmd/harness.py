@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import rng_from_seed
-from .mirror import MirrorMap
 from .sets import CappedBox, bregman_diameter_sq
 from .solver import (
     combined_second_moment,
@@ -267,7 +266,7 @@ def instance_constants(cfg: ExperimentConfig) -> dict:
     instance = build_instance(cfg)
     const_rng = rng_from_seed(cfg.base_seed ^ _CONSTANTS_SEED_XOR)
     c_est, nu_est = estimate_constants(instance, CONSTANT_SAMPLES, const_rng)
-    d_sq = bregman_diameter_sq(instance.feasible_set, MirrorMap.euclidean())
+    d_sq = bregman_diameter_sq(instance.feasible_set)
     return {
         "c_est": c_est,
         "nu_est": nu_est,

@@ -1,4 +1,4 @@
-"""Feasible sets with exact Euclidean projection and membership tests.
+"""The feasible set, with exact Euclidean projection and membership tests.
 
 ``CappedBox`` is the budgeted box {x : 0 <= x_i <= cap, sum x_i <= budget};
 its projection clamps componentwise and, when the budget binds, shifts by
@@ -25,8 +25,6 @@ from math import frexp, inf, ldexp, nextafter
 
 import numpy as np
 
-from .mirror import EUCLIDEAN, MirrorMap
-
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -51,7 +49,6 @@ class CappedBox:
     budget: float
 
     is_bounded = True
-    is_simplex = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -89,7 +86,9 @@ class CappedBox:
         # a lone row is sorted in full; a stack's window is each row's top
         # max(64, q) + 1 values, from one partition and a sort of the values
         # above it.  x -> clip(x - r) keeps order, so shifted and clipped, the
-        # window is s's top values, sorted
+        # window is s's top values, sorted.  Sorting stacks in full instead took
+        # the n = 1000, cap = budget = 1 constants estimate from 132 to 190 ms
+        # (medians of 9 processes on a 2-core Xeon)
         lo = max(n - 1 - max(64, q), 0) if binding > 1 else 0
         xs = np.sort(np.partition(x, lo, axis=-1)[:, lo:] if lo else x, axis=-1)
         r = xs[:, n - 1 - q - lo, None]
@@ -185,56 +184,22 @@ class CappedBox:
         return tau
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """The probability simplex {x in R^n : x_i >= 0, sum_i x_i = 1}."""
+def bregman_diameter_sq(box: CappedBox) -> float:
+    """max over pairs x, y in the capped box of D_w(x, y) = ||x - y||^2 / 2.
 
-    n: int
-
-    is_bounded = True
-    is_simplex = True
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = _as_rows(x, self.n)
-        return bool((x >= -tol).all() and (np.abs(x.sum(axis=-1) - 1.0) <= tol).all())
-
-    def project(self, x) -> np.ndarray:
-        x = _as_rows(x, self.n)
-        u = np.sort(x, axis=-1)[..., ::-1]
-        css = np.cumsum(u, axis=-1) - 1.0
-        ind = np.arange(1, self.n + 1)
-        # rho: the last index where the condition holds
-        rho = self.n - np.argmax((u - css / ind > 0)[..., ::-1], axis=-1)[..., None]
-        theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
-        return np.maximum(x - theta, 0.0)
-
-
-def bregman_diameter_sq(feasible_set, mirror_map: MirrorMap) -> float:
-    """max over pairs x, y in the set of D_w(x, y).
-
-    Closed forms for the Euclidean map only.  For the capped box the maximum
-    of ||x - y||^2 is attained by two greedy vectors with disjoint supports of
-    sizes m and n - m, where g(m), the largest ||x||^2 on m components, is
-    m cap^2 up to q = floor(budget/cap) and q cap^2 + r^2 beyond (r the
-    remainder).  g has non-increasing increments, so g(m) + g(n - m) peaks at
-    m = n // 2.  q is clamped at n, where g(m) = m cap^2 for every m <= n, so
-    a budget far above n cap (budget/cap may overflow) gives n cap^2 / 2.
+    The maximum of ||x - y||^2 is attained by two greedy vectors with
+    disjoint supports of sizes m and n - m, where g(m), the largest ||x||^2
+    on m components, is m cap^2 up to q = floor(budget/cap) and
+    q cap^2 + r^2 beyond (r the remainder).  g has non-increasing
+    increments, so g(m) + g(n - m) peaks at m = n // 2.  q is clamped at n,
+    where g(m) = m cap^2 for every m <= n, so a budget far above n cap
+    (budget/cap may overflow) gives n cap^2 / 2.
     """
-    if mirror_map.kind != EUCLIDEAN:
-        raise ValueError("diameter closed form is only available for the euclidean map")
-    if isinstance(feasible_set, Simplex):
-        return 1.0 if feasible_set.n >= 2 else 0.0
-    if isinstance(feasible_set, CappedBox):
-        cap, n = feasible_set.cap, feasible_set.n
-        q = int(np.floor(min(feasible_set.budget / cap + 1e-12, n)))
-        r = max(feasible_set.budget - q * cap, 0.0)
+    cap, n = box.cap, box.n
+    q = int(np.floor(min(box.budget / cap + 1e-12, n)))
+    r = max(box.budget - q * cap, 0.0)
 
-        def g(m):
-            return m * cap * cap if m <= q else q * cap * cap + r * r
+    def g(m):
+        return m * cap * cap if m <= q else q * cap * cap + r * r
 
-        return 0.5 * (g(n // 2) + g(n - n // 2))
-    raise ValueError(f"unsupported set type: {type(feasible_set).__name__}")
+    return 0.5 * (g(n // 2) + g(n - n // 2))

@@ -1,12 +1,13 @@
 """Iteration engines for stochastic subgradient mirror descent.
 
-Two regimes are provided: the strongly convex engine, which scales the
-schedule by 1/mu_f and requires a mirror map with the quadratic upper
-bound, and the compact-set engine with the a/sqrt(k+1) schedule.  Both
-maintain the 1/alpha-weighted running average and record a per-iteration
-trace.  A uniform-averaging baseline shares the compact engine's iterates.
-One engine serves all three: it advances a stack of runs, one row per run,
-and a single run is a batch of one.
+The distance generator is the Euclidean w(x) = ||x||^2/2, 1-strongly convex
+in the l2 norm (mu_w = 1), so the prox step is the exact projection of
+x - alpha*g onto the feasible set.  Two regimes are provided: the strongly
+convex engine, which scales the schedule by 1/mu_f, and the compact-set
+engine with the a/sqrt(k+1) schedule.  Both maintain the 1/alpha-weighted
+running average and record a per-iteration trace.  One engine serves both:
+it advances a stack of runs, one row per run, and a single run is a batch
+of one.
 
 The rate-bound calculators evaluate the guarantees the engines are tested
 against:
@@ -30,8 +31,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gaussian import rng_from_seed
-from .mirror import FEAS_TOL, MirrorMap, prox, prox_step  # noqa: F401 (re-exported)
 from .stepsizes import InverseSqrtStepsize, kahan_cumsum, schedule_alphas
+
+# Feasibility tolerance (l-inf on constraint violations) of start points,
+# prox base points and the engine's iterates.
+FEAS_TOL = 1e-9
 
 
 # Floats in the engine's per-block stack of iterates x_k of all R runs: 4096
@@ -39,6 +43,22 @@ from .stepsizes import InverseSqrtStepsize, kahan_cumsum, schedule_alphas
 # max(1, BLOCK_FLOATS // (R n)) iterations, so a smaller batch gets longer blocks
 # and pays the per-block noise draw, f call and feasibility check fewer times.
 BLOCK_FLOATS = 32 * 4096
+
+
+def prox_step(feasible_set, x, g, alpha: float) -> np.ndarray:
+    """One mirror-descent step, argmin_{z in X} alpha*<g, z - x> + ||z - x||^2/2:
+    the projection of x - alpha*g onto X, after checking one point's inputs.
+    The engine projects its stack of runs directly."""
+    x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=float)
+    if x.shape != g.shape or x.ndim != 1:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {g.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(g).all()):
+        raise ValueError("non-finite components")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not feasible_set.contains(x, FEAS_TOL):
+        raise ValueError("prox step requires a feasible base point")
+    return feasible_set.project(x - alpha * g)
 
 
 def no_noise(rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -63,7 +83,6 @@ class ProblemHandle:
 
     oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
     feasible_set: object
-    mirror_map: MirrorMap
     x0: np.ndarray
     noise: Callable[[np.random.Generator, int], np.ndarray] = no_noise
     mu_f: float = 0.0
@@ -103,7 +122,7 @@ def _checked(values, shape: tuple):
 
 
 def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
-         num_iterations: int, rng, uniform_average: bool):
+         num_iterations: int, rng):
     """The runs of a batch, advanced together: row i of the (R, n) state is run
     i, with its own generator and its own column of alphas (K+1, R).  Returns
     one RunTrace, or a list of R of them when rng is a list."""
@@ -139,12 +158,8 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
     # x_hat_k by AverageState's recursion, on each run's Kahan sums S_k of 1/alpha_t
     sums = kahan_cumsum(1.0 / alphas)
     ratios = (sums[:-1] / sums[1:])[..., None]
-    run_sum = np.zeros_like(x)
     for k in range(m):
-        if uniform_average:
-            run_sum = run_sum + x
-            x_hat = run_sum / (k + 1)
-        elif k == 0:
+        if k == 0:
             x_hat = x.copy()
         else:
             x_hat = ratios[k - 1] * x_hat + (1.0 - ratios[k - 1]) * x
@@ -168,7 +183,7 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
             if k == 0 and np.shape(g) not in (x.shape, x.shape[1:]):
                 raise ValueError(f"the oracle must return one subgradient per point, or "
                                  f"one for all, got shape {np.shape(g)} for points {x.shape}")
-            x = prox(problem.mirror_map, set_, x, g, steps[k])
+            x = set_.project(x - steps[k] * g)
 
     traces = [RunTrace(
         k=np.arange(m),
@@ -189,17 +204,13 @@ def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int, r
     schedule."""
     if not 0.0 < problem.mu_f < np.inf:
         raise ValueError("the strongly convex engine requires a positive, finite mu_f")
-    if not problem.mirror_map.satisfies_quadratic_upper_bound:
-        raise ValueError("the strongly convex engine requires the quadratic upper bound")
     if isinstance(schedule, InverseSqrtStepsize):
         raise ValueError("a/sqrt(k+1) is not certified for the strongly convex engine")
     alphas = schedule_alphas(schedule, max(num_iterations, 0))[:, None]
-    return _run(problem, alphas, 1.0 / problem.mu_f, num_iterations, rng,
-                uniform_average=False)
+    return _run(problem, alphas, 1.0 / problem.mu_f, num_iterations, rng)
 
 
-def run_compact(problem: ProblemHandle, a, num_iterations: int, rng,
-                uniform_average: bool = False):
+def run_compact(problem: ProblemHandle, a, num_iterations: int, rng):
     """Run the compact-set engine, run i with the stepsizes of
     InverseSqrtStepsize(a_i): alpha_k = a_i/sqrt(k+1).
 
@@ -209,19 +220,12 @@ def run_compact(problem: ProblemHandle, a, num_iterations: int, rng,
         raise ValueError("the compact engine requires a bounded feasible set")
     alphas = np.column_stack([InverseSqrtStepsize(v).alphas(num_iterations)
                               for v in np.ravel(a)])
-    return _run(problem, alphas, 1.0, num_iterations, rng, uniform_average)
-
-
-def run_baseline_uniform(problem: ProblemHandle, a, num_iterations: int, rng):
-    """Compact-engine iterates with a plain arithmetic-mean average; rng and a
-    as in :func:`run_compact`."""
-    return run_compact(problem, a, num_iterations, rng, uniform_average=True)
+    return _run(problem, alphas, 1.0, num_iterations, rng)
 
 
 def combined_second_moment(grad_bound_sq: float, noise_var: float) -> float:
     """Second-moment bound Ct^2 = C^2 + nu^2 for a noisy subgradient with
-    ||g|| <= C and noise variance <= nu^2, under the Euclidean norm that both
-    mirror maps use."""
+    ||g|| <= C and noise variance <= nu^2, in the Euclidean norm."""
     return grad_bound_sq + noise_var
 
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .gaussian import norm_cells, norm_pdf, rng_from_seed, standard_normals
 from .sets import CappedBox
-from .mirror import MirrorMap
 from .solver import ProblemHandle
 
 # Seed for the one-time draw of the linear coefficients a (kept in the
@@ -398,11 +397,12 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
 
 def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
                  analytic_f: bool = True) -> ProblemHandle:
-    """Bridge an instance to the solver engines.  The oracle noise of a block
-    of iterations is one standard_normals draw, which equals the per-iteration
-    draws of the same stream bit for bit.  f_sampler(x, rng, N) is exact over
-    its N draws: it is within about 1e-15 of the mean |value| of the exactly
-    rounded mean of N one-draw calls."""
+    """Bridge an instance to the solver engines, which step on its capped box
+    by Euclidean projection.  The oracle noise of a block of iterations is
+    one standard_normals draw, which equals the per-iteration draws of the
+    same stream bit for bit.  f_sampler(x, rng, N) is exact over its N draws:
+    it is within about 1e-15 of the mean |value| of the exactly rounded mean
+    of N one-draw calls."""
 
     def noise(rng, rows):
         return standard_normals(rng, (rows, instance.n))
@@ -436,7 +436,6 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
     return ProblemHandle(
         oracle=oracle,
         feasible_set=instance.feasible_set,
-        mirror_map=MirrorMap.euclidean(),
         x0=instance.x0,
         noise=noise,
         mu_f=instance.reg_weight,

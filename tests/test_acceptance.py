@@ -14,14 +14,12 @@ from conftest import capped_box_vertices, kkt_residual_capped_box, mc_estimate_f
 from ssmd.averaging import AverageState
 from ssmd.gaussian import rng_from_seed
 from ssmd.harness import format_csv, parse_config, run_experiment
-from ssmd.mirror import MirrorMap
 from ssmd.sets import CappedBox, bregman_diameter_sq
 from ssmd.solver import (
     ProblemHandle,
     combined_second_moment,
     compact_rate_bound,
     optimal_stepsize_scale,
-    run_baseline_uniform,
     run_compact,
     run_strongly_convex,
     strongly_convex_rate_bounds,
@@ -45,7 +43,6 @@ from ssmd.utility import (
 )
 from ssmd import cli
 
-EU = MirrorMap.euclidean()
 BASE_SEED = 20240817
 N_SEEDS = 100
 K_RUN = 1000
@@ -150,7 +147,7 @@ def c6_problem():
         return C6_MU * (x - C6_XSTAR) + C6_NOISE * (2.0 * xi - 1.0)
 
     return ProblemHandle(
-        oracle=oracle, feasible_set=C6_BOX, mirror_map=EU, x0=C6_X0,
+        oracle=oracle, feasible_set=C6_BOX, x0=C6_X0,
         noise=lambda rng, rows: rng.random((rows, 4)), mu_f=C6_MU,
         f_exact=lambda x: 0.5 * C6_MU * np.sum((x - C6_XSTAR) ** 2, axis=-1),
         x_star=C6_XSTAR)
@@ -219,7 +216,7 @@ def c7_problem(setup):
         return np.sign(x - x_star) + noise * (2.0 * xi - 1.0)
 
     return ProblemHandle(
-        oracle=oracle, feasible_set=box, mirror_map=EU, x0=setup["x0"],
+        oracle=oracle, feasible_set=box, x0=setup["x0"],
         noise=lambda rng, rows: rng.random((rows, n)),
         f_exact=lambda x: np.sum(np.abs(x - x_star), axis=-1),
         x_star=x_star)
@@ -229,7 +226,7 @@ def c7_constants(setup):
     n = setup["x_star"].shape[0]
     d_sq = setup["d_sq"]
     if d_sq is None:
-        d_sq = bregman_diameter_sq(setup["box"], EU)
+        d_sq = bregman_diameter_sq(setup["box"])
     nu_sq = n * setup["noise"] ** 2 / 3.0
     return d_sq, setup["c_sq"], nu_sq
 
@@ -351,7 +348,7 @@ def test_criterion_11_qualitative_reproduction():
     warm = np.full(100, inst0.feasible_set.budget / 100)
     _, f_ref0 = reference_solution(inst0, 1e-5, x_init=warm)
     c_est, nu_est = estimate_constants(inst0, 2000, rng_from_seed(BASE_SEED))
-    d = np.sqrt(bregman_diameter_sq(inst0.feasible_set, EU))
+    d = np.sqrt(bregman_diameter_sq(inst0.feasible_set))
     a_star = optimal_stepsize_scale(d, c_est**2, nu_est**2, 1.0)
     best = np.inf
     for mult in (0.5, 1.0, 2.0):
@@ -380,22 +377,8 @@ def test_criterion_12_averaging():
         direct = np.average(xs, axis=0, weights=1.0 / alphas)
         scale = max(1.0, float(np.max(np.abs(direct))))
         assert np.max(np.abs(st.x_hat - direct)) <= 1e-10 * scale
-
-    # uniform baseline on integer iterates 0..K: exact arithmetic mean
-    k_holder = {"k": 0}
-
-    def drift_oracle(x, xi):
-        a = 1.0 / np.sqrt(k_holder["k"] + 1.0)
-        k_holder["k"] += 1
-        return np.array([-1.0 / a])
-
-    problem = ProblemHandle(
-        oracle=drift_oracle, feasible_set=CappedBox(1, 1000.0, 1000.0),
-        mirror_map=EU, x0=np.array([0.0]), f_exact=lambda x: x[..., 0])
-    trace = run_baseline_uniform(problem, 1.0, 100, rng_from_seed(0))
-    assert trace.x_hat_final[0] == 50.0
     print("\nPASS criterion 12: recursive average matches direct weighted sums "
-          "to 1e-10 on 1000 sequences; uniform baseline exact on integers")
+          "to 1e-10 on 1000 sequences")
 
 
 # --------------------------------------------------------------- criterion 13

@@ -1,3 +1,9 @@
+import hashlib
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 
 from ssmd.cli import main
@@ -237,3 +243,80 @@ def test_strongly_convex_runs_only_the_first_a(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("k,bound") == 1 and "# a =" not in out
     assert len(out.splitlines()) == 1 + 11  # header, k = 0..10
+
+
+class _ClosedPipe:
+    """A stdout whose reader has left: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", ["experiment", "bounds", "verify", "reference"])
+def test_closed_stdout_keeps_files_and_status(tmp_path, capsys, monkeypatch, command):
+    # the command runs to its end whatever stdout does, and says nothing on stderr
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL.replace("a = 0.5, 1.0", "a = 0.5, 1.0, 2.0"))
+    argv = {"experiment": ["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            "bounds": ["bounds", "--config", str(cfg)],
+            "verify": ["verify", "--kmax", "200"],
+            "reference": ["reference", "--config", str(cfg)]}[command]
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(argv)
+    sys.stdout.close()  # the null device that stdout was pointed at
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    if command == "experiment":
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            f"experiment_a{i}.csv{ext}" for i in range(3) for ext in ("", ".meta")]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_reader_leaving_a_real_pipe_is_quiet(tmp_path, unbuffered):
+    # > 64 KiB of bounds, so the pipe fills and the reader closes it mid-write;
+    # buffered or not, the exit status is 0 and stderr stays empty
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL.replace("iterations = 10", "iterations = 20000"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen([sys.executable, "-m", "ssmd.cli", "bounds", "--config", str(cfg)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"#"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+# sha256 of the criterion-13 config's outputs: a change that moves any output
+# byte fails here, and one that means to records the new digests
+PINNED_CONFIG = ("regime = compact\ninstance = inline\nn = 6\ncap = 1.0\n"
+                 "budget = 2.5\na = 0.7\niterations = 60\nruns = 8\nseed = 3\n")
+PINNED_SHA256 = {
+    "experiment_a0.csv": "3d362bf873b33de5ebfbd8de3175e6f26ac30a7b860146658d8cd8bde29cecd0",
+    "experiment_a0.csv.meta": "61f4e7ace0fc1600fedd6b2a55e54024987c7a65b3efe2de2ac34f800fabd60f",
+    "bounds": "b36ebffdb65421c20213f050e70c4d75b53da5b84cc9c8b8aa69b74339e02ba1",
+}
+# math.erfc, from the platform libm, where the digests were recorded
+ERFC_PROBE = {-3.0: "0x1.fffe8d6209afdp+0", -0.5: "0x1.853f7ae0c76e9p+0",
+              0.1: "0x1.c66b42bb6099ap-1", 1.0: "0x1.4226162fbddd5p-3",
+              2.5: "0x1.aab859b20ac9ep-12", 10.0: "0x1.7d8a7f2a8a2d0p-149"}
+
+
+def test_output_bytes_are_pinned(tmp_path, capsys):
+    if any(math.erfc(x).hex() != want for x, want in ERFC_PROBE.items()):
+        pytest.skip("this libm's erfc differs from the one the digests were recorded with")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(PINNED_CONFIG)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    got["bounds"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == PINNED_SHA256

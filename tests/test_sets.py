@@ -11,10 +11,7 @@ from conftest import (
     project_bisection,
 )
 
-from ssmd.mirror import MirrorMap
-from ssmd.sets import CappedBox, Simplex, bregman_diameter_sq
-
-EU = MirrorMap.euclidean()
+from ssmd.sets import CappedBox, bregman_diameter_sq
 
 
 def test_project_examples():
@@ -38,8 +35,6 @@ def test_contains_examples():
     box = CappedBox(2, 10.0, 10.0)
     assert box.contains(np.array([5.0, 5.0]), 0.0)
     assert not box.contains(np.array([5.0, 5.0000001]), 1e-9)
-    sim = Simplex(3)
-    assert sim.contains(np.array([1.0, 1.0, 1.0]) / 3.0, 1e-12)
 
 
 def test_project_dimension_mismatch():
@@ -165,25 +160,12 @@ def test_projection_kkt_any_magnitude(rng):
                             (cap, budget)
 
 
-def test_simplex_projection(rng):
-    sim = Simplex(4)
-    for _ in range(300):
-        x = rng.standard_normal(4) * 2
-        p = sim.project(x)
-        assert sim.contains(p, 1e-9)
-        # optimality vs random feasible points
-        for _ in range(20):
-            z = rng.random(4)
-            z = z / z.sum()
-            assert np.sum((p - x) ** 2) <= np.sum((z - x) ** 2) + 1e-9
-
-
 def test_diameter_formula_examples():
-    assert bregman_diameter_sq(CappedBox(100, 10.0, 10.0), EU) == 100.0
-    assert bregman_diameter_sq(CappedBox(100, 10.0, 100.0), EU) == 1000.0
-    assert abs(bregman_diameter_sq(CappedBox(2, 10.0, 1e-4), EU) - 1e-8) < 1e-22
+    assert bregman_diameter_sq(CappedBox(100, 10.0, 10.0)) == 100.0
+    assert bregman_diameter_sq(CappedBox(100, 10.0, 100.0)) == 1000.0
+    assert abs(bregman_diameter_sq(CappedBox(2, 10.0, 1e-4)) - 1e-8) < 1e-22
     # budget / cap overflows to inf: q is clamped at n, every point of the box fits
-    assert bregman_diameter_sq(CappedBox(3, 1e-10, 1e300), EU) == 1.5 * 1e-10**2
+    assert bregman_diameter_sq(CappedBox(3, 1e-10, 1e300)) == 1.5 * 1e-10**2
 
 
 def test_diameter_against_vertex_enumeration():
@@ -194,16 +176,12 @@ def test_diameter_against_vertex_enumeration():
                            (6, 1.0, 2.0), (4, 1.0, 0.7), *grid]:
         box = CappedBox(n, cap, budget)
         want = 0.5 * max_pairwise_sq_distance(capped_box_vertices(cap, budget, n))
-        got = bregman_diameter_sq(box, EU)
+        got = bregman_diameter_sq(box)
         assert abs(got - want) < 1e-12, (n, cap, budget)
 
 
 def test_diameter_preconditions():
-    assert bregman_diameter_sq(CappedBox(3, 1.0, 2.0), EU) == 1.5  # n < 2(q+1)
-    with pytest.raises(ValueError):
-        bregman_diameter_sq(CappedBox(100, 10.0, 10.0), MirrorMap.negative_entropy())
-    assert bregman_diameter_sq(Simplex(3), EU) == 1.0
-    assert bregman_diameter_sq(Simplex(1), EU) == 0.0
+    assert bregman_diameter_sq(CappedBox(3, 1.0, 2.0)) == 1.5  # n < 2(q+1)
 
 
 def budget_tau_per_row(box, x, t0, sort_kinks=np.sort):
@@ -426,15 +404,6 @@ def test_stacked_project_rejects_non_finite():
         box.project(stack)
     with pytest.raises(ValueError):
         box.project(np.zeros((2, 2, 3)))
-
-
-def test_stacked_simplex_equals_rows(rng):
-    sim = Simplex(5)
-    stack = rng.standard_normal((9, 5)) * 2
-    got = sim.project(stack)
-    for row, p in zip(stack, got):
-        assert np.array_equal(p, sim.project(row))
-    assert sim.contains(got, 1e-12) and not sim.contains(stack, 1e-12)
 
 
 @pytest.mark.parametrize("cap, budget", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),

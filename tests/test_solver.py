@@ -6,7 +6,6 @@ from conftest import project_bisection
 
 from ssmd.averaging import AverageState
 from ssmd.gaussian import rng_from_seed, standard_normals
-from ssmd.mirror import MirrorMap, prox_step
 from ssmd.sets import CappedBox
 from ssmd.solver import (
     BLOCK_FLOATS,
@@ -15,7 +14,7 @@ from ssmd.solver import (
     compact_rate_bound,
     noiseless_compact_rate_bound,
     optimal_stepsize_scale,
-    run_baseline_uniform,
+    prox_step,
     run_compact,
     run_strongly_convex,
     strongly_convex_rate_bounds,
@@ -23,7 +22,6 @@ from ssmd.solver import (
 from ssmd.stepsizes import InverseSqrtStepsize, NesterovStepsize, TsengStepsize
 from ssmd.utility import _subgradient, default_instance, f_value, make_instance, make_problem
 
-EU = MirrorMap.euclidean()
 UNIT_INTERVAL = CappedBox(1, 1.0, 1.0)
 
 
@@ -46,7 +44,6 @@ def quadratic_problem(mu_f, x_star, box, x0, noise_halfwidth=0.0):
     return ProblemHandle(
         oracle=oracle,
         feasible_set=box,
-        mirror_map=EU,
         x0=np.asarray(x0, dtype=float),
         noise=uniform_noise(n),
         mu_f=mu_f,
@@ -69,7 +66,6 @@ def l1_problem(x_star, box, x0, noise_halfwidth=0.0):
     return ProblemHandle(
         oracle=oracle,
         feasible_set=box,
-        mirror_map=EU,
         x0=np.asarray(x0, dtype=float),
         noise=uniform_noise(n),
         mu_f=0.0,
@@ -120,10 +116,6 @@ def test_strongly_convex_preconditions():
     bad_mu.mu_f = 0.0
     with pytest.raises(ValueError):
         run_strongly_convex(bad_mu, TsengStepsize(), 10, rng_from_seed(0))
-    bad_map = quadratic_problem(100.0, [0.3], UNIT_INTERVAL, [0.0])
-    bad_map.mirror_map = MirrorMap.negative_entropy()
-    with pytest.raises(ValueError):
-        run_strongly_convex(bad_map, TsengStepsize(), 10, rng_from_seed(0))
     bad_x0 = quadratic_problem(100.0, [0.3], UNIT_INTERVAL, [2.0])
     with pytest.raises(ValueError):
         run_strongly_convex(bad_x0, TsengStepsize(), 10, rng_from_seed(0))
@@ -157,8 +149,6 @@ def test_compact_rejects_unbounded_set():
     problem.feasible_set = HalfSpace()
     with pytest.raises(ValueError):
         run_compact(problem, 1.0, 10, rng_from_seed(0))
-    with pytest.raises(ValueError):
-        run_baseline_uniform(problem, 1.0, 10, rng_from_seed(0))
 
 
 def test_compact_noisy_mean_under_bound():
@@ -226,53 +216,62 @@ def test_euclidean_reduction_cross_check():
         assert np.allclose(xs[k + 1], alt, rtol=0.0, atol=1e-10), k
 
 
-def test_compact_entropy_on_simplex():
-    # multiplicative-weights route: linear objective over the simplex
-    from ssmd.sets import Simplex
-
-    cost = np.array([0.5, 0.2, 0.9])
-    problem = ProblemHandle(
-        oracle=lambda x, xi: cost,
-        feasible_set=Simplex(3),
-        mirror_map=MirrorMap.negative_entropy(),
-        x0=np.full(3, 1.0 / 3.0),
-        f_exact=lambda x: np.sum(cost * x, axis=-1))
-    trace = run_compact(problem, 1.0, 2000, rng_from_seed(0))
-    assert Simplex(3).contains(trace.x_hat_final, 1e-9)
-    assert trace.f_avg[-1] - 0.2 < 0.1
-    assert trace.f_avg[-1] < trace.f_avg[0]
+def test_prox_zero_step_limit():
+    box = CappedBox(2, 10.0, 10.0)
+    x = np.array([1.0, 1.0])
+    out = prox_step(box, x, np.array([3.0, -2.0]), 1e-12)
+    assert np.max(np.abs(out - x)) < 1e-9
 
 
-def test_baseline_uniform_examples():
-    # constant iterates: the average equals the constant
-    const = ProblemHandle(
-        oracle=lambda x, xi: np.zeros(1),
-        feasible_set=UNIT_INTERVAL, mirror_map=EU, x0=np.array([0.5]),
-        f_exact=lambda x: np.zeros(x.shape[:-1]))
-    trace = run_baseline_uniform(const, 1.0, 50, rng_from_seed(0))
-    assert np.array_equal(trace.x_hat_final, [0.5])
-
-    # iterates 0, 1, 2, 3, 4 on integers: mean exactly 2
-    box = CappedBox(1, 10.0, 10.0)
-    k_holder = {"k": 0}
-
-    def drift_oracle(x, xi):
-        a = 1.0 / np.sqrt(k_holder["k"] + 1.0)
-        k_holder["k"] += 1
-        return np.array([-1.0 / a])
-
-    drift = ProblemHandle(oracle=drift_oracle, feasible_set=box,
-                          mirror_map=EU, x0=np.array([0.0]),
-                          f_exact=lambda x: x[..., 0])
-    trace = run_baseline_uniform(drift, 1.0, 4, rng_from_seed(0))
-    assert trace.x_hat_final[0] == 2.0
+def test_prox_interior_step():
+    box = CappedBox(2, 10.0, 10.0)
+    out = prox_step(box, np.array([1.0, 1.0]), np.array([1.0, 0.0]), 0.5)
+    assert np.allclose(out, [0.5, 1.0], atol=1e-15)
 
 
-def test_baseline_average_feasible(rng):
-    problem = l1_problem([0.3, 0.1], CappedBox(2, 1.0, 1.0), [0.0, 0.0],
-                         noise_halfwidth=1.0)
-    trace = run_baseline_uniform(problem, 1.0, 300, rng_from_seed(11))
-    assert CappedBox(2, 1.0, 1.0).contains(trace.x_hat_final, 1e-8)
+def test_prox_errors():
+    box = CappedBox(2, 10.0, 10.0)
+    with pytest.raises(ValueError, match="feasible base point"):
+        prox_step(box, np.array([11.0, 0.0]), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        prox_step(box, np.array([1.0, 1.0]), np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        prox_step(box, np.array([1.0, 1.0]), np.zeros(1), 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        prox_step(box, np.array([1.0, 1.0]), np.array([np.nan, 0.0]), 1.0)
+
+
+def test_prox_optimality(rng):
+    # the returned point minimizes alpha*<g, z-x> + ||z - x||^2/2 over the set
+    box = CappedBox(3, 2.0, 4.0)
+    for _ in range(20):
+        x = box.project(rng.random(3) * 2)
+        g = rng.standard_normal(3)
+        alpha = 0.1 + rng.random()
+        xp = prox_step(box, x, g, alpha)
+        val_p = alpha * float(g @ (xp - x)) + 0.5 * float((xp - x) @ (xp - x))
+        for _ in range(100):
+            z = box.project(rng.random(3) * 2.5)
+            val_z = alpha * float(g @ (z - x)) + 0.5 * float((z - x) @ (z - x))
+            assert val_p <= val_z + 1e-9
+
+
+def test_euclidean_prox_equals_projection(rng):
+    box = CappedBox(4, 3.0, 6.0)
+    for _ in range(1000):
+        x = box.project(rng.random(4) * 3)
+        g = rng.standard_normal(4) * 2
+        alpha = 0.01 + rng.random()
+        lhs = prox_step(box, x, g, alpha)
+        rhs = box.project(x - alpha * g)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prox_step_rejects_non_finite_alpha(bad):
+    box = CappedBox(2, 10.0, 10.0)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        prox_step(box, np.array([1.0, 1.0]), np.ones(2), bad)
 
 
 def test_sampled_f_fallback():
@@ -284,7 +283,7 @@ def test_sampled_f_fallback():
 
     problem = ProblemHandle(
         oracle=lambda x, xi: np.array([2.0 * x[0]]),
-        feasible_set=UNIT_INTERVAL, mirror_map=EU, x0=np.array([1.0]),
+        feasible_set=UNIT_INTERVAL, x0=np.array([1.0]),
         f_exact=None, f_sampler=sampler, f_eval_samples=4000, f_eval_seed=123)
     t1 = run_compact(problem, 1.0, 5, rng_from_seed(0))
     t2 = run_compact(problem, 1.0, 5, rng_from_seed(0))
@@ -448,7 +447,7 @@ def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, runs, n
         f_avg.append(f_value(inst, state.x_hat, False))
         if k < num_iterations:
             g = _subgradient(inst, x, inst.coeffs + standard_normals(rng, inst.n))
-            x = prox_step(EU, inst.feasible_set, x, g, alpha)
+            x = prox_step(inst.feasible_set, x, g, alpha)
     assert np.array_equal(trace.f_iter, f_iter)
     assert np.array_equal(trace.f_avg, f_avg)
     assert np.array_equal(trace.x_hat_final, state.x_hat)
@@ -544,12 +543,11 @@ def test_batched_runs_equal_single_runs(build, num_iterations):
     def rngs():
         return [rng_from_seed(s) for s in seeds]
 
-    for run, a in ((run_compact, a_values), (run_baseline_uniform, 1.0)):
-        batch = run(problem, a, num_iterations, rngs())
-        assert len(batch) == len(seeds)
-        for i, s in enumerate(seeds):
-            a_i = a[i] if isinstance(a, list) else a
-            assert_same_trace(batch[i], run(problem, a_i, num_iterations, rng_from_seed(s)))
+    batch = run_compact(problem, a_values, num_iterations, rngs())
+    assert len(batch) == len(seeds)
+    for i, s in enumerate(seeds):
+        assert_same_trace(batch[i], run_compact(problem, a_values[i], num_iterations,
+                                                rng_from_seed(s)))
     for sched in (TsengStepsize(), NesterovStepsize()):
         batch = run_strongly_convex(problem, sched, num_iterations, rngs())
         for i, s in enumerate(seeds):
