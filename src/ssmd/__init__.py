@@ -16,7 +16,6 @@ from .sets import CappedBox, bregman_diameter_sq
 from .solver import (
     ProblemHandle,
     RunTrace,
-    combined_second_moment,
     compact_rate_bound,
     noiseless_compact_rate_bound,
     optimal_stepsize_scale,

@@ -19,17 +19,18 @@ import numpy as np
 from .gaussian import rng_from_seed
 from .sets import CappedBox, bregman_diameter_sq
 from .solver import (
-    combined_second_moment,
     compact_rate_bound,
     run_compact,
     run_strongly_convex,
     strongly_convex_rate_bounds,
 )
 from .stepsizes import (
+    InverseSqrtStepsize,
     NesterovStepsize,
     TsengStepsize,
     alpha_cap_violations,
     alpha_sq_sum_violations,
+    kahan_cumsum,
     sqrt_sum_growth_violations,
     step_condition_violations,
 )
@@ -164,6 +165,8 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("iterations must be >= 1")
     if cfg.regime == STRONGLY_CONVEX and cfg.reg_weight <= 0.0:
         errors.append("strongly_convex requires lambda > 0")
+    elif cfg.regime == STRONGLY_CONVEX and 1.0 / cfg.reg_weight == np.inf:
+        errors.append("lambda must be large enough that the step scale 1/lambda is finite")
     # written so that nan fails every check
     if not 0.0 <= cfg.reg_weight < np.inf:
         errors.append("lambda must be nonnegative and finite")
@@ -171,6 +174,15 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"schedule must be one of {sorted(_SCHEDULES)}")
     if not all(0.0 < a < np.inf for a in cfg.a_values):
         errors.append("every a must be positive and finite")
+    elif cfg.regime == COMPACT and cfg.iterations >= 1 \
+            and (cfg.iterations + 1) ** 1.5 / min(cfg.a_values) >= 1e300:
+        # only here, as S_K <= (K+1)^1.5 / a, can the engine's Kahan sums of
+        # 1/alpha_k = sqrt(k+1)/a overflow, to inf or nan
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            sums = kahan_cumsum(1.0 / np.column_stack(
+                [InverseSqrtStepsize(a).alphas(cfg.iterations) for a in cfg.a_values]))
+        if not np.isfinite(sums[-1]).all():
+            errors.append("every a must be large enough that S_K = sum_k sqrt(k+1)/a is finite")
     if cfg.instance == "inline":
         if cfg.n is None or cfg.cap is None or cfg.budget is None:
             errors.append("inline instance requires n, cap and budget")
@@ -270,7 +282,7 @@ def instance_constants(cfg: ExperimentConfig) -> dict:
     return {
         "c_est": c_est,
         "nu_est": nu_est,
-        "c_tilde_sq": combined_second_moment(c_est**2, nu_est**2),
+        "c_tilde_sq": c_est**2 + nu_est**2,
         "diameter_sq": d_sq,
     }
 
@@ -279,10 +291,9 @@ def bound_curve(cfg: ExperimentConfig, a: float, constants: dict) -> np.ndarray:
     """Theoretical gap-bound values at k = 0..iterations for this config."""
     ks = np.arange(cfg.iterations + 1)
     if cfg.regime == STRONGLY_CONVEX:
-        return strongly_convex_rate_bounds(ks, constants["c_tilde_sq"],
-                                           cfg.reg_weight, 1.0)[0]
+        return strongly_convex_rate_bounds(ks, constants["c_tilde_sq"], cfg.reg_weight)[0]
     return compact_rate_bound(ks, a, constants["diameter_sq"],
-                              constants["c_est"]**2, constants["nu_est"]**2, 1.0)
+                              constants["c_est"]**2, constants["nu_est"]**2)
 
 
 def _summaries(cfg: ExperimentConfig, a_list, workers: Optional[int]) -> list[McSummary]:
@@ -393,28 +404,19 @@ def _result(name: str, violations: np.ndarray) -> CheckResult:
     return CheckResult(name, ok, None if ok else int(violations[0]))
 
 
-def verify_suite(k_max: int, extra_schedules: Optional[dict] = None) -> list[CheckResult]:
+def verify_suite(k_max: int) -> list[CheckResult]:
     """Machine-check the stepsize conditions and cumulative-weight bounds."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     named = {"tseng": TsengStepsize(), "nesterov": NesterovStepsize()}
-    results = []
-    for name, sched in named.items():
-        results.append(_result(f"step_condition[{name}]",
-                               step_condition_violations(sched, k_max)))
-    for name, sched in named.items():
-        results.append(_result(f"alpha_sq_sum[{name}]",
-                               alpha_sq_sum_violations(sched, k_max)))
-    for a in (0.1, 1.0, 10.0):
-        results.append(_result(f"sqrt_sum_growth[a={a:g}]",
-                               sqrt_sum_growth_violations(a, k_max)))
-    for name, sched in named.items():
-        results.append(_result(f"alpha_cap[{name}]",
-                               alpha_cap_violations(sched, k_max)))
-    for name, sched in (extra_schedules or {}).items():
-        results.append(_result(f"step_condition[{name}]",
-                               step_condition_violations(sched, k_max)))
-    return results
+    results = [_result(f"{check}[{name}]", violations(sched, k_max))
+               for check, violations in (("step_condition", step_condition_violations),
+                                         ("alpha_sq_sum", alpha_sq_sum_violations))
+               for name, sched in named.items()]
+    results += [_result(f"sqrt_sum_growth[a={a:g}]", sqrt_sum_growth_violations(a, k_max))
+                for a in (0.1, 1.0, 10.0)]
+    return results + [_result(f"alpha_cap[{name}]", alpha_cap_violations(sched, k_max))
+                      for name, sched in named.items()]
 
 
 __all__ = [

@@ -48,8 +48,6 @@ class CappedBox:
     cap: float
     budget: float
 
-    is_bounded = True
-
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
@@ -92,9 +90,11 @@ class CappedBox:
         lo = max(n - 1 - max(64, q), 0) if binding > 1 else 0
         xs = np.sort(np.partition(x, lo, axis=-1)[:, lo:] if lo else x, axis=-1)
         r = xs[:, n - 1 - q - lo, None]
-        s = np.subtract(x, r)
-        s.clip(-cap, cap, out=s)
-        tau = self._tau(s, (xs - r).clip(-cap, cap), np.maximum(-cap, -r[:, 0]))
+        with np.errstate(over="ignore"):  # a finite x - r may overflow; clipped, inf is exact
+            s = np.subtract(x, r)
+            s.clip(-cap, cap, out=s)
+            xs = (xs - r).clip(-cap, cap)
+        tau = self._tau(s, xs, np.maximum(-cap, -r[:, 0]))
         # nudge a row's tau up by doubling ulps if roundoff left its sum a hair
         # over budget, so the result is exactly feasible and projection is
         # idempotent; a row once within budget stays so, hence one step for all

@@ -1,26 +1,25 @@
 """Iteration engines for stochastic subgradient mirror descent.
 
-The distance generator is the Euclidean w(x) = ||x||^2/2, 1-strongly convex
-in the l2 norm (mu_w = 1), so the prox step is the exact projection of
-x - alpha*g onto the feasible set.  Two regimes are provided: the strongly
-convex engine, which scales the schedule by 1/mu_f, and the compact-set
-engine with the a/sqrt(k+1) schedule.  Both maintain the 1/alpha-weighted
-running average and record a per-iteration trace.  One engine serves both:
-it advances a stack of runs, one row per run, and a single run is a batch
-of one.
+The distance generator is the Euclidean w(x) = ||x||^2/2, so the prox step is
+the exact projection of x - alpha*g onto the feasible set.  Two regimes are
+provided: the strongly convex engine, which scales the schedule by 1/mu_f, and
+the compact-set engine with the a/sqrt(k+1) schedule.  Both maintain the
+1/alpha-weighted running average and record a per-iteration trace.  One engine
+serves both: it advances a stack of runs, one row per run, and a single run is
+a batch of one.
 
 The rate-bound calculators evaluate the guarantees the engines are tested
-against:
+against.  The paper states them for a mu_w-strongly convex w; ||x||^2/2 has
+mu_w = 1, which drops out (the .meta sidecar still records mu_w = 1.0):
 
-* strongly convex, weighted average:   gap <= 2*Ct^2 / ((k+1) mu_f mu_w)
-                                        ||xhat - x*||^2 <= 4*Ct^2 / ((k+1) mu_f^2 mu_w)
-                                        ||x_k - x*||^2  <= 4*Ct^2 / ((k+1) mu_f^2 mu_w^2)
-* compact set:   gap <= 3/(2 sqrt(k+1)) * (d^2/a + a (C^2 + nu^2)/mu_w)
-  (noiseless variant uses a C^2/(2 mu_w) second term)
+* strongly convex, weighted average:   gap <= 2*Ct^2 / ((k+1) mu_f)
+  ||xhat - x*||^2 and ||x_k - x*||^2   <= 4*Ct^2 / ((k+1) mu_f^2)
+* compact set:   gap <= 3/(2 sqrt(k+1)) * (d^2/a + a (C^2 + nu^2))
+  (noiseless variant uses a C^2/2 second term)
 
-where Ct^2 bounds the second moment of the stochastic subgradient, C the
-deterministic subgradient norm, nu^2 the noise variance, and d^2 the
-Bregman diameter of the set.
+where Ct^2 = C^2 + nu^2 bounds the second moment of the stochastic
+subgradient, C the deterministic subgradient norm, nu^2 the noise variance,
+and d^2 the Bregman diameter of the set.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gaussian import rng_from_seed
-from .stepsizes import InverseSqrtStepsize, kahan_cumsum, schedule_alphas
+from .stepsizes import InverseSqrtStepsize, kahan_cumsum
 
 # Feasibility tolerance (l-inf on constraint violations) of start points,
 # prox base points and the engine's iterates.
@@ -206,7 +205,7 @@ def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int, r
         raise ValueError("the strongly convex engine requires a positive, finite mu_f")
     if isinstance(schedule, InverseSqrtStepsize):
         raise ValueError("a/sqrt(k+1) is not certified for the strongly convex engine")
-    alphas = schedule_alphas(schedule, max(num_iterations, 0))[:, None]
+    alphas = schedule.alphas(max(num_iterations, 0))[:, None]
     return _run(problem, alphas, 1.0 / problem.mu_f, num_iterations, rng)
 
 
@@ -216,64 +215,49 @@ def run_compact(problem: ProblemHandle, a, num_iterations: int, rng):
 
     rng is one generator, or a list of them for a batch of runs, with one a
     for all of them or one per generator."""
-    if not getattr(problem.feasible_set, "is_bounded", False):
-        raise ValueError("the compact engine requires a bounded feasible set")
     alphas = np.column_stack([InverseSqrtStepsize(v).alphas(num_iterations)
                               for v in np.ravel(a)])
     return _run(problem, alphas, 1.0, num_iterations, rng)
 
 
-def combined_second_moment(grad_bound_sq: float, noise_var: float) -> float:
-    """Second-moment bound Ct^2 = C^2 + nu^2 for a noisy subgradient with
-    ||g|| <= C and noise variance <= nu^2, in the Euclidean norm."""
-    return grad_bound_sq + noise_var
-
-
-def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float, mu_w: float):
-    """(gap bound, avg distance bound, iterate distance bound) at iteration k."""
-    if not (0.0 < c_tilde_sq < np.inf and 0.0 < mu_f < np.inf and 0.0 < mu_w < np.inf):
+def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float):
+    """(gap bound, distance bound) at iteration k; the distance bound holds for
+    the weighted average and for the iterate alike."""
+    if not (0.0 < c_tilde_sq < np.inf and 0.0 < mu_f < np.inf):
         raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
-    gap = 2.0 / (k + 1.0) * c_tilde_sq / (mu_f * mu_w)
-    avg_dist = 4.0 / (k + 1.0) * c_tilde_sq / (mu_f**2 * mu_w)
-    iter_dist = 4.0 / (k + 1.0) * c_tilde_sq / (mu_f**2 * mu_w**2)
-    return gap, avg_dist, iter_dist
+    return 2.0 / (k + 1.0) * c_tilde_sq / mu_f, 4.0 / (k + 1.0) * c_tilde_sq / mu_f**2
 
 
 def compact_rate_bound(k, a: float, diameter_sq: float, grad_bound_sq: float,
-                       noise_var: float, mu_w: float):
+                       noise_var: float):
     """Gap bound for the compact engine at iteration k."""
-    if not (0.0 < a < np.inf and 0.0 < mu_w < np.inf):
+    if not 0.0 < a < np.inf:
         raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
-    return 1.5 / np.sqrt(k + 1.0) * (
-        diameter_sq / a + a * (grad_bound_sq + noise_var) / mu_w
-    )
+    return 1.5 / np.sqrt(k + 1.0) * (diameter_sq / a + a * (grad_bound_sq + noise_var))
 
 
-def noiseless_compact_rate_bound(k, a: float, diameter_sq: float,
-                                 grad_bound_sq: float, mu_w: float):
+def noiseless_compact_rate_bound(k, a: float, diameter_sq: float, grad_bound_sq: float):
     """Gap bound for the compact engine with error-free subgradients."""
-    if not (0.0 < a < np.inf and 0.0 < mu_w < np.inf):
+    if not 0.0 < a < np.inf:
         raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
-    return 1.5 / np.sqrt(k + 1.0) * (
-        diameter_sq / a + a * grad_bound_sq / (2.0 * mu_w)
-    )
+    return 1.5 / np.sqrt(k + 1.0) * (diameter_sq / a + a * grad_bound_sq / 2.0)
 
 
 def optimal_stepsize_scale(diameter: float, grad_bound_sq: float, noise_var: float,
-                           mu_w: float, noiseless: bool = False) -> float:
+                           noiseless: bool = False) -> float:
     """The scale a minimizing the compact-engine gap bound.
 
     With ``noiseless=True`` the minimized expression is the error-free bound
-    (second term C^2/(2 mu_w)), which requires noise_var = 0 and gives
-    a* = d*sqrt(2*mu_w)/C; otherwise a* = d / sqrt((C^2 + nu^2)/mu_w).
+    (second term C^2/2), which requires noise_var = 0 and gives
+    a* = d*sqrt(2)/C; otherwise a* = d / sqrt(C^2 + nu^2).
     """
-    if not (0.0 < diameter < np.inf and 0.0 < mu_w < np.inf):
+    if not 0.0 < diameter < np.inf:
         raise ValueError("parameters must be positive and finite")
     if noiseless:
         if noise_var != 0.0:
             raise ValueError("the noiseless optimum requires noise_var = 0")
-        return diameter * np.sqrt(2.0 * mu_w) / np.sqrt(grad_bound_sq)
-    return diameter / np.sqrt((grad_bound_sq + noise_var) / mu_w)
+        return diameter * np.sqrt(2.0) / np.sqrt(grad_bound_sq)
+    return diameter / np.sqrt(grad_bound_sq + noise_var)

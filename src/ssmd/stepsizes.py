@@ -14,6 +14,8 @@ bounds numerically, returning the indices where they fail.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 ABS_SLACK = 1e-12
@@ -37,33 +39,20 @@ class TsengStepsize:
 
 
 class NesterovStepsize:
-    """Recursive schedule; memoized so alpha(k) is O(1) amortized.
-
-    An extension builds a new list and then replaces the memo, and a caller
-    reads from the list it was handed, so a reader never sees a list being
-    extended and every list holds the same values.
-    """
-
-    def __init__(self):
-        self._memo = [1.0]
-
-    def _table(self, k: int) -> list:
-        memo = self._memo
-        if len(memo) <= k:
-            memo = list(memo)
-            while len(memo) <= k:
-                a = memo[-1]
-                memo.append(0.5 * (np.sqrt(a**4 + 4.0 * a**2) - a**2))
-            self._memo = memo
-        return memo
+    """Recursive schedule; alpha(k) runs the recursion k times."""
 
     def alpha(self, k: int) -> float:
         if k < 0:
             raise ValueError("k must be nonnegative")
-        return self._table(k)[k]
+        return self.alphas(k)[k]
 
     def alphas(self, k_max: int) -> np.ndarray:
-        return np.array(self._table(k_max)[: k_max + 1])
+        out = [1.0]
+        for _ in range(k_max):
+            a = out[-1]
+            sq = a**2
+            out.append(0.5 * (math.sqrt(a**4 + 4.0 * sq) - sq))
+        return np.array(out)
 
     def __repr__(self):
         return "NesterovStepsize()"
@@ -87,11 +76,6 @@ class InverseSqrtStepsize:
 
     def __repr__(self):
         return f"InverseSqrtStepsize(a={self.a!r})"
-
-
-def schedule_alphas(schedule, k_max: int) -> np.ndarray:
-    """alpha(0..k_max) as a float array, from the schedule's alphas(k_max)."""
-    return np.asarray(schedule.alphas(k_max), dtype=float)
 
 
 def kahan_cumsum(terms: np.ndarray) -> np.ndarray:
@@ -122,7 +106,7 @@ def step_condition_violations(schedule, k_max: int) -> np.ndarray:
     test is written to hold, so a nan alpha fails it.
     """
     _reject_inverse_sqrt(schedule)
-    al = schedule_alphas(schedule, k_max)
+    al = schedule.alphas(k_max)
     bad = ~((0.0 < al) & (al <= 1.0 + ABS_SLACK))
     bad[0] |= not abs(al[0] - 1.0) <= ABS_SLACK
     nxt, cur = al[1:], al[:-1]
@@ -133,7 +117,7 @@ def step_condition_violations(schedule, k_max: int) -> np.ndarray:
 def alpha_sq_sum_violations(schedule, k_max: int) -> np.ndarray:
     """Indices k where alpha_k^2 * sum_{t<=k} 1/alpha_t drops below 1, or
     alpha_k is not positive and finite."""
-    al = schedule_alphas(schedule, k_max)
+    al = schedule.alphas(k_max)
     # a bad alpha is flagged here, and its nan or inf products need no warning
     with np.errstate(divide="ignore", invalid="ignore"):
         weighted = al**2 * kahan_cumsum(1.0 / al)
@@ -153,6 +137,6 @@ def sqrt_sum_growth_violations(a: float, k_max: int) -> np.ndarray:
 def alpha_cap_violations(schedule, k_max: int) -> np.ndarray:
     """Indices k where 0 < alpha_k <= 2/(k+1) + 1e-15 fails."""
     _reject_inverse_sqrt(schedule)
-    al = schedule_alphas(schedule, k_max)
+    al = schedule.alphas(k_max)
     cap = 2.0 / (np.arange(k_max + 1) + 1.0)
     return np.nonzero(~((0.0 < al) & (al <= cap + 1e-15)))[0]

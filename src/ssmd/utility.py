@@ -29,10 +29,11 @@ from .sets import CappedBox
 from .solver import ProblemHandle
 
 # Seed for the one-time draw of the linear coefficients a (kept in the
-# instance and its serialized metadata so runs are reproducible).
-DEFAULT_COEFF_SEED = 54321
+# serialized metadata so runs are reproducible).
+COEFF_SEED = 54321
 
 F_FEAS_TOL = 1e-8
+REFERENCE_ITERATIONS = 20_000  # the reference solver's iteration cap
 
 
 class ConvergenceError(RuntimeError):
@@ -158,7 +159,6 @@ class UtilityInstance:
     anchor: np.ndarray
     feasible_set: CappedBox
     x0: np.ndarray
-    coeff_seed: int
 
     def __post_init__(self):
         n = self.feasible_set.n
@@ -191,17 +191,16 @@ def default_pieces(m: int = 10) -> list[AffinePiece]:
 
 def make_instance(label: str, n: int, cap: float, budget: float, reg_weight: float,
                   x0: Optional[np.ndarray] = None,
-                  pieces: Optional[Sequence[AffinePiece]] = None,
-                  coeff_seed: int = DEFAULT_COEFF_SEED) -> UtilityInstance:
+                  pieces: Optional[Sequence[AffinePiece]] = None) -> UtilityInstance:
     feasible_set = CappedBox(n=n, cap=cap, budget=budget)
-    coeffs = rng_from_seed(coeff_seed).random(n)
+    coeffs = rng_from_seed(COEFF_SEED).random(n)
     anchor = np.zeros(n)
     anchor[0] = 0.5
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     env = build_envelope(default_pieces() if pieces is None else pieces)
     return UtilityInstance(label=label, coeffs=coeffs, envelope=env,
                            reg_weight=float(reg_weight), anchor=anchor,
-                           feasible_set=feasible_set, x0=x0, coeff_seed=coeff_seed)
+                           feasible_set=feasible_set, x0=x0)
 
 
 _TEST_BUDGETS = {"test1": 10.0, "test2": 100.0, "test3": 10.0, "test4": 100.0}
@@ -323,8 +322,7 @@ def stochastic_subgradient(instance: UtilityInstance, x,
 
 
 def reference_solution(instance: UtilityInstance, tol: float,
-                       x_init: Optional[np.ndarray] = None,
-                       max_iter: int = 20_000) -> tuple[np.ndarray, float]:
+                       x_init: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
     """High-accuracy minimizer via deterministic projected descent.
 
     Gradients are the closed-form :func:`grad_f` of the exact objective;
@@ -345,7 +343,7 @@ def reference_solution(instance: UtilityInstance, tol: float,
     fx = f(x)
     step = 1.0
     last_move = np.inf
-    for _ in range(max_iter):
+    for _ in range(REFERENCE_ITERATIONS):
         g = grad_f(instance, x)
         residual = float(np.sqrt(np.sum((x - proj(x - g)) ** 2)))
         if residual <= tol and last_move <= tol * max(1.0, step):
@@ -367,7 +365,7 @@ def reference_solution(instance: UtilityInstance, tol: float,
                 break
         last_move = float(np.sqrt(np.sum((x_new - x) ** 2)))
         x, fx = x_new, f_new
-    raise ConvergenceError(f"no convergence to tol={tol} within {max_iter} iterations")
+    raise ConvergenceError(f"no convergence to tol={tol} in {REFERENCE_ITERATIONS} iterations")
 
 
 def estimate_constants(instance: UtilityInstance, sample_count: int,
@@ -454,7 +452,7 @@ def instance_metadata(instance: UtilityInstance) -> dict[str, str]:
         "cap": repr(instance.feasible_set.cap),
         "budget": repr(instance.feasible_set.budget),
         "reg_weight": repr(instance.reg_weight),
-        "coeff_seed": str(instance.coeff_seed),
+        "coeff_seed": str(COEFF_SEED),
         "piece_intercepts": ",".join(repr(v) for v in env.intercepts.tolist()),
         "piece_slopes": ",".join(repr(v) for v in env.slopes.tolist()),
         "anchor": ",".join(repr(v) for v in instance.anchor.tolist()),

@@ -17,7 +17,6 @@ from ssmd.harness import format_csv, parse_config, run_experiment
 from ssmd.sets import CappedBox, bregman_diameter_sq
 from ssmd.solver import (
     ProblemHandle,
-    combined_second_moment,
     compact_rate_bound,
     optimal_stepsize_scale,
     run_compact,
@@ -158,7 +157,7 @@ def c6_exact_c_tilde_sq():
     max_d2 = float(np.max(np.sum((verts - C6_XSTAR) ** 2, axis=1)))
     c_sq = C6_MU**2 * max_d2
     nu_sq = 4 * C6_NOISE**2 / 3.0
-    return combined_second_moment(c_sq, nu_sq)
+    return c_sq + nu_sq
 
 
 @pytest.fixture(scope="module")
@@ -183,14 +182,14 @@ def _mean_under(rows, bound):
 def test_criterion_06_strongly_convex_bound_domination(c6_runs):
     c_tilde_sq = c6_exact_c_tilde_sq()
     ks = np.arange(K_RUN + 1)
-    gap_b, avg_b, iter_b = strongly_convex_rate_bounds(ks, c_tilde_sq, C6_MU, 1.0)
+    gap_b, dist_b = strongly_convex_rate_bounds(ks, c_tilde_sq, C6_MU)
     for name in ("tseng", "nesterov"):
         gap, davg, diter = c6_runs[name]
         ok, worst = _mean_under(gap, gap_b)
         assert ok, f"{name} gap exceeds bound by {worst}"
-        ok, worst = _mean_under(davg, avg_b)
+        ok, worst = _mean_under(davg, dist_b)
         assert ok, f"{name} average distance exceeds bound by {worst}"
-        ok, worst = _mean_under(diter, iter_b)
+        ok, worst = _mean_under(diter, dist_b)
         assert ok, f"{name} iterate distance exceeds bound by {worst}"
     assert c6_runs["elapsed"] < 60.0
     print(f"\nPASS criterion 6: strongly convex bounds dominate all three "
@@ -237,7 +236,7 @@ def c7_runs():
     out = {}
     for name, setup in C7_SETUPS.items():
         d_sq, c_sq, nu_sq = c7_constants(setup)
-        a_star = optimal_stepsize_scale(np.sqrt(d_sq), c_sq, nu_sq, 1.0)
+        a_star = optimal_stepsize_scale(np.sqrt(d_sq), c_sq, nu_sq)
         for a_label, a in (("a_star", a_star), ("a_one", 1.0)):
             traces = run_compact(c7_problem(setup), a, K_RUN,
                                  [rng_from_seed(BASE_SEED + r) for r in range(N_SEEDS)])
@@ -253,7 +252,7 @@ def test_criterion_07_compact_bound_domination(c7_runs):
         d_sq, c_sq, nu_sq = c7_constants(setup)
         for a_label in ("a_star", "a_one"):
             gap, _, a = c7_runs[(name, a_label)]
-            bound = compact_rate_bound(ks, a, d_sq, c_sq, nu_sq, 1.0)
+            bound = compact_rate_bound(ks, a, d_sq, c_sq, nu_sq)
             ok, worst = _mean_under(gap, bound)
             assert ok, f"{name}/{a_label} exceeds bound by {worst}"
     assert c7_runs["elapsed"] < 60.0
@@ -282,7 +281,7 @@ def test_criterion_09_min_so_far(c7_runs):
     gap, fmin, a = c7_runs[("5d", "a_star")]
     assert np.all(np.diff(fmin, axis=1) <= 0.0), "min-so-far not monotone"
     d_sq, c_sq, nu_sq = c7_constants(C7_SETUPS["5d"])
-    bound = compact_rate_bound(K_RUN, a, d_sq, c_sq, nu_sq, 1.0)
+    bound = compact_rate_bound(K_RUN, a, d_sq, c_sq, nu_sq)
     last = fmin[:, -1]
     se = last.std(ddof=1) / np.sqrt(last.shape[0])
     assert last.mean() <= bound + 2.0 * se
@@ -349,7 +348,7 @@ def test_criterion_11_qualitative_reproduction():
     _, f_ref0 = reference_solution(inst0, 1e-5, x_init=warm)
     c_est, nu_est = estimate_constants(inst0, 2000, rng_from_seed(BASE_SEED))
     d = np.sqrt(bregman_diameter_sq(inst0.feasible_set))
-    a_star = optimal_stepsize_scale(d, c_est**2, nu_est**2, 1.0)
+    a_star = optimal_stepsize_scale(d, c_est**2, nu_est**2)
     best = np.inf
     for mult in (0.5, 1.0, 2.0):
         cfg = parse_config(

@@ -181,6 +181,10 @@ NAMED = "regime = compact\ninstance = test1\n"
     pytest.param(NAMED + "n = 100\n", "n", id="n-named"),
     pytest.param(NAMED + "cap = 10\n", "cap", id="cap-named"),
     pytest.param(NAMED + "budget = 10\n", "budget", id="budget-named"),
+    # the weight sum of sqrt(k+1)/a over 1000 iterations overflows
+    pytest.param(NAMED + "a = 1, 1e-305\n", "a", id="a-weight-sum-overflows"),
+    pytest.param("regime = strongly_convex\ninstance = test1\nlambda = 1e-320\n", "lambda",
+                 id="lambda-inverse-overflows"),
 ])
 def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.txt"
@@ -189,6 +193,16 @@ def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"{key} must be" in err or f"{key} applies only" in err
+
+
+def test_tiny_a_with_a_finite_weight_sum_runs(tmp_path, capsys):
+    # sum_k sqrt(k+1)/a is about 2e304 at a = 1e-300 and K = 1000; warnings
+    # are errors here, so exit 0 also means no overflow warning
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(NAMED + "a = 1e-300\nruns = 1\n")
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "experiment_a0.csv").read_text().splitlines()
+    assert len(rows) == 1002 and "nan" not in "".join(rows)
 
 
 EXTREME = "regime = compact\ninstance = inline\nn = 50\ncap = {0}\nbudget = {0}\n"
@@ -293,14 +307,23 @@ def test_reader_leaving_a_real_pipe_is_quiet(tmp_path, unbuffered):
     proc.stderr.close()
 
 
-# sha256 of the criterion-13 config's outputs: a change that moves any output
-# byte fails here, and one that means to records the new digests
-PINNED_CONFIG = ("regime = compact\ninstance = inline\nn = 6\ncap = 1.0\n"
-                 "budget = 2.5\na = 0.7\niterations = 60\nruns = 8\nseed = 3\n")
-PINNED_SHA256 = {
-    "experiment_a0.csv": "3d362bf873b33de5ebfbd8de3175e6f26ac30a7b860146658d8cd8bde29cecd0",
-    "experiment_a0.csv.meta": "61f4e7ace0fc1600fedd6b2a55e54024987c7a65b3efe2de2ac34f800fabd60f",
-    "bounds": "b36ebffdb65421c20213f050e70c4d75b53da5b84cc9c8b8aa69b74339e02ba1",
+# sha256 of the outputs of the criterion-13 config and of a strongly convex
+# step-2 one: a change that moves any output byte fails here, and one that
+# means to records the new digests
+PINNED = {
+    "regime = compact\ninstance = inline\nn = 6\ncap = 1.0\nbudget = 2.5\na = 0.7\n"
+    "iterations = 60\nruns = 8\nseed = 3\n": {
+        "experiment_a0.csv": "3d362bf873b33de5ebfbd8de3175e6f26ac30a7b860146658d8cd8bde29cecd0",
+        "experiment_a0.csv.meta":
+            "61f4e7ace0fc1600fedd6b2a55e54024987c7a65b3efe2de2ac34f800fabd60f",
+        "bounds": "b36ebffdb65421c20213f050e70c4d75b53da5b84cc9c8b8aa69b74339e02ba1",
+    },
+    "regime = strongly_convex\ninstance = inline\nn = 6\ncap = 1.0\nbudget = 2.5\n"
+    "lambda = 3\nschedule = step-2\niterations = 60\nruns = 8\nseed = 3\n": {
+        "experiment.csv": "449161c8ac97a4487fa941676c41b9c203f842d16f8e262964ac1f8efb2c0a85",
+        "experiment.csv.meta": "09e268c720762d1f06c5cce1ce5c95548ab35f8d2afc7fcb5ff631d24dc67018",
+        "bounds": "7d8d4a27370f1bd0201dc43da100e22694089c3773176aad33710e1de8949c92",
+    },
 }
 # math.erfc, from the platform libm, where the digests were recorded
 ERFC_PROBE = {-3.0: "0x1.fffe8d6209afdp+0", -0.5: "0x1.853f7ae0c76e9p+0",
@@ -311,12 +334,13 @@ ERFC_PROBE = {-3.0: "0x1.fffe8d6209afdp+0", -0.5: "0x1.853f7ae0c76e9p+0",
 def test_output_bytes_are_pinned(tmp_path, capsys):
     if any(math.erfc(x).hex() != want for x, want in ERFC_PROBE.items()):
         pytest.skip("this libm's erfc differs from the one the digests were recorded with")
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(PINNED_CONFIG)
-    out = tmp_path / "out"
-    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["bounds", "--config", str(cfg)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    got["bounds"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert got == PINNED_SHA256
+    for i, (text, want) in enumerate(PINNED.items()):
+        cfg = tmp_path / f"cfg{i}.txt"
+        cfg.write_text(text)
+        out = tmp_path / f"out{i}"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["bounds", "--config", str(cfg)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        got["bounds"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == want

@@ -10,7 +10,6 @@ from ssmd.sets import CappedBox
 from ssmd.solver import (
     BLOCK_FLOATS,
     ProblemHandle,
-    combined_second_moment,
     compact_rate_bound,
     noiseless_compact_rate_bound,
     optimal_stepsize_scale,
@@ -78,7 +77,7 @@ def test_strongly_convex_noiseless_under_bound():
     # f(x) = 50 (x - 0.3)^2 on [0, 1]: mu_f = 100, C = 100*0.7 = 70
     problem = quadratic_problem(100.0, [0.3], UNIT_INTERVAL, [0.0])
     trace = run_strongly_convex(problem, TsengStepsize(), 200, rng_from_seed(0))
-    gap_bound, _, _ = strongly_convex_rate_bounds(trace.k, 70.0**2, 100.0, 1.0)
+    gap_bound, _ = strongly_convex_rate_bounds(trace.k, 70.0**2, 100.0)
     assert np.all(trace.f_avg - 0.0 <= gap_bound + 1e-12)
     assert trace.f_avg[-1] < trace.f_avg[0]
 
@@ -93,7 +92,7 @@ def test_strongly_convex_fixed_point():
 
 def test_strongly_convex_noisy_mean_under_bound():
     # uniform noise on [-10, 10]: nu^2 = 100/3, Ct^2 = C^2 + nu^2
-    c_tilde_sq = combined_second_moment(70.0**2, 100.0 / 3.0)
+    c_tilde_sq = 70.0**2 + 100.0 / 3.0
     gaps = []
     for seed in range(100):
         problem = quadratic_problem(100.0, [0.3], UNIT_INTERVAL, [0.0],
@@ -104,7 +103,7 @@ def test_strongly_convex_noisy_mean_under_bound():
     gaps = np.vstack(gaps)
     mean = gaps.mean(axis=0)
     stderr = gaps.std(axis=0, ddof=1) / np.sqrt(gaps.shape[0])
-    bound, _, _ = strongly_convex_rate_bounds(np.arange(1001), c_tilde_sq, 100.0, 1.0)
+    bound, _ = strongly_convex_rate_bounds(np.arange(1001), c_tilde_sq, 100.0)
     assert np.all(mean <= bound + 2.0 * stderr)
 
 
@@ -125,7 +124,7 @@ def test_compact_noiseless_under_bound():
     # f(x) = |x - 0.25| on [0, 1]: d_w^2 = 0.5, C = 1
     problem = l1_problem([0.25], UNIT_INTERVAL, [0.0])
     trace = run_compact(problem, 1.0, 1000, rng_from_seed(0))
-    bound = noiseless_compact_rate_bound(trace.k, 1.0, 0.5, 1.0, 1.0)
+    bound = noiseless_compact_rate_bound(trace.k, 1.0, 0.5, 1.0)
     assert np.all(trace.f_avg <= bound + 1e-12)
 
 
@@ -133,22 +132,6 @@ def test_compact_start_at_minimizer():
     problem = l1_problem([0.25], UNIT_INTERVAL, [0.25])
     trace = run_compact(problem, 1.0, 200, rng_from_seed(0))
     assert np.all(trace.f_min == 0.0)
-
-
-def test_compact_rejects_unbounded_set():
-    class HalfSpace:
-        is_bounded = False
-
-        def contains(self, x, tol=0.0):
-            return True
-
-        def project(self, x):
-            return x
-
-    problem = l1_problem([0.25], UNIT_INTERVAL, [0.0])
-    problem.feasible_set = HalfSpace()
-    with pytest.raises(ValueError):
-        run_compact(problem, 1.0, 10, rng_from_seed(0))
 
 
 def test_compact_noisy_mean_under_bound():
@@ -160,7 +143,7 @@ def test_compact_noisy_mean_under_bound():
     gaps = np.vstack(gaps)
     mean = gaps.mean(axis=0)
     stderr = gaps.std(axis=0, ddof=1) / np.sqrt(gaps.shape[0])
-    bound = compact_rate_bound(np.arange(501), 1.0, 0.5, 1.0, 1.0 / 3.0, 1.0)
+    bound = compact_rate_bound(np.arange(501), 1.0, 0.5, 1.0, 1.0 / 3.0)
     assert np.all(mean <= bound + 2.0 * stderr)
 
 
@@ -477,41 +460,35 @@ def test_scalar_valued_f_is_rejected():
 
 
 def test_rate_bound_values():
-    gap, avg, it = strongly_convex_rate_bounds(0, 1.0, 1.0, 1.0)
-    assert (gap, avg, it) == (2.0, 4.0, 4.0)
-    gap, avg, it = strongly_convex_rate_bounds(99, 4900.0, 100.0, 1.0)
+    assert strongly_convex_rate_bounds(0, 1.0, 1.0) == (2.0, 4.0)
+    gap, dist = strongly_convex_rate_bounds(99, 4900.0, 100.0)
     assert abs(gap - 0.98) < 1e-15
-    assert avg == it  # mu_w = 1 collapses the two distance bounds
-    assert compact_rate_bound(0, 1.0, 1.0, 1.0, 0.0, 1.0) == 3.0
+    assert abs(dist - 0.0196) < 1e-17
+    assert compact_rate_bound(0, 1.0, 1.0, 1.0, 0.0) == 3.0
 
 
 def test_optimal_scale_values():
-    assert optimal_stepsize_scale(1.0, 1.0, 0.0, 1.0) == 1.0
-    assert abs(optimal_stepsize_scale(10.0, 3.0, 1.0, 1.0) - 5.0) < 1e-15
-    assert abs(optimal_stepsize_scale(1.0, 1.0, 0.0, 1.0, noiseless=True)
-               - np.sqrt(2.0)) < 1e-15
+    assert optimal_stepsize_scale(1.0, 1.0, 0.0) == 1.0
+    assert abs(optimal_stepsize_scale(10.0, 3.0, 1.0) - 5.0) < 1e-15
+    assert abs(optimal_stepsize_scale(1.0, 1.0, 0.0, noiseless=True) - np.sqrt(2.0)) < 1e-15
     with pytest.raises(ValueError):
-        optimal_stepsize_scale(1.0, 1.0, 0.5, 1.0, noiseless=True)
+        optimal_stepsize_scale(1.0, 1.0, 0.5, noiseless=True)
 
 
 def test_optimal_scale_is_argmin():
-    d_sq, c_sq, nu_sq, mu_w = 2.7, 1.9, 0.4, 1.0
-    a_star = optimal_stepsize_scale(np.sqrt(d_sq), c_sq, nu_sq, mu_w)
-    at_star = compact_rate_bound(10, a_star, d_sq, c_sq, nu_sq, mu_w)
+    d_sq, c_sq, nu_sq = 2.7, 1.9, 0.4
+    a_star = optimal_stepsize_scale(np.sqrt(d_sq), c_sq, nu_sq)
+    at_star = compact_rate_bound(10, a_star, d_sq, c_sq, nu_sq)
     for a in np.linspace(0.05, 8.0, 400):
-        assert at_star <= compact_rate_bound(10, a, d_sq, c_sq, nu_sq, mu_w) + 1e-12
-    # closed form of the minimum: 3 d sqrt((C^2 + nu^2)/mu_w) / sqrt(k+1)
-    want = 3.0 * np.sqrt(d_sq) * np.sqrt((c_sq + nu_sq) / mu_w) / np.sqrt(11.0)
+        assert at_star <= compact_rate_bound(10, a, d_sq, c_sq, nu_sq) + 1e-12
+    # closed form of the minimum: 3 d sqrt(C^2 + nu^2) / sqrt(k+1)
+    want = 3.0 * np.sqrt(d_sq) * np.sqrt(c_sq + nu_sq) / np.sqrt(11.0)
     assert abs(at_star - want) < 1e-12
     # noiseless convention
-    a_star2 = optimal_stepsize_scale(np.sqrt(d_sq), c_sq, 0.0, mu_w, noiseless=True)
-    at_star2 = noiseless_compact_rate_bound(10, a_star2, d_sq, c_sq, mu_w)
+    a_star2 = optimal_stepsize_scale(np.sqrt(d_sq), c_sq, 0.0, noiseless=True)
+    at_star2 = noiseless_compact_rate_bound(10, a_star2, d_sq, c_sq)
     for a in np.linspace(0.05, 8.0, 400):
-        assert at_star2 <= noiseless_compact_rate_bound(10, a, d_sq, c_sq, mu_w) + 1e-12
-
-
-def test_combined_second_moment():
-    assert combined_second_moment(4.0, 1.0) == 5.0
+        assert at_star2 <= noiseless_compact_rate_bound(10, a, d_sq, c_sq) + 1e-12
 
 
 def assert_same_trace(got, want):
@@ -587,15 +564,11 @@ def test_iterates_are_checked_feasible_once_per_block():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_parameters_are_rejected(bad):
     calls = [
-        lambda: strongly_convex_rate_bounds(3, bad, 1.0, 1.0),
-        lambda: strongly_convex_rate_bounds(3, 1.0, bad, 1.0),
-        lambda: strongly_convex_rate_bounds(3, 1.0, 1.0, bad),
-        lambda: compact_rate_bound(3, bad, 1.0, 1.0, 0.0, 1.0),
-        lambda: compact_rate_bound(3, 1.0, 1.0, 1.0, 0.0, bad),
-        lambda: noiseless_compact_rate_bound(3, bad, 1.0, 1.0, 1.0),
-        lambda: noiseless_compact_rate_bound(3, 1.0, 1.0, 1.0, bad),
-        lambda: optimal_stepsize_scale(bad, 1.0, 0.0, 1.0),
-        lambda: optimal_stepsize_scale(1.0, 1.0, 0.0, bad),
+        lambda: strongly_convex_rate_bounds(3, bad, 1.0),
+        lambda: strongly_convex_rate_bounds(3, 1.0, bad),
+        lambda: compact_rate_bound(3, bad, 1.0, 1.0, 0.0),
+        lambda: noiseless_compact_rate_bound(3, bad, 1.0, 1.0),
+        lambda: optimal_stepsize_scale(bad, 1.0, 0.0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="positive and finite"):
