@@ -278,6 +278,9 @@ def instance_constants(cfg: ExperimentConfig) -> dict:
     instance = build_instance(cfg)
     const_rng = rng_from_seed(cfg.base_seed ^ _CONSTANTS_SEED_XOR)
     c_est, nu_est = estimate_constants(instance, CONSTANT_SAMPLES, const_rng)
+    # c_est * c_est is inf past the float range, where c_est**2 raises OverflowError
+    if not np.isfinite(c_est * c_est + nu_est * nu_est):
+        raise ConfigError("lambda must be small enough that C^2 + nu^2 is finite")
     d_sq = bregman_diameter_sq(instance.feasible_set)
     return {
         "c_est": c_est,
@@ -296,10 +299,17 @@ def bound_curve(cfg: ExperimentConfig, a: float, constants: dict) -> np.ndarray:
                               constants["c_est"]**2, constants["nu_est"]**2)
 
 
-def _summaries(cfg: ExperimentConfig, a_list, workers: Optional[int]) -> list[McSummary]:
-    """One summary per a, with one set of constants and one reference solution;
-    the (a, seed) tasks of every a run in chunks of at most BATCH_RUNS, and the
-    results come back in task order."""
+def a_values(cfg: ExperimentConfig) -> tuple:
+    """The a of each summary: every configured a in the compact regime, only the
+    first in the strongly convex one, where a plays no part."""
+    return cfg.a_values if cfg.regime == COMPACT else cfg.a_values[:1]
+
+
+def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]:
+    """(a, summary) for every a of a_values(cfg), in order, with one set of
+    constants and one reference solution; the (a, seed) tasks of every a run in
+    chunks of at most BATCH_RUNS, and the results come back in task order."""
+    a_list = a_values(cfg)
     workers = cfg.workers if workers is None else int(workers)
     instance = build_instance(cfg)
     constants = instance_constants(cfg)
@@ -333,30 +343,12 @@ def _summaries(cfg: ExperimentConfig, a_list, workers: Optional[int]) -> list[Mc
                                 zip(*results[i * cfg.runs:(i + 1) * cfg.runs]))
         stderr = f_avg.std(axis=0, ddof=1) / np.sqrt(cfg.runs) if cfg.runs > 1 \
             else np.zeros(cfg.iterations + 1)
-        summaries.append(McSummary(
+        summaries.append((a, McSummary(
             k=np.arange(cfg.iterations + 1), mean_f_avg=f_avg.mean(axis=0),
             stderr_f_avg=stderr, mean_f_iter=f_iter.mean(axis=0),
             mean_f_min=f_min.mean(axis=0), bound=bound_curve(cfg, a, constants),
-            metadata={"config_hash": config_hash(cfg), "a_used": repr(a), **shared}))
+            metadata={"config_hash": config_hash(cfg), "a_used": repr(a), **shared})))
     return summaries
-
-
-def a_values(cfg: ExperimentConfig) -> tuple:
-    """The a of each summary: every configured a in the compact regime, only the
-    first in the strongly convex one, where a plays no part."""
-    return cfg.a_values if cfg.regime == COMPACT else cfg.a_values[:1]
-
-
-def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> McSummary:
-    """Execute `runs` independent runs of the first a and aggregate, ordered by run index."""
-    return _summaries(cfg, cfg.a_values[:1], workers)[0]
-
-
-def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None):
-    """(a, summary) for every a of a_values(cfg), in order: the runs of every a
-    in one batch, with one set of constants and one reference solution."""
-    a_list = a_values(cfg)
-    return list(zip(a_list, _summaries(cfg, a_list, workers)))
 
 
 def format_csv(summary: McSummary) -> str:
@@ -417,11 +409,3 @@ def verify_suite(k_max: int) -> list[CheckResult]:
                 for a in (0.1, 1.0, 10.0)]
     return results + [_result(f"alpha_cap[{name}]", alpha_cap_violations(sched, k_max))
                       for name, sched in named.items()]
-
-
-__all__ = [
-    "COMPACT", "STRONGLY_CONVEX", "CheckResult", "ConfigError", "ExperimentConfig",
-    "McSummary", "a_values", "bound_curve", "build_instance", "config_hash", "config_text",
-    "emit_csv", "format_csv", "instance_constants", "parse_config", "parse_csv",
-    "run_experiment", "sweep_a", "verify_suite",
-]

@@ -226,7 +226,10 @@ def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float):
     if not (0.0 < c_tilde_sq < np.inf and 0.0 < mu_f < np.inf):
         raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
-    return 2.0 / (k + 1.0) * c_tilde_sq / mu_f, 4.0 / (k + 1.0) * c_tilde_sq / mu_f**2
+    # divided twice by mu_f, as mu_f**2 underflows to 0 for a tiny mu_f
+    with np.errstate(over="ignore"):
+        dist = 4.0 / (k + 1.0) * c_tilde_sq / mu_f / mu_f
+    return 2.0 / (k + 1.0) * c_tilde_sq / mu_f, dist
 
 
 def compact_rate_bound(k, a: float, diameter_sq: float, grad_bound_sq: float,

@@ -386,8 +386,10 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
         # with reg_weight = 0, g = m + 0 (x - anchor) has the squares of m
         g_sq = mean_sq = np.sum(mean * mean, axis=-1)
         if instance.reg_weight:
-            g = mean + instance.reg_weight * (x - instance.anchor)
-            g_sq = np.sum(g * g, axis=-1)
+            # a huge lambda makes C^2 inf; instance_constants rejects it by name
+            with np.errstate(over="ignore"):
+                g = mean + instance.reg_weight * (x - instance.anchor)
+                g_sq = np.sum(g * g, axis=-1)
         c_sq = max(c_sq, float(np.max(g_sq)))
         noise_sq = max(noise_sq, float(np.max(_noise_sq(instance, mean_sq, cells))))
     return float(np.sqrt(c_sq)), float(np.sqrt(noise_sq))

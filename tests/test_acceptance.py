@@ -13,7 +13,7 @@ from conftest import capped_box_vertices, kkt_residual_capped_box, mc_estimate_f
 
 from ssmd.averaging import AverageState
 from ssmd.gaussian import rng_from_seed
-from ssmd.harness import format_csv, parse_config, run_experiment
+from ssmd.harness import format_csv, parse_config, sweep_a
 from ssmd.sets import CappedBox, bregman_diameter_sq
 from ssmd.solver import (
     ProblemHandle,
@@ -333,7 +333,7 @@ def test_criterion_11_qualitative_reproduction():
             f"regime = strongly_convex\ninstance = test1\nlambda = 100\n"
             f"schedule = {sched}\nruns = {N_SEEDS}\niterations = 100\n"
             f"seed = {BASE_SEED}")
-        summary = run_experiment(cfg)
+        summary = sweep_a(cfg)[0][1]
         # the mean average-iterate curve descends monotonically within noise
         drops = np.diff(summary.mean_f_avg[1:])
         assert np.all(drops <= 3.0 * summary.stderr_f_avg[1:-1])
@@ -354,7 +354,7 @@ def test_criterion_11_qualitative_reproduction():
         cfg = parse_config(
             f"regime = compact\ninstance = test1\na = {float(a_star * mult)!r}\n"
             f"runs = {N_SEEDS}\niterations = 1000\nseed = {BASE_SEED}")
-        best = min(best, float(run_experiment(cfg).mean_f_avg[-1]))
+        best = min(best, float(sweep_a(cfg)[0][1].mean_f_avg[-1]))
     assert abs(best - f_ref0) <= 0.05 * abs(f_ref0), (best, f_ref0)
     print(f"\nPASS criterion 11: strongly convex finals within 2% of f_ref "
           f"(schedules within 1%); best-a compact final within 5% "
@@ -395,6 +395,6 @@ def test_criterion_13_determinism(tmp_path):
     assert b1 == (out2 / "experiment_a0.csv").read_bytes()
 
     cfg = parse_config(cfg_text)
-    assert format_csv(run_experiment(cfg, workers=1)) == \
-        format_csv(run_experiment(cfg, workers=2)) == b1.decode()
+    assert format_csv(sweep_a(cfg, workers=1)[0][1]) == \
+        format_csv(sweep_a(cfg, workers=2)[0][1]) == b1.decode()
     print("\nPASS criterion 13: byte-identical CSV across re-runs and worker counts")

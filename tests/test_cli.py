@@ -185,6 +185,11 @@ NAMED = "regime = compact\ninstance = test1\n"
     pytest.param(NAMED + "a = 1, 1e-305\n", "a", id="a-weight-sum-overflows"),
     pytest.param("regime = strongly_convex\ninstance = test1\nlambda = 1e-320\n", "lambda",
                  id="lambda-inverse-overflows"),
+    # the constant C^2 + nu^2 of the bound overflows
+    pytest.param("regime = strongly_convex\ninstance = test1\nlambda = 1e200\n", "lambda",
+                 id="lambda-constants-overflow"),
+    pytest.param("regime = strongly_convex\ninstance = inline\nn = 3\ncap = 1e300\n"
+                 "budget = 1e300\nlambda = 1\n", "lambda", id="lambda-inline-constants-overflow"),
 ])
 def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.txt"
@@ -203,6 +208,15 @@ def test_tiny_a_with_a_finite_weight_sum_runs(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     rows = (tmp_path / "o" / "experiment_a0.csv").read_text().splitlines()
     assert len(rows) == 1002 and "nan" not in "".join(rows)
+
+
+def test_tiny_lambda_runs_without_warning(tmp_path, capsys):
+    # 1/lambda is finite at lambda = 1e-300, though lambda**2 underflows to 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("regime = strongly_convex\ninstance = test1\nlambda = 1e-300\n"
+                   "runs = 1\niterations = 3\n")
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 EXTREME = "regime = compact\ninstance = inline\nn = 50\ncap = {0}\nbudget = {0}\n"

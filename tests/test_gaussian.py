@@ -55,17 +55,28 @@ def test_erfc_within_4_ulp_of_mpmath():
     assert norm_cdf(-np.inf) == 0.0 and norm_cdf(np.inf) == 1.0
 
 
-@pytest.mark.parametrize("prefix", ["scipy", "multiprocessing"])
-def test_import_cli_loads_no_scipy(prefix):
-    # the library needs numpy alone; scipy is a test dependency, and the
-    # process pool is imported only by a run with more than one worker
-    code = ("import sys, ssmd.cli; "
-            f"print([m for m in sys.modules if m.split('.')[0] == {prefix!r}])")
+def _modules_loaded_by(module: str, prefixes: tuple) -> str:
+    """The modules under any of prefixes that a fresh `import module` loads."""
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+            f"if any(m == p or m.startswith(p + '.') for p in {prefixes!r})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(ssmd.__file__).parents[1])),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("prefix", ["scipy", "multiprocessing", "ssmd.averaging"])
+def test_import_cli_loads_no_scipy(prefix):
+    # the library needs numpy alone; scipy is a test dependency, the process
+    # pool is imported only by a run with more than one worker, and the
+    # engine forms its averages without ssmd.averaging
+    assert _modules_loaded_by("ssmd.cli", (prefix,)) == "[]"
+
+
+def test_import_package_loads_no_numpy_and_no_submodule():
+    # the package root holds only __version__; each name lives in its module
+    assert _modules_loaded_by("ssmd", ("numpy", "ssmd")) == "['ssmd']"
 
 
 def test_ppf_inverts_cdf():

@@ -15,7 +15,6 @@ from ssmd.harness import (
     format_csv,
     parse_config,
     parse_csv,
-    run_experiment,
     sweep_a,
     verify_suite,
 )
@@ -189,7 +188,7 @@ def test_readme_config_block_parses_and_names_every_key():
 
 def test_single_run_summary_equals_trace():
     cfg = parse_config(SMALL.replace("runs = 4", "runs = 1"))
-    summary = run_experiment(cfg)
+    summary = sweep_a(cfg)[0][1]
     problem = make_problem(build_instance(cfg))
     trace = run_compact(problem, 0.5, cfg.iterations, rng_from_seed(cfg.base_seed))
     assert np.array_equal(summary.mean_f_avg, trace.f_avg)
@@ -199,15 +198,15 @@ def test_single_run_summary_equals_trace():
 
 def test_experiment_deterministic():
     cfg = parse_config(SMALL)
-    t1 = format_csv(run_experiment(cfg))
-    t2 = format_csv(run_experiment(cfg))
+    t1 = format_csv(sweep_a(cfg)[0][1])
+    t2 = format_csv(sweep_a(cfg)[0][1])
     assert t1 == t2
 
 
 def test_experiment_worker_invariance():
     cfg = parse_config(SMALL)
-    assert format_csv(run_experiment(cfg, workers=1)) == \
-        format_csv(run_experiment(cfg, workers=2))
+    assert format_csv(sweep_a(cfg, workers=1)[0][1]) == \
+        format_csv(sweep_a(cfg, workers=2)[0][1])
 
 
 def test_seed_streams_independent_of_order():
@@ -218,14 +217,14 @@ def test_seed_streams_independent_of_order():
         problem = make_problem(instance)
         traces[r] = run_compact(problem, 0.5, cfg.iterations,
                                 rng_from_seed(cfg.base_seed + r))
-    summary = run_experiment(cfg)
+    summary = sweep_a(cfg)[0][1]
     stacked = np.vstack([traces[r].f_avg for r in range(4)])
     assert np.array_equal(summary.mean_f_avg, stacked.mean(axis=0))
 
 
 def test_csv_shape_and_header(tmp_path):
     cfg = parse_config(SMALL.replace("iterations = 25", "iterations = 1"))
-    summary = run_experiment(cfg)
+    summary = sweep_a(cfg)[0][1]
     text = format_csv(summary)
     lines = text.strip().splitlines()
     assert lines[0] == CSV_HEADER
@@ -235,7 +234,7 @@ def test_csv_shape_and_header(tmp_path):
 
 def test_csv_roundtrip_bytes(tmp_path):
     cfg = parse_config(SMALL)
-    summary = run_experiment(cfg)
+    summary = sweep_a(cfg)[0][1]
     text = format_csv(summary)
     assert format_csv(parse_csv(text)) == text
 
@@ -259,7 +258,7 @@ def test_csv_roundtrip_with_nan_rows():
 
 def test_emit_csv_and_sidecar(tmp_path):
     cfg = parse_config(SMALL)
-    summary = run_experiment(cfg)
+    summary = sweep_a(cfg)[0][1]
     path = tmp_path / "out.csv"
     emit_csv(summary, path)
     assert path.read_text() == format_csv(summary)
@@ -273,7 +272,7 @@ def test_bound_column_formula():
     # strongly convex bound column: 2*Ct^2/((k+1) mu_f)
     cfg = parse_config("regime = strongly_convex\ninstance = test1\n"
                        "lambda = 100\nruns = 1\niterations = 3\nseed = 1")
-    summary = run_experiment(cfg)
+    summary = sweep_a(cfg)[0][1]
     ct2 = float(summary.metadata["c_tilde_sq"])
     want = 2.0 * ct2 / ((np.arange(4) + 1.0) * 100.0)
     assert np.allclose(summary.bound, want, rtol=0, atol=1e-12)
