@@ -14,6 +14,13 @@ A command does all its work, files included, before it prints, so its
 files and exit status do not depend on stdout: if the reader of stdout
 leaves early (``ssmd bounds ... | head -1``), the rest of the output is
 dropped without a message and the exit status is the command's.
+
+The CLI runs numpy's BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
+set: its only BLAS calls are dot products of length n, and starting a pool
+of threads is about half of numpy's import.  ``ssmd`` and ``python -m
+ssmd.cli`` exit through ``run``, without interpreter teardown once their
+output is flushed, so ``atexit`` hooks (coverage.py's, for one) do not run
+there; call ``main`` in-process to keep them.
 """
 
 from __future__ import annotations
@@ -23,7 +30,10 @@ import os
 import sys
 from pathlib import Path
 
-from .harness import (
+# before numpy loads, and inherited by --workers processes; a value already set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .harness import (  # noqa: E402
     COMPACT,
     ConfigError,
     a_values,
@@ -35,7 +45,7 @@ from .harness import (
     sweep_a,
     verify_suite,
 )
-from .utility import reference_solution
+from .utility import reference_solution  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,5 +169,18 @@ def main(argv=None) -> int:
     return status
 
 
+def run() -> None:
+    """Entry point of the ``ssmd`` script: main() on sys.argv, then exit with
+    its status once stdout and stderr are flushed.  Every file is closed by
+    then, so teardown would only free memory that the OS takes back anyway."""
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

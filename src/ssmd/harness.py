@@ -281,11 +281,15 @@ def instance_constants(cfg: ExperimentConfig) -> dict:
     # c_est * c_est is inf past the float range, where c_est**2 raises OverflowError
     if not np.isfinite(c_est * c_est + nu_est * nu_est):
         raise ConfigError("lambda must be small enough that C^2 + nu^2 is finite")
+    c_tilde_sq = c_est**2 + nu_est**2
+    # the strongly convex gap bound is largest at k = 0, where it is this quotient
+    if cfg.regime == STRONGLY_CONVEX and not np.isfinite(2.0 * c_tilde_sq / cfg.reg_weight):
+        raise ConfigError("lambda must be large enough that 2 (C^2 + nu^2) / lambda is finite")
     d_sq = bregman_diameter_sq(instance.feasible_set)
     return {
         "c_est": c_est,
         "nu_est": nu_est,
-        "c_tilde_sq": c_est**2 + nu_est**2,
+        "c_tilde_sq": c_tilde_sq,
         "diameter_sq": d_sq,
     }
 

@@ -190,6 +190,9 @@ NAMED = "regime = compact\ninstance = test1\n"
                  id="lambda-constants-overflow"),
     pytest.param("regime = strongly_convex\ninstance = inline\nn = 3\ncap = 1e300\n"
                  "budget = 1e300\nlambda = 1\n", "lambda", id="lambda-inline-constants-overflow"),
+    # 1/lambda is finite, the gap bound 2 (C^2 + nu^2) / lambda is not
+    pytest.param("regime = strongly_convex\ninstance = test1\nlambda = 1e-308\n", "lambda",
+                 id="lambda-gap-bound-overflows"),
 ])
 def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.txt"
@@ -273,6 +276,25 @@ def test_strongly_convex_runs_only_the_first_a(tmp_path, capsys):
     assert len(out.splitlines()) == 1 + 11  # header, k = 0..10
 
 
+def _fresh_env(**settings) -> dict:
+    """os.environ for a child interpreter that imports this ssmd: settings
+    whose value is None are removed."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for key, value in settings.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def _cli_process(argv) -> subprocess.CompletedProcess:
+    """`python -m ssmd.cli argv`, which exits through cli.run, with stdout
+    buffered as it is by default."""
+    return subprocess.run([sys.executable, "-m", "ssmd.cli", *argv], capture_output=True,
+                          env=_fresh_env(PYTHONUNBUFFERED=None), timeout=120)
+
+
 class _ClosedPipe:
     """A stdout whose reader has left: every write raises BrokenPipeError."""
 
@@ -308,10 +330,7 @@ def test_reader_leaving_a_real_pipe_is_quiet(tmp_path, unbuffered):
     # buffered or not, the exit status is 0 and stderr stays empty
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SMALL.replace("iterations = 10", "iterations = 20000"))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = unbuffered
+    env = _fresh_env(PYTHONUNBUFFERED=unbuffered or None)
     proc = subprocess.Popen([sys.executable, "-m", "ssmd.cli", "bounds", "--config", str(cfg)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.read(1) == b"#"
@@ -345,16 +364,69 @@ ERFC_PROBE = {-3.0: "0x1.fffe8d6209afdp+0", -0.5: "0x1.853f7ae0c76e9p+0",
               2.5: "0x1.aab859b20ac9ep-12", 10.0: "0x1.7d8a7f2a8a2d0p-149"}
 
 
-def test_output_bytes_are_pinned(tmp_path, capsys):
+def _pinned_digests(tmp_path, ssmd) -> list:
+    """The digests of each PINNED config's outputs, as ssmd(argv), which
+    returns stdout, writes them."""
     if any(math.erfc(x).hex() != want for x, want in ERFC_PROBE.items()):
         pytest.skip("this libm's erfc differs from the one the digests were recorded with")
-    for i, (text, want) in enumerate(PINNED.items()):
+    digests = []
+    for i, text in enumerate(PINNED):
         cfg = tmp_path / f"cfg{i}.txt"
         cfg.write_text(text)
         out = tmp_path / f"out{i}"
-        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["bounds", "--config", str(cfg)]) == 0
+        ssmd(["experiment", "--config", str(cfg), "--out", str(out)])
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-        got["bounds"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert got == want
+        got["bounds"] = hashlib.sha256(ssmd(["bounds", "--config", str(cfg)])).hexdigest()
+        digests.append(got)
+    return digests
+
+
+def test_output_bytes_are_pinned(tmp_path, capsys):
+    def ssmd(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode()
+
+    assert _pinned_digests(tmp_path, ssmd) == list(PINNED.values())
+
+
+def test_cli_process_writes_the_pinned_bytes(tmp_path):
+    # the same bytes when the process exits through cli.run, without teardown
+    def ssmd(argv):
+        proc = _cli_process(argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return proc.stdout
+
+    assert _pinned_digests(tmp_path, ssmd) == list(PINNED.values())
+
+
+@pytest.mark.parametrize("case, code, stream, text", [
+    ("bad-config", 1, "stderr", b"ssmd: config error: runs must be >= 1"),
+    ("out-is-a-file", 2, "stderr", b"ssmd: error: "),
+    # argparse prints the help without a flush, so it is run's flush that writes it
+    ("help", 0, "stdout", b"usage: ssmd"),
+])
+def test_cli_process_exit_status(tmp_path, case, code, stream, text):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL.replace("runs = 3", "runs = 0") if case == "bad-config" else SMALL)
+    (tmp_path / "taken").write_text("")
+    argv = ["--help"] if case == "help" else \
+        ["experiment", "--config", str(cfg), "--out", str(tmp_path / "taken")]
+    proc = _cli_process(argv)
+    assert proc.returncode == code
+    assert text in getattr(proc, stream)
+
+
+PROBE = "import os, {}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+@pytest.mark.parametrize("module, preset, want", [
+    ("ssmd.cli", None, "1"),
+    ("ssmd.cli", "3", "3"),
+    ("ssmd", None, "None"),
+])
+def test_cli_runs_blas_on_one_thread_unless_set(module, preset, want):
+    # set before ssmd.cli loads numpy, so OpenBLAS starts no pool of threads;
+    # the package root alone has no side effect
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(module)], capture_output=True,
+                          text=True, env=_fresh_env(OPENBLAS_NUM_THREADS=preset), timeout=120)
+    assert (proc.returncode, proc.stdout.strip()) == (0, want)
