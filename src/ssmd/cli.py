@@ -98,9 +98,9 @@ def _cmd_experiment(args) -> tuple[int, list[str]]:
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
     results = verify_suite(args.kmax)
-    lines = [f"PASS {res.name}" if res.passed else
-             f"FAIL {res.name} (first violating k = {res.first_violation})" for res in results]
-    return (0 if all(res.passed for res in results) else 2), lines
+    lines = [f"PASS {name}" if k is None else f"FAIL {name} (first violating k = {k})"
+             for name, k in results]
+    return (0 if all(k is None for _, k in results) else 2), lines
 
 
 def _cmd_reference(args) -> tuple[int, list[str]]:

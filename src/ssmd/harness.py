@@ -299,8 +299,15 @@ def bound_curve(cfg: ExperimentConfig, a: float, constants: dict) -> np.ndarray:
     ks = np.arange(cfg.iterations + 1)
     if cfg.regime == STRONGLY_CONVEX:
         return strongly_convex_rate_bounds(ks, constants["c_tilde_sq"], cfg.reg_weight)[0]
-    return compact_rate_bound(ks, a, constants["diameter_sq"],
-                              constants["c_est"]**2, constants["nu_est"]**2)
+    d_sq, c_sq, nu_sq = constants["diameter_sq"], constants["c_est"]**2, constants["nu_est"]**2
+    if d_sq < np.inf:
+        return compact_rate_bound(ks, a, d_sq, c_sq, nu_sq)
+    # d^2 overflows where d^2/a need not: form d^2/a as (d/cap)^2 cap (cap/a),
+    # and pass it and a (C^2 + nu^2) with a = 1
+    box = build_instance(cfg).feasible_set
+    unit_d_sq = bregman_diameter_sq(CappedBox(box.n, 1.0, box.budget / box.cap))
+    return compact_rate_bound(ks, 1.0, unit_d_sq * box.cap * (box.cap / a),
+                              a * (c_sq + nu_sq), 0.0)
 
 
 def a_values(cfg: ExperimentConfig) -> tuple:
@@ -388,28 +395,18 @@ def emit_csv(summary: McSummary, path) -> None:
         fh.write(body)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    first_violation: Optional[int] = None
-
-
-def _result(name: str, violations: np.ndarray) -> CheckResult:
-    ok = violations.size == 0
-    return CheckResult(name, ok, None if ok else int(violations[0]))
-
-
-def verify_suite(k_max: int) -> list[CheckResult]:
-    """Machine-check the stepsize conditions and cumulative-weight bounds."""
+def verify_suite(k_max: int) -> list[tuple[str, Optional[int]]]:
+    """Machine-check the stepsize conditions and cumulative-weight bounds:
+    (check name, first violating k or None) per check."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     named = {"tseng": TsengStepsize(), "nesterov": NesterovStepsize()}
-    results = [_result(f"{check}[{name}]", violations(sched, k_max))
-               for check, violations in (("step_condition", step_condition_violations),
-                                         ("alpha_sq_sum", alpha_sq_sum_violations))
+    checks = [(f"{check}[{name}]", violations(sched, k_max))
+              for check, violations in (("step_condition", step_condition_violations),
+                                        ("alpha_sq_sum", alpha_sq_sum_violations))
+              for name, sched in named.items()]
+    checks += [(f"sqrt_sum_growth[a={a:g}]", sqrt_sum_growth_violations(a, k_max))
+               for a in (0.1, 1.0, 10.0)]
+    checks += [(f"alpha_cap[{name}]", alpha_cap_violations(sched, k_max))
                for name, sched in named.items()]
-    results += [_result(f"sqrt_sum_growth[a={a:g}]", sqrt_sum_growth_violations(a, k_max))
-                for a in (0.1, 1.0, 10.0)]
-    return results + [_result(f"alpha_cap[{name}]", alpha_cap_violations(sched, k_max))
-                      for name, sched in named.items()]
+    return [(name, int(bad[0]) if bad.size else None) for name, bad in checks]

@@ -94,9 +94,8 @@ class ProblemHandle:
 
 @dataclass
 class RunTrace:
-    """Per-iteration metrics of one run; arrays all have length K+1."""
+    """Per-iteration metrics of one run at k = 0..K; arrays all have length K+1."""
 
-    k: np.ndarray
     f_iter: np.ndarray
     f_avg: np.ndarray
     f_min: np.ndarray
@@ -185,7 +184,6 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
             x = set_.project(x - steps[k] * g)
 
     traces = [RunTrace(
-        k=np.arange(m),
         f_iter=f_vals[:, 0, i].copy(),
         f_avg=f_vals[:, 1, i].copy(),
         f_min=np.minimum.accumulate(f_vals[:, 0, i]),

@@ -34,9 +34,6 @@ class TsengStepsize:
         out[0] = 1.0
         return out
 
-    def __repr__(self):
-        return "TsengStepsize()"
-
 
 class NesterovStepsize:
     """Recursive schedule; alpha(k) runs the recursion k times."""
@@ -54,9 +51,6 @@ class NesterovStepsize:
             out.append(0.5 * (math.sqrt(a**4 + 4.0 * sq) - sq))
         return np.array(out)
 
-    def __repr__(self):
-        return "NesterovStepsize()"
-
 
 class InverseSqrtStepsize:
     """alpha_k = a/sqrt(k+1) for a tunable scale a > 0."""
@@ -73,9 +67,6 @@ class InverseSqrtStepsize:
 
     def alphas(self, k_max: int) -> np.ndarray:
         return self.a / np.sqrt(np.arange(k_max + 1) + 1.0)
-
-    def __repr__(self):
-        return f"InverseSqrtStepsize(a={self.a!r})"
 
 
 def kahan_cumsum(terms: np.ndarray) -> np.ndarray:

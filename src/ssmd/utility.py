@@ -18,9 +18,9 @@ xi vector per iteration and returns phi'(t) (a + xi) + reg_weight (x - anchor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import frexp
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -40,66 +40,29 @@ class ConvergenceError(RuntimeError):
     """Raised when the reference solver hits its iteration cap."""
 
 
-@dataclass(frozen=True)
-class AffinePiece:
-    intercept: float
-    slope: float
-
-
 @dataclass(frozen=True, eq=False)
 class Envelope:
-    """Upper envelope of affine pieces, slope-sorted with dominated pieces removed."""
+    """phi(t) = max_j (c_j + d_j t) on pieces of strictly increasing slope d,
+    each the maximum between its breakpoints: breakpoint j is where pieces j
+    and j + 1 meet."""
 
     intercepts: np.ndarray
     slopes: np.ndarray
-    breakpoints: np.ndarray
+    breakpoints: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.intercepts.shape != self.slopes.shape or self.intercepts.ndim != 1:
-            raise ValueError("inconsistent piece arrays")
-        if self.breakpoints.shape != (self.slopes.shape[0] - 1,):
-            raise ValueError("need exactly one breakpoint between consecutive pieces")
-        if np.any(np.diff(self.slopes) <= 0.0):
-            raise ValueError("slopes must be strictly increasing")
-        if np.any(np.diff(self.breakpoints) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    @property
-    def num_pieces(self) -> int:
-        return self.intercepts.shape[0]
-
-
-def build_envelope(pieces: Sequence[AffinePiece]) -> Envelope:
-    """Reduce raw pieces to the envelope: max over pieces at every t."""
-    if len(pieces) == 0:
-        raise ValueError("need at least one piece")
-    by_slope: dict[float, float] = {}
-    for p in pieces:
-        c, d = float(p.intercept), float(p.slope)
-        if not (np.isfinite(c) and np.isfinite(d)):
+        c, d = self.intercepts, self.slopes
+        if c.ndim != 1 or c.shape != d.shape or c.size == 0:
+            raise ValueError("need nonempty piece arrays of one shape")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(d))):
             raise ValueError("pieces must be finite")
-        if d not in by_slope or c > by_slope[d]:
-            by_slope[d] = c
-    lines = sorted((d, c) for d, c in by_slope.items())
-
-    hull: list[tuple[float, float]] = []  # (slope, intercept)
-    for d, c in lines:
-        while len(hull) >= 2:
-            d2, c2 = hull[-1]
-            d1, c1 = hull[-2]
-            # hull[-1] survives only if it beats its neighbors somewhere
-            if (c2 - c) / (d - d2) > (c1 - c2) / (d2 - d1):
-                break
-            hull.pop()
-        hull.append((d, c))
-
-    slopes = np.array([d for d, _ in hull])
-    intercepts = np.array([c for _, c in hull])
-    if len(hull) > 1:
-        breakpoints = (intercepts[:-1] - intercepts[1:]) / (slopes[1:] - slopes[:-1])
-    else:
-        breakpoints = np.empty(0)
-    return Envelope(intercepts=intercepts, slopes=slopes, breakpoints=breakpoints)
+        if np.any(np.diff(d) <= 0.0):
+            raise ValueError("slopes must be strictly increasing")
+        breakpoints = (c[:-1] - c[1:]) / (d[1:] - d[:-1])
+        if np.any(np.diff(breakpoints) <= 0.0):
+            raise ValueError("every piece must be the maximum somewhere: breakpoints "
+                             "must be strictly increasing")
+        object.__setattr__(self, "breakpoints", breakpoints)
 
 
 def _active_piece(envelope: Envelope, t):
@@ -172,7 +135,7 @@ class UtilityInstance:
         return self.feasible_set.n
 
 
-def default_pieces(m: int = 10) -> list[AffinePiece]:
+def default_envelope(m: int = 10) -> Envelope:
     """The documented deterministic envelope: a risk-averse piecewise-linear
     disutility with m pieces, slopes (j - m)/(2.5 m) rising from -0.36 to a
     flat tail at 0, and m-1 breakpoints at j/m in (0, 1).
@@ -181,24 +144,20 @@ def default_pieces(m: int = 10) -> list[AffinePiece]:
     breakpoint at j/m: c_{j+1} = c_j - (j/m) * (d_{j+1} - d_j).
     """
     slopes = [(j - m) / (2.5 * m) for j in range(1, m + 1)]
-    pieces = [AffinePiece(intercept=0.0, slope=slopes[0])]
-    c = 0.0
+    intercepts = [0.0]
     for j in range(1, m):
-        c -= (j / m) * (slopes[j] - slopes[j - 1])
-        pieces.append(AffinePiece(intercept=c, slope=slopes[j]))
-    return pieces
+        intercepts.append(intercepts[-1] - (j / m) * (slopes[j] - slopes[j - 1]))
+    return Envelope(intercepts=np.array(intercepts), slopes=np.array(slopes))
 
 
 def make_instance(label: str, n: int, cap: float, budget: float, reg_weight: float,
-                  x0: Optional[np.ndarray] = None,
-                  pieces: Optional[Sequence[AffinePiece]] = None) -> UtilityInstance:
+                  x0: Optional[np.ndarray] = None) -> UtilityInstance:
     feasible_set = CappedBox(n=n, cap=cap, budget=budget)
     coeffs = rng_from_seed(COEFF_SEED).random(n)
     anchor = np.zeros(n)
     anchor[0] = 0.5
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    env = build_envelope(default_pieces() if pieces is None else pieces)
-    return UtilityInstance(label=label, coeffs=coeffs, envelope=env,
+    return UtilityInstance(label=label, coeffs=coeffs, envelope=default_envelope(),
                            reg_weight=float(reg_weight), anchor=anchor,
                            feasible_set=feasible_set, x0=x0)
 

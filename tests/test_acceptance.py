@@ -32,8 +32,7 @@ from ssmd.stepsizes import (
     step_condition_violations,
 )
 from ssmd.utility import (
-    AffinePiece,
-    build_envelope,
+    Envelope,
     default_instance,
     estimate_constants,
     expected_phi_gaussian,
@@ -307,7 +306,7 @@ def test_criterion_10_analytic_objective():
                                     rng_from_seed(BASE_SEED + 1000 + i))
             floor = 2.0 / n_samples * (1.0 + abs(fv))
             assert abs(fv - est) <= 3.0 * se + floor, (label, i, fv, est, se)
-    abs_env = build_envelope([AffinePiece(0.0, -1.0), AffinePiece(0.0, 1.0)])
+    abs_env = Envelope(np.array([0.0, 0.0]), np.array([-1.0, 1.0]))
     got = expected_phi_gaussian(abs_env, 0.0, 1.0)
     assert abs(got - np.sqrt(2.0 / np.pi)) < 1e-10
     from scipy.integrate import quad

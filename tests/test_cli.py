@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ssmd import cli
 from ssmd.cli import main
 from ssmd.harness import build_instance, parse_config
 from ssmd.utility import reference_solution
@@ -83,6 +84,19 @@ def test_verify_command(capsys):
     out = capsys.readouterr().out
     assert "PASS step_condition[tseng]" in out
     assert "FAIL" not in out
+
+
+def test_verify_output_lines(capsys, monkeypatch):
+    # every check on its own line, in the suite's order; one failing check
+    # prints its first violating k and makes the status 2
+    assert main(["verify", "--kmax", "10"]) == 0
+    assert capsys.readouterr().out == "".join(f"PASS {name}\n" for name in (
+        "step_condition[tseng]", "step_condition[nesterov]", "alpha_sq_sum[tseng]",
+        "alpha_sq_sum[nesterov]", "sqrt_sum_growth[a=0.1]", "sqrt_sum_growth[a=1]",
+        "sqrt_sum_growth[a=10]", "alpha_cap[tseng]", "alpha_cap[nesterov]"))
+    monkeypatch.setattr(cli, "verify_suite", lambda k_max: [("ok", None), ("bad", 7)])
+    assert main(["verify", "--kmax", "10"]) == 2
+    assert capsys.readouterr().out == "PASS ok\nFAIL bad (first violating k = 7)\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -163,6 +177,23 @@ def test_bounds_with_budget_over_cap_overflowing_exits_0(tmp_path, capsys):
                    .replace("budget = 1.5", "budget = 1e300"))
     assert main(["bounds", "--config", str(cfg)]) == 0
     assert "k,bound" in capsys.readouterr().out
+
+
+def test_bounds_finite_where_only_the_diameter_overflows(tmp_path, capsys):
+    # d^2 = cap^2 = 1e600 overflows, d^2/a = 1e300 does not at a = 1e300;
+    # with C~^2 = 2.2961667268817063 the k = 0 bound is 1.5 (d^2/a + a C~^2).
+    # At a = 1, d^2/a itself overflows, and inf is the rounded bound
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("regime = compact\ninstance = inline\nn = 50\ncap = 1e300\n"
+                   "budget = 1e300\na = 1e300, 1\niterations = 3\n")
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    big, one = (block.splitlines()[2:] for block in
+                capsys.readouterr().out.split("# a = ")[1:])
+    big = [float(row.split(",")[1]) for row in big]
+    assert len(big) == 4 and all(0.0 < b < math.inf for b in big)
+    want = 1.5 * (1.0 + 2.2961667268817063) * 1e300
+    assert abs(big[0] - want) <= 1e-12 * want
+    assert one == [f"{k},inf" for k in range(4)]
 
 
 INLINE = "regime = compact\ninstance = inline\nn = 4\ncap = 1.0\nbudget = 1.5\n"

@@ -77,7 +77,7 @@ def test_strongly_convex_noiseless_under_bound():
     # f(x) = 50 (x - 0.3)^2 on [0, 1]: mu_f = 100, C = 100*0.7 = 70
     problem = quadratic_problem(100.0, [0.3], UNIT_INTERVAL, [0.0])
     trace = run_strongly_convex(problem, TsengStepsize(), 200, rng_from_seed(0))
-    gap_bound, _ = strongly_convex_rate_bounds(trace.k, 70.0**2, 100.0)
+    gap_bound, _ = strongly_convex_rate_bounds(np.arange(201), 70.0**2, 100.0)
     assert np.all(trace.f_avg - 0.0 <= gap_bound + 1e-12)
     assert trace.f_avg[-1] < trace.f_avg[0]
 
@@ -124,7 +124,7 @@ def test_compact_noiseless_under_bound():
     # f(x) = |x - 0.25| on [0, 1]: d_w^2 = 0.5, C = 1
     problem = l1_problem([0.25], UNIT_INTERVAL, [0.0])
     trace = run_compact(problem, 1.0, 1000, rng_from_seed(0))
-    bound = noiseless_compact_rate_bound(trace.k, 1.0, 0.5, 1.0)
+    bound = noiseless_compact_rate_bound(np.arange(1001), 1.0, 0.5, 1.0)
     assert np.all(trace.f_avg <= bound + 1e-12)
 
 
@@ -153,7 +153,7 @@ def test_trace_structure_and_feasibility():
                                 noise_halfwidth=1.0)
     rng = rng_from_seed(5)
     trace = run_strongly_convex(problem, TsengStepsize(), 300, rng)
-    assert trace.k.shape == (301,)
+    assert trace.f_iter.shape == trace.f_avg.shape == trace.f_min.shape == (301,)
     assert np.all(np.diff(trace.f_min) <= 0.0 + 1e-15)
     assert box.contains(trace.x_hat_final, 1e-8)
 
@@ -492,8 +492,7 @@ def test_optimal_scale_is_argmin():
 
 
 def assert_same_trace(got, want):
-    for col in ("k", "f_iter", "f_avg", "f_min", "dist_iter_sq", "dist_avg_sq",
-                "x_hat_final"):
+    for col in ("f_iter", "f_avg", "f_min", "dist_iter_sq", "dist_avg_sq", "x_hat_final"):
         a, b = getattr(got, col), getattr(want, col)
         assert (a is None and b is None) or np.array_equal(a, b), col
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,9 @@ from conftest import (STACK_FLOATS, fd_grad, mc_estimate_f, mc_estimate_f_dense,
 
 from ssmd.gaussian import norm_pdf, rng_from_seed, standard_normals
 from ssmd.utility import (
-    AffinePiece,
-    build_envelope,
+    Envelope,
+    default_envelope,
     default_instance,
-    default_pieces,
     estimate_constants,
     expected_phi_gaussian,
     f_value,
@@ -27,70 +27,83 @@ from ssmd.utility import _noise_sq, _oracle_mean, _subgradient
 
 SQRT_2_OVER_PI = 0.7978845608028653559
 
-ABS_PIECES = [AffinePiece(0.0, -1.0), AffinePiece(0.0, 1.0)]
+
+def envelope(intercepts, slopes):
+    return Envelope(np.array(intercepts, dtype=float), np.array(slopes, dtype=float))
 
 
-def raw_max(pieces, t):
-    return max(p.intercept + p.slope * t for p in pieces)
+ABS = envelope([0.0, 0.0], [-1.0, 1.0])  # phi(t) = |t|
 
 
-def test_envelope_parallel_domination():
-    env = build_envelope([AffinePiece(0.0, 1.0), AffinePiece(1.0, 1.0)])
-    assert env.num_pieces == 1
-    assert env.intercepts[0] == 1.0 and env.slopes[0] == 1.0
+def with_envelope(inst, intercepts, slopes):
+    """inst with phi(t) = max_j (c_j + d_j t) in place of the default envelope."""
+    return dataclasses.replace(inst, envelope=envelope(intercepts, slopes))
 
 
 def test_envelope_abs_value():
-    env = build_envelope(ABS_PIECES)
-    assert env.num_pieces == 2
-    assert np.array_equal(env.breakpoints, [0.0])
+    assert ABS.intercepts.size == 2
+    assert np.array_equal(ABS.breakpoints, [0.0])
+    assert envelope([0.7], [-2.0]).breakpoints.shape == (0,)
 
 
-def test_envelope_matches_raw_max(rng):
-    for _ in range(50):
-        pieces = [AffinePiece(float(c), float(d))
-                  for c, d in rng.standard_normal((10, 2)) * 3]
-        env = build_envelope(pieces)
-        assert np.all(np.diff(env.slopes) > 0)
-        assert np.all(np.diff(env.breakpoints) > 0) or env.num_pieces <= 2
-        for t in np.linspace(-20, 20, 200):
-            assert abs(phi(env, t) - raw_max(pieces, t)) < 1e-9
+@pytest.mark.parametrize("intercepts, slopes, match", [
+    ([0.0, np.nan], [0.0, 1.0], "finite"),
+    ([0.0, 0.0], [-np.inf, 1.0], "finite"),
+    ([0.0, 1.0], [1.0, 1.0], "slopes"),
+    ([0.0, 0.0], [1.0, -1.0], "slopes"),
+    # the middle piece lies below the max of the outer two everywhere
+    ([0.0, -1.0, 0.0], [-1.0, 0.0, 1.0], "maximum"),
+    ([0.0, 0.0], [1.0], "shape"),
+    ([], [], "nonempty"),
+    ([[0.0]], [[1.0]], "shape"),
+])
+def test_envelope_rejects_bad_pieces(intercepts, slopes, match):
+    with pytest.raises(ValueError, match=match):
+        envelope(intercepts, slopes)
 
 
 def test_phi_examples():
-    env = build_envelope(ABS_PIECES)
-    assert phi(env, -2.0) == 2.0
-    assert phi_slope(env, -2.0) == -1.0
-    assert phi_slope(env, 0.0) == 1.0  # tie resolves to the larger slope
+    assert phi(ABS, -2.0) == 2.0
+    assert phi_slope(ABS, -2.0) == -1.0
+    assert phi_slope(ABS, 0.0) == 1.0  # tie resolves to the larger slope
 
 
 def test_default_pieces_structure():
-    env = build_envelope(default_pieces())
-    assert env.num_pieces == 10
+    env = default_envelope()
+    assert env.intercepts.shape == env.slopes.shape == (10,)
     assert env.breakpoints.shape == (9,)
     assert np.all(env.breakpoints > 0.0) and np.all(env.breakpoints < 1.0)
-    assert np.allclose(env.breakpoints, np.arange(1, 10) / 10.0, atol=1e-12)
     for t in np.linspace(-1, 2, 50):
-        assert abs(phi(env, t) - raw_max(default_pieces(), t)) < 1e-12
+        assert abs(phi(env, t) - np.max(env.intercepts + env.slopes * t)) < 1e-12
+
+
+def test_default_envelope_matches_meta():
+    # the piece lines of every .meta sidecar, and breakpoints at j/10
+    env = default_envelope()
+    assert ",".join(repr(v) for v in env.intercepts.tolist()) == (
+        "0.0,-0.003999999999999998,-0.011999999999999995,-0.024000000000000007,-0.04,"
+        "-0.060000000000000005,-0.084,-0.112,-0.14400000000000002,-0.18000000000000002")
+    assert ",".join(repr(v) for v in env.slopes.tolist()) == (
+        "-0.36,-0.32,-0.28,-0.24,-0.2,-0.16,-0.12,-0.08,-0.04,0.0")
+    assert np.allclose(env.breakpoints, np.arange(1, 10) / 10.0, rtol=0.0, atol=1e-12)
 
 
 def test_expected_phi_abs_gaussian():
-    env = build_envelope(ABS_PIECES)
-    got = expected_phi_gaussian(env, 0.0, 1.0)
+    got = expected_phi_gaussian(ABS, 0.0, 1.0)
     assert abs(got - SQRT_2_OVER_PI) < 1e-12
     quad_val, quad_err = piecewise_gaussian_quadrature(
-        env.intercepts, env.slopes, env.breakpoints, 0.0, 1.0)
+        ABS.intercepts, ABS.slopes, ABS.breakpoints, 0.0, 1.0)
     assert abs(got - quad_val) < 1e-10 + quad_err
 
 
 def test_expected_phi_single_piece():
-    env = build_envelope([AffinePiece(0.7, -2.0)])
+    env = envelope([0.7], [-2.0])
     for mu, sigma in [(0.0, 1.0), (3.0, 0.5), (-1.0, 4.0)]:
         assert abs(expected_phi_gaussian(env, mu, sigma) - (0.7 - 2.0 * mu)) < 1e-12
 
 
 def test_expected_phi_degenerate_sigma():
-    env = build_envelope(default_pieces())
+    env = default_envelope()
     for mu in (-0.5, 0.33, 1.7):
         assert expected_phi_gaussian(env, mu, 0.0) == phi(env, mu)
     # vanishing but nonzero sigma converges to the pointwise value,
@@ -101,7 +114,7 @@ def test_expected_phi_degenerate_sigma():
 
 
 def test_expected_phi_against_quadrature(rng):
-    env = build_envelope(default_pieces())
+    env = default_envelope()
     for _ in range(25):
         mu = float(rng.standard_normal()) * 3
         sigma = 0.05 + float(rng.random()) * 4
@@ -111,22 +124,8 @@ def test_expected_phi_against_quadrature(rng):
         assert abs(got - want) < 1e-8 + 10 * err
 
 
-def test_expected_phi_split_recombination():
-    # partitioning the pieces and re-maximizing reproduces the unsplit value
-    pieces = default_pieces()
-    combined = build_envelope(pieces[:4] + pieces[4:])
-    full = build_envelope(pieces)
-    for mu, sigma in [(0.2, 0.7), (-1.0, 2.0), (0.55, 0.01)]:
-        a = expected_phi_gaussian(combined, mu, sigma)
-        b = expected_phi_gaussian(full, mu, sigma)
-        assert abs(a - b) < 1e-14
-        want, err = piecewise_gaussian_quadrature(
-            full.intercepts, full.slopes, full.breakpoints, mu, sigma)
-        assert abs(a - want) < 1e-8 + 10 * err
-
-
 def test_expected_phi_broadcasts():
-    env = build_envelope(default_pieces())
+    env = default_envelope()
     mus = np.array([0.0, 0.5, 1.0])
     sigmas = np.array([0.5, 0.0, 2.0])
     got = expected_phi_gaussian(env, mus, sigmas)
@@ -166,7 +165,7 @@ def _two_sided_terms(breakpoints, mu, sigma):
 
 def test_closed_forms_equal_two_sided_formula(rng):
     # erfc and the pdf once per breakpoint give the same bits as twice
-    env = build_envelope(default_pieces())
+    env = default_envelope()
     c, d = env.intercepts, env.slopes
     mu = rng.standard_normal(500)[:, None] * 3.0
     sigma = np.geomspace(1e-6, 1e3, 500)[:, None]
@@ -324,8 +323,8 @@ def test_f_convexity_probe(rng):
 
 
 def test_subgradient_linear_utility(rng):
-    inst = make_instance("lin", n=5, cap=10.0, budget=10.0, reg_weight=0.0,
-                         pieces=[AffinePiece(0.0, 1.0)])
+    inst = with_envelope(make_instance("lin", n=5, cap=10.0, budget=10.0, reg_weight=0.0),
+                         [0.0], [1.0])
     x = np.full(5, 0.5)
     acc = np.zeros(5)
     n_draws = 20_000
@@ -337,8 +336,8 @@ def test_subgradient_linear_utility(rng):
 
 
 def test_subgradient_vanishes_at_anchor():
-    inst = make_instance("flat", n=4, cap=10.0, budget=10.0, reg_weight=7.0,
-                         pieces=[AffinePiece(2.0, 0.0)])
+    inst = with_envelope(make_instance("flat", n=4, cap=10.0, budget=10.0, reg_weight=7.0),
+                         [2.0], [0.0])
     x = inst.anchor.copy()
     g = stochastic_subgradient(inst, x, rng_from_seed(0))
     assert np.array_equal(g, np.zeros(4))
@@ -415,16 +414,16 @@ def test_reference_rejects_bad_tol(tol):
 
 
 def test_reference_pure_quadratic():
-    inst = make_instance("quad", n=6, cap=10.0, budget=10.0, reg_weight=100.0,
-                         pieces=[AffinePiece(0.0, 0.0)])
+    inst = with_envelope(make_instance("quad", n=6, cap=10.0, budget=10.0, reg_weight=100.0),
+                         [0.0], [0.0])
     x_ref, f_ref = reference_solution(inst, 1e-8)
     assert np.max(np.abs(x_ref - inst.anchor)) < 1e-8
     assert abs(f_ref) < 1e-12
 
 
 def test_reference_monotone_linear():
-    inst = make_instance("lin", n=3, cap=10.0, budget=10.0, reg_weight=0.0,
-                         pieces=[AffinePiece(0.0, 1.0)])
+    inst = with_envelope(make_instance("lin", n=3, cap=10.0, budget=10.0, reg_weight=0.0),
+                         [0.0], [1.0])
     x_ref, f_ref = reference_solution(inst, 1e-8, x_init=np.full(3, 2.0))
     assert np.max(np.abs(x_ref)) < 1e-7
     assert abs(f_ref) < 1e-6
@@ -460,8 +459,8 @@ def test_default_instances():
 
 
 def test_estimate_constants_linear():
-    inst = make_instance("lin", n=25, cap=1.0, budget=25.0, reg_weight=0.0,
-                         pieces=[AffinePiece(0.0, 1.0)])
+    inst = with_envelope(make_instance("lin", n=25, cap=1.0, budget=25.0, reg_weight=0.0),
+                         [0.0], [1.0])
     c_est, nu_est = estimate_constants(inst, 2000, rng_from_seed(8))
     a_norm = float(np.sqrt(inst.coeffs @ inst.coeffs))
     assert abs(c_est - a_norm) < 1e-9  # gradient is constant = a
@@ -469,8 +468,8 @@ def test_estimate_constants_linear():
 
 
 def test_estimate_constants_zero_envelope():
-    inst = make_instance("zero", n=5, cap=1.0, budget=5.0, reg_weight=0.0,
-                         pieces=[AffinePiece(0.0, 0.0)])
+    inst = with_envelope(make_instance("zero", n=5, cap=1.0, budget=5.0, reg_weight=0.0),
+                         [0.0], [0.0])
     c_est, nu_est = estimate_constants(inst, 1000, rng_from_seed(8))
     assert c_est == 0.0 and nu_est == 0.0
 
@@ -520,8 +519,8 @@ def test_noise_moment_against_monte_carlo():
     # draws per point, within 4 standard errors: three test1 points, and a
     # hinge max(0, t) at n = 3, where the E[Z^2] cell terms weigh ~25 errors
     test1 = default_instance("test1", reg_weight=100.0)
-    hinge = make_instance("hinge", n=3, cap=1.0, budget=3.0, reg_weight=0.0,
-                          pieces=[AffinePiece(0.0, 0.0), AffinePiece(0.0, 1.0)])
+    hinge = with_envelope(make_instance("hinge", n=3, cap=1.0, budget=3.0, reg_weight=0.0),
+                          [0.0, 0.0], [0.0, 1.0])
     rng = rng_from_seed(23)
     for inst, x in [(test1, x) for x in TEST1_POINTS] + [(hinge, np.array([1.0, 0.0, 0.0]))]:
         want = float(oracle_noise_sq(inst, x))
