@@ -5,7 +5,8 @@ Subcommands:
 * ``experiment --config PATH --out DIR [--workers N]`` run the Monte-Carlo
   experiment and write CSV + metadata sidecar files into DIR.
 * ``verify --kmax N`` machine-check the stepsize conditions.
-* ``reference --config PATH [--tol T]`` print the high-accuracy optimal value.
+* ``reference --config PATH`` print the high-accuracy optimal value, solved
+  to the config's ``reference_tol``.
 * ``bounds --config PATH`` print the theoretical bound curve as CSV.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
@@ -55,13 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -79,10 +73,7 @@ def _load_config(path: str):
 
 def _cmd_experiment(args) -> tuple[int, list[str]]:
     cfg = _load_config(args.config)
-    out_path = args.out if args.out is not None else cfg.out
-    if out_path is None:
-        raise ConfigError("no output directory: pass --out or set 'out' in the config")
-    out = Path(out_path)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for i, (a, summary) in enumerate(sweep_a(cfg, workers=args.workers)):
@@ -105,8 +96,7 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
 
 def _cmd_reference(args) -> tuple[int, list[str]]:
     cfg = _load_config(args.config)
-    tol = cfg.reference_tol if args.tol is None else args.tol
-    _, f_ref = reference_solution(build_instance(cfg), tol)
+    _, f_ref = reference_solution(build_instance(cfg), cfg.reference_tol)
     return 0, [repr(f_ref)]
 
 
@@ -129,8 +119,7 @@ def main(argv=None) -> int:
 
     p_exp = sub.add_parser("experiment", help="run a Monte-Carlo experiment")
     p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--out", default=None,
-                       help="output directory (falls back to the config's 'out')")
+    p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--workers", type=positive_int, default=None)
     p_exp.set_defaults(func=_cmd_experiment)
 
@@ -140,8 +129,6 @@ def main(argv=None) -> int:
 
     p_ref = sub.add_parser("reference", help="print the reference optimal value")
     p_ref.add_argument("--config", required=True)
-    p_ref.add_argument("--tol", type=positive_float, default=None,
-                       help="solver tolerance (falls back to the config's 'reference_tol')")
     p_ref.set_defaults(func=_cmd_reference)
 
     p_bnd = sub.add_parser("bounds", help="print the theoretical bound curve")

@@ -35,6 +35,7 @@ from .stepsizes import (
     step_condition_violations,
 )
 from .utility import (
+    INSTANCE_LABELS,
     default_instance,
     estimate_constants,
     instance_metadata,
@@ -47,7 +48,6 @@ STRONGLY_CONVEX = "strongly_convex"
 COMPACT = "compact"
 
 _SCHEDULES = {"step-1": TsengStepsize, "step-2": NesterovStepsize}
-_INSTANCE_LABELS = ("test1", "test2", "test3", "test4")
 
 # Samples used for the empirical constants behind the bound column; the
 # estimation stream is derived from base_seed so the bound is reproducible.
@@ -85,7 +85,6 @@ class ExperimentConfig:
     workers: int = 1
     compute_reference: bool = False
     reference_tol: float = 1e-6
-    out: Optional[str] = None
 
 
 def _parse_bool(raw: str) -> bool:
@@ -119,7 +118,6 @@ _KEYS = {
     "workers": ("workers", int),
     "compute_reference": ("compute_reference", _parse_bool),
     "reference_tol": ("reference_tol", float),
-    "out": ("out", str),
 }
 
 
@@ -195,8 +193,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 except ValueError as exc:  # the cap's range
                     bad.append(str(exc))
             errors += bad
-    elif cfg.instance not in _INSTANCE_LABELS:
-        errors.append(f"instance must be one of {list(_INSTANCE_LABELS)} or 'inline'")
+    elif cfg.instance not in INSTANCE_LABELS:
+        errors.append(f"instance must be one of {list(INSTANCE_LABELS)} or 'inline'")
     else:
         errors += [f"{key} applies only to instance = inline"
                    for key in ("n", "cap", "budget") if key in values]
@@ -370,15 +368,6 @@ def format_csv(summary: McSummary) -> str:
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
-def parse_csv(text: str) -> McSummary:
-    lines = text.strip().splitlines()
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-    arr = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    columns = dict(zip(CSV_COLUMNS, arr.T))
-    return McSummary(**{**columns, "k": columns["k"].astype(int)})
-
-
 def emit_csv(summary: McSummary, path) -> None:
     """Write the summary CSV and a sibling <path>.meta with config/constants."""
     path = str(path)
@@ -400,13 +389,13 @@ def verify_suite(k_max: int) -> list[tuple[str, Optional[int]]]:
     (check name, first violating k or None) per check."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    named = {"tseng": TsengStepsize(), "nesterov": NesterovStepsize()}
-    checks = [(f"{check}[{name}]", violations(sched, k_max))
+    tables = {"tseng": TsengStepsize().alphas(k_max),
+              "nesterov": NesterovStepsize().alphas(k_max)}
+    checks = [(f"{check}[{name}]", violations(al))
               for check, violations in (("step_condition", step_condition_violations),
                                         ("alpha_sq_sum", alpha_sq_sum_violations))
-              for name, sched in named.items()]
+              for name, al in tables.items()]
     checks += [(f"sqrt_sum_growth[a={a:g}]", sqrt_sum_growth_violations(a, k_max))
                for a in (0.1, 1.0, 10.0)]
-    checks += [(f"alpha_cap[{name}]", alpha_cap_violations(sched, k_max))
-               for name, sched in named.items()]
+    checks += [(f"alpha_cap[{name}]", alpha_cap_violations(al)) for name, al in tables.items()]
     return [(name, int(bad[0]) if bad.size else None) for name, bad in checks]

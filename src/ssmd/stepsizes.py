@@ -9,7 +9,8 @@ Three schedules:
 The first two satisfy the recursive step condition
 ``alpha in (0, 1], alpha_0 = 1, (1 - alpha_{k+1})/alpha_{k+1}^2 <= 1/alpha_k^2``;
 the *_violations functions check this and the derived cumulative-weight
-bounds numerically, returning the indices where they fail.
+bounds numerically on a table of alpha_0..alpha_K (a schedule's ``alphas``),
+returning the indices where they fail.
 """
 
 from __future__ import annotations
@@ -83,12 +84,7 @@ def kahan_cumsum(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reject_inverse_sqrt(schedule):
-    if isinstance(schedule, InverseSqrtStepsize):
-        raise ValueError("the recursive step condition is not claimed for a/sqrt(k+1)")
-
-
-def step_condition_violations(schedule, k_max: int) -> np.ndarray:
+def step_condition_violations(al: np.ndarray) -> np.ndarray:
     """Indices k where the recursive step condition fails (slack 1e-12).
 
     The inequality (1 - a_{k+1})/a_{k+1}^2 <= 1/a_k^2 is checked in the
@@ -96,8 +92,6 @@ def step_condition_violations(schedule, k_max: int) -> np.ndarray:
     O(1) so the absolute slack is meaningful even when alpha is tiny.  Each
     test is written to hold, so a nan alpha fails it.
     """
-    _reject_inverse_sqrt(schedule)
-    al = schedule.alphas(k_max)
     bad = ~((0.0 < al) & (al <= 1.0 + ABS_SLACK))
     bad[0] |= not abs(al[0] - 1.0) <= ABS_SLACK
     nxt, cur = al[1:], al[:-1]
@@ -105,10 +99,9 @@ def step_condition_violations(schedule, k_max: int) -> np.ndarray:
     return np.nonzero(bad)[0]
 
 
-def alpha_sq_sum_violations(schedule, k_max: int) -> np.ndarray:
+def alpha_sq_sum_violations(al: np.ndarray) -> np.ndarray:
     """Indices k where alpha_k^2 * sum_{t<=k} 1/alpha_t drops below 1, or
     alpha_k is not positive and finite."""
-    al = schedule.alphas(k_max)
     # a bad alpha is flagged here, and its nan or inf products need no warning
     with np.errstate(divide="ignore", invalid="ignore"):
         weighted = al**2 * kahan_cumsum(1.0 / al)
@@ -125,9 +118,7 @@ def sqrt_sum_growth_violations(a: float, k_max: int) -> np.ndarray:
     return np.nonzero(s < bound * (1.0 - ABS_SLACK))[0]
 
 
-def alpha_cap_violations(schedule, k_max: int) -> np.ndarray:
+def alpha_cap_violations(al: np.ndarray) -> np.ndarray:
     """Indices k where 0 < alpha_k <= 2/(k+1) + 1e-15 fails."""
-    _reject_inverse_sqrt(schedule)
-    al = schedule.alphas(k_max)
-    cap = 2.0 / (np.arange(k_max + 1) + 1.0)
+    cap = 2.0 / (np.arange(al.size) + 1.0)
     return np.nonzero(~((0.0 < al) & (al <= cap + 1e-15)))[0]

@@ -163,6 +163,7 @@ def make_instance(label: str, n: int, cap: float, budget: float, reg_weight: flo
 
 
 _TEST_BUDGETS = {"test1": 10.0, "test2": 100.0, "test3": 10.0, "test4": 100.0}
+INSTANCE_LABELS = tuple(_TEST_BUDGETS)
 
 
 def default_instance(label: str, reg_weight: float) -> UtilityInstance:

@@ -51,8 +51,8 @@ K_RUN = 1000
 
 def test_criterion_01_step_condition():
     t0 = time.perf_counter()
-    assert step_condition_violations(TsengStepsize(), 100_000).size == 0
-    assert step_condition_violations(NesterovStepsize(), 100_000).size == 0
+    assert step_condition_violations(TsengStepsize().alphas(100_000)).size == 0
+    assert step_condition_violations(NesterovStepsize().alphas(100_000)).size == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"\nPASS criterion 1: step condition holds for both schedules, "
@@ -64,8 +64,8 @@ def test_criterion_01_step_condition():
 
 def test_criterion_02_alpha_sq_weight_sum():
     t0 = time.perf_counter()
-    assert alpha_sq_sum_violations(TsengStepsize(), 100_000).size == 0
-    assert alpha_sq_sum_violations(NesterovStepsize(), 100_000).size == 0
+    assert alpha_sq_sum_violations(TsengStepsize().alphas(100_000)).size == 0
+    assert alpha_sq_sum_violations(NesterovStepsize().alphas(100_000)).size == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"\nPASS criterion 2: alpha_k^2 * sum(1/alpha) >= 1 for both "
@@ -86,8 +86,8 @@ def test_criterion_03_sqrt_sum_growth():
 
 
 def test_criterion_04_alpha_cap():
-    assert alpha_cap_violations(TsengStepsize(), 10_000).size == 0
-    assert alpha_cap_violations(NesterovStepsize(), 10_000).size == 0
+    assert alpha_cap_violations(TsengStepsize().alphas(10_000)).size == 0
+    assert alpha_cap_violations(NesterovStepsize().alphas(10_000)).size == 0
     print("\nPASS criterion 4: 0 < alpha_k <= 2/(k+1) for both schedules, "
           "k <= 1e4")
 

@@ -46,12 +46,10 @@ def test_alphas_match_alpha():
 
 
 def test_step_condition():
-    assert step_condition_violations(TsengStepsize(), 100_000).size == 0
-    assert step_condition_violations(NesterovStepsize(), 100_000).size == 0
-    assert step_condition_violations(ConstantSchedule(1.0), 1000).size == 0
-    assert step_condition_violations(ConstantSchedule(0.5), 1000).size != 0
-    with pytest.raises(ValueError):
-        step_condition_violations(InverseSqrtStepsize(1.0), 10)
+    assert step_condition_violations(TsengStepsize().alphas(100_000)).size == 0
+    assert step_condition_violations(NesterovStepsize().alphas(100_000)).size == 0
+    assert step_condition_violations(ConstantSchedule(1.0).alphas(1000)).size == 0
+    assert step_condition_violations(ConstantSchedule(0.5).alphas(1000)).size != 0
 
 
 def test_tseng_step_condition_algebra():
@@ -61,10 +59,10 @@ def test_tseng_step_condition_algebra():
 
 
 def test_alpha_sq_sum_bound():
-    assert alpha_sq_sum_violations(TsengStepsize(), 100_000).size == 0
-    assert alpha_sq_sum_violations(NesterovStepsize(), 100_000).size == 0
+    assert alpha_sq_sum_violations(TsengStepsize().alphas(100_000)).size == 0
+    assert alpha_sq_sum_violations(NesterovStepsize().alphas(100_000)).size == 0
     # k = 0 alone: alpha0^2 * (1/alpha0) = 1
-    assert alpha_sq_sum_violations(ConstantSchedule(1.0), 0).size == 0
+    assert alpha_sq_sum_violations(ConstantSchedule(1.0).alphas(0)).size == 0
 
 
 def test_sqrt_sum_growth():
@@ -78,8 +76,8 @@ def test_sqrt_sum_growth():
 
 
 def test_alpha_cap():
-    assert alpha_cap_violations(TsengStepsize(), 10_000).size == 0
-    assert alpha_cap_violations(NesterovStepsize(), 10_000).size == 0
+    assert alpha_cap_violations(TsengStepsize().alphas(10_000)).size == 0
+    assert alpha_cap_violations(NesterovStepsize().alphas(10_000)).size == 0
 
 
 def test_nesterov_two_sided_bounds():
@@ -141,4 +139,4 @@ class SpoiledTseng:
                                    alpha_cap_violations])
 def test_non_finite_alpha_is_a_violation(check, bad):
     # k = 0, 1 hold; k = 2 is out of range, and no check may warn about it
-    assert list(check(SpoiledTseng(bad), 5)[:1]) == [2]
+    assert list(check(SpoiledTseng(bad).alphas(5))[:1]) == [2]
