@@ -44,8 +44,8 @@ from .harness import (  # noqa: E402
     instance_constants,
     parse_config,
     sweep_a,
-    verify_suite,
 )
+from .stepsizes import verify_suite  # noqa: E402
 from .utility import reference_solution  # noqa: E402
 
 
@@ -66,7 +66,7 @@ def positive_int(text: str) -> int:
 def _load_config(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

@@ -24,16 +24,7 @@ from .solver import (
     run_strongly_convex,
     strongly_convex_rate_bounds,
 )
-from .stepsizes import (
-    InverseSqrtStepsize,
-    NesterovStepsize,
-    TsengStepsize,
-    alpha_cap_violations,
-    alpha_sq_sum_violations,
-    kahan_cumsum,
-    sqrt_sum_growth_violations,
-    step_condition_violations,
-)
+from .stepsizes import InverseSqrtStepsize, NesterovStepsize, TsengStepsize, kahan_cumsum
 from .utility import (
     INSTANCE_LABELS,
     default_instance,
@@ -54,7 +45,7 @@ _SCHEDULES = {"step-1": TsengStepsize, "step-2": NesterovStepsize}
 CONSTANT_SAMPLES = 2000
 _CONSTANTS_SEED_XOR = 0xA5A5A5A5A5A5A5A5
 
-# McSummary fields, in CSV column order
+# the row index k, then McSummary fields, in CSV column order
 CSV_COLUMNS = ("k", "mean_f_avg", "stderr_f_avg", "mean_f_iter", "mean_f_min", "bound")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
@@ -234,9 +225,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 @dataclass
 class McSummary:
-    """Mean/stderr aggregates over Monte-Carlo runs plus the bound curve."""
+    """Mean/stderr aggregates over Monte-Carlo runs plus the bound curve, at
+    k = 0..K."""
 
-    k: np.ndarray
     mean_f_avg: np.ndarray
     stderr_f_avg: np.ndarray
     mean_f_iter: np.ndarray
@@ -280,8 +271,9 @@ def instance_constants(cfg: ExperimentConfig) -> dict:
     if not np.isfinite(c_est * c_est + nu_est * nu_est):
         raise ConfigError("lambda must be small enough that C^2 + nu^2 is finite")
     c_tilde_sq = c_est**2 + nu_est**2
-    # the strongly convex gap bound is largest at k = 0, where it is this quotient
-    if cfg.regime == STRONGLY_CONVEX and not np.isfinite(2.0 * c_tilde_sq / cfg.reg_weight):
+    # the strongly convex gap bound is largest at k = 0
+    if cfg.regime == STRONGLY_CONVEX and \
+            not np.isfinite(strongly_convex_rate_bounds(0, c_tilde_sq, cfg.reg_weight)[0]):
         raise ConfigError("lambda must be large enough that 2 (C^2 + nu^2) / lambda is finite")
     d_sq = bregman_diameter_sq(instance.feasible_set)
     return {
@@ -297,15 +289,13 @@ def bound_curve(cfg: ExperimentConfig, a: float, constants: dict) -> np.ndarray:
     ks = np.arange(cfg.iterations + 1)
     if cfg.regime == STRONGLY_CONVEX:
         return strongly_convex_rate_bounds(ks, constants["c_tilde_sq"], cfg.reg_weight)[0]
-    d_sq, c_sq, nu_sq = constants["diameter_sq"], constants["c_est"]**2, constants["nu_est"]**2
+    d_sq, c_tilde_sq = constants["diameter_sq"], constants["c_tilde_sq"]
     if d_sq < np.inf:
-        return compact_rate_bound(ks, a, d_sq, c_sq, nu_sq)
-    # d^2 overflows where d^2/a need not: form d^2/a as (d/cap)^2 cap (cap/a),
-    # and pass it and a (C^2 + nu^2) with a = 1
-    box = build_instance(cfg).feasible_set
-    unit_d_sq = bregman_diameter_sq(CappedBox(box.n, 1.0, box.budget / box.cap))
-    return compact_rate_bound(ks, 1.0, unit_d_sq * box.cap * (box.cap / a),
-                              a * (c_sq + nu_sq), 0.0)
+        return compact_rate_bound(ks, a, d_sq, c_tilde_sq)
+    # d^2 overflows where d^2/a need not, on an inline box only: form d^2/a as
+    # (d/cap)^2 cap (cap/a), and pass it and a C~^2 with a = 1
+    unit_d_sq = bregman_diameter_sq(CappedBox(cfg.n, 1.0, cfg.budget / cfg.cap))
+    return compact_rate_bound(ks, 1.0, unit_d_sq * cfg.cap * (cfg.cap / a), a * c_tilde_sq)
 
 
 def a_values(cfg: ExperimentConfig) -> tuple:
@@ -353,18 +343,18 @@ def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]
         stderr = f_avg.std(axis=0, ddof=1) / np.sqrt(cfg.runs) if cfg.runs > 1 \
             else np.zeros(cfg.iterations + 1)
         summaries.append((a, McSummary(
-            k=np.arange(cfg.iterations + 1), mean_f_avg=f_avg.mean(axis=0),
-            stderr_f_avg=stderr, mean_f_iter=f_iter.mean(axis=0),
-            mean_f_min=f_min.mean(axis=0), bound=bound_curve(cfg, a, constants),
+            mean_f_avg=f_avg.mean(axis=0), stderr_f_avg=stderr,
+            mean_f_iter=f_iter.mean(axis=0), mean_f_min=f_min.mean(axis=0),
+            bound=bound_curve(cfg, a, constants),
             metadata={"config_hash": config_hash(cfg), "a_used": repr(a), **shared})))
     return summaries
 
 
 def format_csv(summary: McSummary) -> str:
     # repr of a Python float is the shortest decimal string that round-trips
-    k, *reals = (getattr(summary, name) for name in CSV_COLUMNS)
-    rows = (",".join([str(int(i)), *(repr(float(v)) for v in row)])
-            for i, *row in zip(k, *reals))
+    columns = (getattr(summary, name) for name in CSV_COLUMNS[1:])
+    rows = (",".join([str(k), *(repr(float(v)) for v in row)])
+            for k, row in enumerate(zip(*columns)))
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
@@ -382,20 +372,3 @@ def emit_csv(summary: McSummary, path) -> None:
     body = "\n".join(meta_lines) + "\n# config\n" + config_echo
     with open(path + ".meta", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(body)
-
-
-def verify_suite(k_max: int) -> list[tuple[str, Optional[int]]]:
-    """Machine-check the stepsize conditions and cumulative-weight bounds:
-    (check name, first violating k or None) per check."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    tables = {"tseng": TsengStepsize().alphas(k_max),
-              "nesterov": NesterovStepsize().alphas(k_max)}
-    checks = [(f"{check}[{name}]", violations(al))
-              for check, violations in (("step_condition", step_condition_violations),
-                                        ("alpha_sq_sum", alpha_sq_sum_violations))
-              for name, al in tables.items()]
-    checks += [(f"sqrt_sum_growth[a={a:g}]", sqrt_sum_growth_violations(a, k_max))
-               for a in (0.1, 1.0, 10.0)]
-    checks += [(f"alpha_cap[{name}]", alpha_cap_violations(al)) for name, al in tables.items()]
-    return [(name, int(bad[0]) if bad.size else None) for name, bad in checks]

@@ -14,12 +14,12 @@ mu_w = 1, which drops out (the .meta sidecar still records mu_w = 1.0):
 
 * strongly convex, weighted average:   gap <= 2*Ct^2 / ((k+1) mu_f)
   ||xhat - x*||^2 and ||x_k - x*||^2   <= 4*Ct^2 / ((k+1) mu_f^2)
-* compact set:   gap <= 3/(2 sqrt(k+1)) * (d^2/a + a (C^2 + nu^2))
-  (noiseless variant uses a C^2/2 second term)
+* compact set:   gap <= 3/(2 sqrt(k+1)) * (d^2/a + a Ct^2)
 
 where Ct^2 = C^2 + nu^2 bounds the second moment of the stochastic
 subgradient, C the deterministic subgradient norm, nu^2 the noise variance,
-and d^2 the Bregman diameter of the set.
+and d^2 the Bregman diameter of the set.  With error-free subgradients the
+compact bound is the same formula at Ct^2 = C^2/2.
 """
 
 from __future__ import annotations
@@ -224,41 +224,22 @@ def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float):
     if not (0.0 < c_tilde_sq < np.inf and 0.0 < mu_f < np.inf):
         raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
-    # divided twice by mu_f, as mu_f**2 underflows to 0 for a tiny mu_f
+    # divided twice by mu_f, as mu_f**2 underflows to 0 for a tiny mu_f; a
+    # bound past the float range is inf
     with np.errstate(over="ignore"):
-        dist = 4.0 / (k + 1.0) * c_tilde_sq / mu_f / mu_f
-    return 2.0 / (k + 1.0) * c_tilde_sq / mu_f, dist
+        return 2.0 / (k + 1.0) * c_tilde_sq / mu_f, 4.0 / (k + 1.0) * c_tilde_sq / mu_f / mu_f
 
 
-def compact_rate_bound(k, a: float, diameter_sq: float, grad_bound_sq: float,
-                       noise_var: float):
+def compact_rate_bound(k, a: float, diameter_sq: float, c_tilde_sq: float):
     """Gap bound for the compact engine at iteration k."""
     if not 0.0 < a < np.inf:
         raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
-    return 1.5 / np.sqrt(k + 1.0) * (diameter_sq / a + a * (grad_bound_sq + noise_var))
+    return 1.5 / np.sqrt(k + 1.0) * (diameter_sq / a + a * c_tilde_sq)
 
 
-def noiseless_compact_rate_bound(k, a: float, diameter_sq: float, grad_bound_sq: float):
-    """Gap bound for the compact engine with error-free subgradients."""
-    if not 0.0 < a < np.inf:
-        raise ValueError("parameters must be positive and finite")
-    k = np.asarray(k, dtype=float)
-    return 1.5 / np.sqrt(k + 1.0) * (diameter_sq / a + a * grad_bound_sq / 2.0)
-
-
-def optimal_stepsize_scale(diameter: float, grad_bound_sq: float, noise_var: float,
-                           noiseless: bool = False) -> float:
-    """The scale a minimizing the compact-engine gap bound.
-
-    With ``noiseless=True`` the minimized expression is the error-free bound
-    (second term C^2/2), which requires noise_var = 0 and gives
-    a* = d*sqrt(2)/C; otherwise a* = d / sqrt(C^2 + nu^2).
-    """
+def optimal_stepsize_scale(diameter: float, c_tilde_sq: float) -> float:
+    """The scale a* = d / sqrt(Ct^2) minimizing the compact-engine gap bound."""
     if not 0.0 < diameter < np.inf:
         raise ValueError("parameters must be positive and finite")
-    if noiseless:
-        if noise_var != 0.0:
-            raise ValueError("the noiseless optimum requires noise_var = 0")
-        return diameter * np.sqrt(2.0) / np.sqrt(grad_bound_sq)
-    return diameter / np.sqrt(grad_bound_sq + noise_var)
+    return diameter / np.sqrt(c_tilde_sq)

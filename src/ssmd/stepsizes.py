@@ -10,12 +10,13 @@ The first two satisfy the recursive step condition
 ``alpha in (0, 1], alpha_0 = 1, (1 - alpha_{k+1})/alpha_{k+1}^2 <= 1/alpha_k^2``;
 the *_violations functions check this and the derived cumulative-weight
 bounds numerically on a table of alpha_0..alpha_K (a schedule's ``alphas``),
-returning the indices where they fail.
+returning the indices where they fail, and ``verify_suite`` runs them all.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -108,17 +109,36 @@ def alpha_sq_sum_violations(al: np.ndarray) -> np.ndarray:
     return np.nonzero(~((0.0 < al) & (al < np.inf) & (weighted >= 1.0 - ABS_SLACK)))[0]
 
 
-def sqrt_sum_growth_violations(a: float, k_max: int) -> np.ndarray:
-    """Indices k where sum_{t<=k} 1/alpha_t < (2/(3a))*(k+1)^1.5 for the
-    a/sqrt(k+1) schedule (relative slack 1e-12)."""
-    if not 0.0 < a < np.inf:
-        raise ValueError("a must be positive and finite")
-    s = kahan_cumsum(1.0 / InverseSqrtStepsize(a).alphas(k_max))
-    bound = (2.0 / (3.0 * a)) * (np.arange(k_max + 1) + 1.0) ** 1.5
-    return np.nonzero(s < bound * (1.0 - ABS_SLACK))[0]
+def sqrt_sum_growth_violations(al: np.ndarray) -> np.ndarray:
+    """Indices k where sum_{t<=k} 1/alpha_t >= (2/(3a))*(k+1)^1.5 (relative
+    slack 1e-12) fails for a table of the a/sqrt(k+1) schedule, a = alpha_0,
+    or alpha_k is not positive and finite."""
+    # a bad alpha is flagged here, and its nan or inf terms need no warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (2.0 / (3.0 * al[0])) * (np.arange(al.size) + 1.0) ** 1.5
+        grown = kahan_cumsum(1.0 / al) >= bound * (1.0 - ABS_SLACK)
+    return np.nonzero(~((0.0 < al) & (al < np.inf) & grown))[0]
 
 
 def alpha_cap_violations(al: np.ndarray) -> np.ndarray:
     """Indices k where 0 < alpha_k <= 2/(k+1) + 1e-15 fails."""
     cap = 2.0 / (np.arange(al.size) + 1.0)
     return np.nonzero(~((0.0 < al) & (al <= cap + 1e-15)))[0]
+
+
+def verify_suite(k_max: int) -> list[tuple[str, Optional[int]]]:
+    """Machine-check the stepsize conditions and cumulative-weight bounds:
+    (check name, first violating k or None) per check."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    tables = {"tseng": TsengStepsize().alphas(k_max),
+              "nesterov": NesterovStepsize().alphas(k_max)}
+    checks = [(f"{check}[{name}]", violations(al))
+              for check, violations in (("step_condition", step_condition_violations),
+                                        ("alpha_sq_sum", alpha_sq_sum_violations))
+              for name, al in tables.items()]
+    checks += [(f"sqrt_sum_growth[a={a:g}]",
+                sqrt_sum_growth_violations(InverseSqrtStepsize(a).alphas(k_max)))
+               for a in (0.1, 1.0, 10.0)]
+    checks += [(f"alpha_cap[{name}]", alpha_cap_violations(al)) for name, al in tables.items()]
+    return [(name, int(bad[0]) if bad.size else None) for name, bad in checks]

@@ -179,6 +179,15 @@ def test_bom_and_crlf_config_reads_as_the_plain_file(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # a Latin-1 e-acute in a comment is byte 0xe9, which UTF-8 cannot decode
+    cfg = tmp_path / "latin1.txt"
+    cfg.write_bytes("# résumé\n".encode("latin-1") + SMALL.encode())
+    assert main(["bounds", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ssmd: config error: cannot read config {cfg}: 'utf-8' codec")
+
+
 def test_bounds_with_budget_over_cap_overflowing_exits_0(tmp_path, capsys):
     # budget / cap = 1e310 overflows to inf; the budget never binds, and the
     # diameter is the box's, n cap^2 / 2
@@ -396,6 +405,18 @@ PINNED = {
         "experiment.csv": "449161c8ac97a4487fa941676c41b9c203f842d16f8e262964ac1f8efb2c0a85",
         "experiment.csv.meta": "09e268c720762d1f06c5cce1ce5c95548ab35f8d2afc7fcb5ff631d24dc67018",
         "bounds": "7d8d4a27370f1bd0201dc43da100e22694089c3773176aad33710e1de8949c92",
+    },
+    # d^2 overflows, d^2/a does not at a = 1e300; one run, as the stderr of
+    # several f values near 1e297 overflows
+    "regime = compact\ninstance = inline\nn = 50\ncap = 1e300\nbudget = 1e300\n"
+    "a = 1e300, 1\niterations = 3\nruns = 1\n": {
+        "experiment_a0.csv": "ddda2da1ecd05f054382a9e7b9115bed2e7fa860aaefed21025009fcfacc3019",
+        "experiment_a0.csv.meta":
+            "efbbf2cab84bc62d4ee77ea1e91db8d2c47fac7d3589ad4d9e7e9c4a2a9345c9",
+        "experiment_a1.csv": "927a55f70fa47e1e54e8a0c99402d86a67e6ae60ca1a70df3af01e4547dc4ef8",
+        "experiment_a1.csv.meta":
+            "8afbda9f6d6ba3142a12afaa56badf0acb7c72a9a1a33620d0bca39f7cb099ea",
+        "bounds": "eb2b1e1e9849ffe156dd6bf1a90cde7d1da20417e20f360f9555590a5b465490",
     },
 }
 # math.erfc, from the platform libm, where the digests were recorded

@@ -15,9 +15,9 @@ from ssmd.harness import (
     format_csv,
     parse_config,
     sweep_a,
-    verify_suite,
 )
 from ssmd.solver import run_compact
+from ssmd.stepsizes import verify_suite
 from ssmd.utility import make_problem, reference_solution
 from ssmd.harness import _mc_run as mc_run, build_instance
 
@@ -248,7 +248,6 @@ def test_csv_roundtrip_with_nan_rows():
     from ssmd.harness import McSummary
 
     summary = McSummary(
-        k=np.arange(3),
         mean_f_avg=np.array([1.5, np.nan, 0.25]),
         stderr_f_avg=np.array([0.0, np.nan, 0.01]),
         mean_f_iter=np.array([2.0, np.nan, 0.5]),

@@ -11,7 +11,6 @@ from ssmd.solver import (
     BLOCK_FLOATS,
     ProblemHandle,
     compact_rate_bound,
-    noiseless_compact_rate_bound,
     optimal_stepsize_scale,
     prox_step,
     run_compact,
@@ -121,10 +120,10 @@ def test_strongly_convex_preconditions():
 
 
 def test_compact_noiseless_under_bound():
-    # f(x) = |x - 0.25| on [0, 1]: d_w^2 = 0.5, C = 1
+    # f(x) = |x - 0.25| on [0, 1]: d_w^2 = 0.5, C = 1, and Ct^2 = C^2/2 error-free
     problem = l1_problem([0.25], UNIT_INTERVAL, [0.0])
     trace = run_compact(problem, 1.0, 1000, rng_from_seed(0))
-    bound = noiseless_compact_rate_bound(np.arange(1001), 1.0, 0.5, 1.0)
+    bound = compact_rate_bound(np.arange(1001), 1.0, 0.5, 1.0 / 2.0)
     assert np.all(trace.f_avg <= bound + 1e-12)
 
 
@@ -143,7 +142,7 @@ def test_compact_noisy_mean_under_bound():
     gaps = np.vstack(gaps)
     mean = gaps.mean(axis=0)
     stderr = gaps.std(axis=0, ddof=1) / np.sqrt(gaps.shape[0])
-    bound = compact_rate_bound(np.arange(501), 1.0, 0.5, 1.0, 1.0 / 3.0)
+    bound = compact_rate_bound(np.arange(501), 1.0, 0.5, 1.0 + 1.0 / 3.0)
     assert np.all(mean <= bound + 2.0 * stderr)
 
 
@@ -464,31 +463,27 @@ def test_rate_bound_values():
     gap, dist = strongly_convex_rate_bounds(99, 4900.0, 100.0)
     assert abs(gap - 0.98) < 1e-15
     assert abs(dist - 0.0196) < 1e-17
-    assert compact_rate_bound(0, 1.0, 1.0, 1.0, 0.0) == 3.0
+    assert compact_rate_bound(0, 1.0, 1.0, 1.0) == 3.0
 
 
 def test_optimal_scale_values():
-    assert optimal_stepsize_scale(1.0, 1.0, 0.0) == 1.0
-    assert abs(optimal_stepsize_scale(10.0, 3.0, 1.0) - 5.0) < 1e-15
-    assert abs(optimal_stepsize_scale(1.0, 1.0, 0.0, noiseless=True) - np.sqrt(2.0)) < 1e-15
-    with pytest.raises(ValueError):
-        optimal_stepsize_scale(1.0, 1.0, 0.5, noiseless=True)
+    assert optimal_stepsize_scale(1.0, 1.0) == 1.0
+    assert abs(optimal_stepsize_scale(10.0, 3.0 + 1.0) - 5.0) < 1e-15
+    # error-free, at Ct^2 = C^2/2: a* = d sqrt(2)/C
+    assert abs(optimal_stepsize_scale(1.0, 1.0 / 2.0) - np.sqrt(2.0)) < 1e-15
 
 
 def test_optimal_scale_is_argmin():
     d_sq, c_sq, nu_sq = 2.7, 1.9, 0.4
-    a_star = optimal_stepsize_scale(np.sqrt(d_sq), c_sq, nu_sq)
-    at_star = compact_rate_bound(10, a_star, d_sq, c_sq, nu_sq)
-    for a in np.linspace(0.05, 8.0, 400):
-        assert at_star <= compact_rate_bound(10, a, d_sq, c_sq, nu_sq) + 1e-12
-    # closed form of the minimum: 3 d sqrt(C^2 + nu^2) / sqrt(k+1)
-    want = 3.0 * np.sqrt(d_sq) * np.sqrt(c_sq + nu_sq) / np.sqrt(11.0)
-    assert abs(at_star - want) < 1e-12
-    # noiseless convention
-    a_star2 = optimal_stepsize_scale(np.sqrt(d_sq), c_sq, 0.0, noiseless=True)
-    at_star2 = noiseless_compact_rate_bound(10, a_star2, d_sq, c_sq)
-    for a in np.linspace(0.05, 8.0, 400):
-        assert at_star2 <= noiseless_compact_rate_bound(10, a, d_sq, c_sq) + 1e-12
+    # noisy, and error-free at Ct^2 = C^2/2
+    for c_tilde_sq in (c_sq + nu_sq, c_sq / 2.0):
+        a_star = optimal_stepsize_scale(np.sqrt(d_sq), c_tilde_sq)
+        at_star = compact_rate_bound(10, a_star, d_sq, c_tilde_sq)
+        for a in np.linspace(0.05, 8.0, 400):
+            assert at_star <= compact_rate_bound(10, a, d_sq, c_tilde_sq) + 1e-12
+        # closed form of the minimum: 3 d sqrt(Ct^2) / sqrt(k+1)
+        want = 3.0 * np.sqrt(d_sq) * np.sqrt(c_tilde_sq) / np.sqrt(11.0)
+        assert abs(at_star - want) < 1e-12
 
 
 def assert_same_trace(got, want):
@@ -565,9 +560,8 @@ def test_non_finite_parameters_are_rejected(bad):
     calls = [
         lambda: strongly_convex_rate_bounds(3, bad, 1.0),
         lambda: strongly_convex_rate_bounds(3, 1.0, bad),
-        lambda: compact_rate_bound(3, bad, 1.0, 1.0, 0.0),
-        lambda: noiseless_compact_rate_bound(3, bad, 1.0, 1.0),
-        lambda: optimal_stepsize_scale(bad, 1.0, 0.0),
+        lambda: compact_rate_bound(3, bad, 1.0, 1.0),
+        lambda: optimal_stepsize_scale(bad, 1.0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="positive and finite"):

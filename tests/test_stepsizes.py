@@ -66,13 +66,17 @@ def test_alpha_sq_sum_bound():
 
 
 def test_sqrt_sum_growth():
-    assert sqrt_sum_growth_violations(1.0, 100_000).size == 0
-    assert sqrt_sum_growth_violations(7.5, 1000).size == 0
-    assert sqrt_sum_growth_violations(0.1, 1000).size == 0
+    assert sqrt_sum_growth_violations(InverseSqrtStepsize(1.0).alphas(100_000)).size == 0
+    assert sqrt_sum_growth_violations(InverseSqrtStepsize(7.5).alphas(1000)).size == 0
+    assert sqrt_sum_growth_violations(InverseSqrtStepsize(0.1).alphas(1000)).size == 0
     # k = 0: 1/alpha_0 = 1/a >= 2/(3a)
-    assert sqrt_sum_growth_violations(1.0, 1).size == 0
-    with pytest.raises(ValueError):
-        sqrt_sum_growth_violations(-1.0, 10)
+    assert sqrt_sum_growth_violations(InverseSqrtStepsize(1.0).alphas(1)).size == 0
+    # with a = alpha_0 = 1, steps ten times a/sqrt(k+1) from k = 1 on grow the sum
+    # too slowly
+    al = InverseSqrtStepsize(1.0).alphas(10)
+    al[1:] *= 10.0
+    assert list(sqrt_sum_growth_violations(al)[:1]) == [1]
+    assert sqrt_sum_growth_violations(-InverseSqrtStepsize(1.0).alphas(10)).size == 11
 
 
 def test_alpha_cap():
@@ -118,8 +122,8 @@ def test_kahan_cumsum_on_columns(rng):
 def test_non_finite_scale_is_rejected(bad):
     with pytest.raises(ValueError, match="positive and finite"):
         InverseSqrtStepsize(bad)
-    with pytest.raises(ValueError, match="positive and finite"):
-        sqrt_sum_growth_violations(bad, 10)
+    # a table with a non-finite a = alpha_0 fails at every k, without a warning
+    assert sqrt_sum_growth_violations(np.full(11, bad)).size == 11
 
 
 class SpoiledTseng:
@@ -136,7 +140,7 @@ class SpoiledTseng:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("check", [step_condition_violations, alpha_sq_sum_violations,
-                                   alpha_cap_violations])
+                                   sqrt_sum_growth_violations, alpha_cap_violations])
 def test_non_finite_alpha_is_a_violation(check, bad):
     # k = 0, 1 hold; k = 2 is out of range, and no check may warn about it
     assert list(check(SpoiledTseng(bad).alphas(5))[:1]) == [2]
