@@ -41,12 +41,6 @@ def norm_pdf(x):
         return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def norm_cdf(x):
-    """Standard normal CDF via erfc; absolute error below 1e-15."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * erfc(-x / _SQRT2)
-
-
 def norm_cells(z):
     """Mass P(z_{j-1} < Z <= z_j) and pdf(z_{j-1}) - pdf(z_j) of the cells cut
     by sorted points z (last axis), outer ends -inf and +inf.  erfc and the pdf

@@ -340,8 +340,11 @@ def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]
         # runs stacked in seed order, so the means fold in run order
         f_avg, f_iter, f_min = (np.vstack(col) for col in
                                 zip(*results[i * cfg.runs:(i + 1) * cfg.runs]))
-        stderr = f_avg.std(axis=0, ddof=1) / np.sqrt(cfg.runs) if cfg.runs > 1 \
-            else np.zeros(cfg.iterations + 1)
+        # the deviations are squared at the scale of max |f| (a power of two, so
+        # exact), where a huge but finite f does not overflow
+        e = np.frexp(np.abs(f_avg).max())[1]
+        stderr = np.ldexp(np.ldexp(f_avg, -e).std(axis=0, ddof=1), e) / np.sqrt(cfg.runs) \
+            if cfg.runs > 1 else np.zeros(cfg.iterations + 1)
         summaries.append((a, McSummary(
             mean_f_avg=f_avg.mean(axis=0), stderr_f_avg=stderr,
             mean_f_iter=f_iter.mean(axis=0), mean_f_min=f_min.mean(axis=0),

@@ -98,17 +98,27 @@ class CappedBox:
         # nudge a row's tau up by doubling ulps if roundoff left its sum a hair
         # over budget, so the result is exactly feasible and projection is
         # idempotent; a row once within budget stays so, hence one step for all
-        step = np.spacing(cap)
+        # and a pass re-clips only the rows still over budget: s and tau shrink
+        # to them, and p[at] holds them (at = None while they are all of p)
+        step, at = np.spacing(cap), None
         for _ in range(64):
-            p = np.subtract(s, tau[:, None])
-            p.clip(0.0, cap, out=p)
-            high = p.sum(axis=-1) > self.budget
-            if not np.count_nonzero(high):
+            part = np.subtract(s, tau[:, None])
+            part.clip(0.0, cap, out=part)
+            if at is None:
+                p = part
+            else:
+                p[at] = part
+            high = part.sum(axis=-1) > self.budget
+            count = np.count_nonzero(high)
+            if not count:
                 if every:
                     return p.reshape(y.shape)
                 y[over] = p
                 return y
-            tau[high] += step
+            if count < len(high):
+                at = np.flatnonzero(high) if at is None else at[high]
+                s, tau = s[high], tau[high]
+            tau += step
             step *= 2.0
         raise ArithmeticError("capped-box projection stayed over budget")
 

@@ -33,7 +33,8 @@ from .gaussian import rng_from_seed
 from .stepsizes import InverseSqrtStepsize, kahan_cumsum
 
 # Feasibility tolerance (l-inf on constraint violations) of start points,
-# prox base points and the engine's iterates.
+# prox base points, the engine's iterates and the one-sample oracle's point:
+# the library's one feasibility tolerance.
 FEAS_TOL = 1e-9
 
 

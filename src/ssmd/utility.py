@@ -19,6 +19,7 @@ xi vector per iteration and returns phi'(t) (a + xi) + reg_weight (x - anchor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import frexp
 from typing import Optional
 
@@ -26,13 +27,12 @@ import numpy as np
 
 from .gaussian import norm_cells, norm_pdf, rng_from_seed, standard_normals
 from .sets import CappedBox
-from .solver import ProblemHandle
+from .solver import FEAS_TOL, ProblemHandle
 
 # Seed for the one-time draw of the linear coefficients a (kept in the
 # serialized metadata so runs are reproducible).
 COEFF_SEED = 54321
 
-F_FEAS_TOL = 1e-8
 REFERENCE_ITERATIONS = 20_000  # the reference solver's iteration cap
 
 
@@ -75,13 +75,6 @@ def phi(envelope: Envelope, t):
     t = np.asarray(t, dtype=float)
     j = _active_piece(envelope, t)
     out = envelope.intercepts[j] + envelope.slopes[j] * t
-    return float(out) if out.ndim == 0 else out
-
-
-def phi_slope(envelope: Envelope, t):
-    """Slope of a maximizing piece (a valid subgradient of phi)."""
-    t = np.asarray(t, dtype=float)
-    out = envelope.slopes[_active_piece(envelope, t)]
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,13 +192,11 @@ def _regulariser(instance: UtilityInstance, x: np.ndarray):
     return 0.5 * instance.reg_weight * np.sum((x - instance.anchor) ** 2, axis=-1)
 
 
-def f_value(instance: UtilityInstance, x, check_feasible: bool = True):
+def f_value(instance: UtilityInstance, x):
     """Exact objective value via the closed-form Gaussian integral, for one
-    point (n,) or per row of a stack (..., n), each row as if alone."""
+    point (n,) or per row of a stack (..., n), each row as if alone.  The
+    closed form holds on all of R^n, so x need not be feasible."""
     x = np.asarray(x, dtype=float)
-    if check_feasible and not instance.feasible_set.contains(x.reshape(-1, instance.n),
-                                                             F_FEAS_TOL):
-        raise ValueError("x is infeasible")
     mu, sigma = _moments(instance, x)
     out = expected_phi_gaussian(instance.envelope, mu, sigma) + _regulariser(instance, x)
     return float(out) if out.ndim == 0 else out
@@ -276,7 +267,7 @@ def stochastic_subgradient(instance: UtilityInstance, x,
                            rng: np.random.Generator) -> np.ndarray:
     """One-sample stochastic subgradient: phi'((a+xi)'x) (a+xi) + reg term."""
     x = np.asarray(x, dtype=float)
-    if not instance.feasible_set.contains(x, F_FEAS_TOL):
+    if not instance.feasible_set.contains(x, FEAS_TOL):
         raise ValueError("x is infeasible")
     return _subgradient(instance, x, instance.coeffs + standard_normals(rng, instance.n))
 
@@ -295,12 +286,8 @@ def reference_solution(instance: UtilityInstance, tol: float,
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     proj = instance.feasible_set.project
-
-    def f(v):
-        return f_value(instance, v, check_feasible=False)
-
     x = proj(np.asarray(instance.x0 if x_init is None else x_init, dtype=float))
-    fx = f(x)
+    fx = f_value(instance, x)
     step = 1.0
     last_move = np.inf
     for _ in range(REFERENCE_ITERATIONS):
@@ -316,7 +303,7 @@ def reference_solution(instance: UtilityInstance, tol: float,
         # iteration contracts instead of ping-ponging across the minimizer
         while True:
             x_new = proj(x - step * g)
-            f_new = f(x_new)
+            f_new = f_value(instance, x_new)
             if f_new <= fx + 0.25 * float(g @ (x_new - x)) + slack:
                 break
             step *= 0.5
@@ -370,9 +357,6 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
     def oracle(x, xi):
         return _subgradient(instance, x, instance.coeffs + xi)
 
-    def f_exact(x):
-        return f_value(instance, x, check_feasible=False)
-
     env = instance.envelope
     edges = np.concatenate([[-np.inf], env.breakpoints, [np.inf]])
 
@@ -399,7 +383,7 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
         x0=instance.x0,
         noise=noise,
         mu_f=instance.reg_weight,
-        f_exact=f_exact if analytic_f else None,
+        f_exact=partial(f_value, instance) if analytic_f else None,
         f_sampler=None if analytic_f else f_sampler,
         f_eval_samples=f_eval_samples,
     )

@@ -142,6 +142,14 @@ def fd_grad(f, x: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
+def phi_slope(envelope, t):
+    """Slope of a maximizing piece of phi, ties to the larger slope (a valid
+    subgradient of phi): the reference slope the oracle tests compare against."""
+    t = np.asarray(t, dtype=float)
+    out = envelope.slopes[np.searchsorted(envelope.breakpoints, t, side="right")]
+    return float(out) if out.ndim == 0 else out
+
+
 def norm_cdf_interval(lo, hi):
     """P(lo < Z <= hi) for standard normal Z, as one erfc difference;
     -inf/+inf endpoints allowed, broadcasting as numpy does."""

@@ -406,8 +406,7 @@ PINNED = {
         "experiment.csv.meta": "09e268c720762d1f06c5cce1ce5c95548ab35f8d2afc7fcb5ff631d24dc67018",
         "bounds": "7d8d4a27370f1bd0201dc43da100e22694089c3773176aad33710e1de8949c92",
     },
-    # d^2 overflows, d^2/a does not at a = 1e300; one run, as the stderr of
-    # several f values near 1e297 overflows
+    # d^2 overflows, d^2/a does not at a = 1e300
     "regime = compact\ninstance = inline\nn = 50\ncap = 1e300\nbudget = 1e300\n"
     "a = 1e300, 1\niterations = 3\nruns = 1\n": {
         "experiment_a0.csv": "ddda2da1ecd05f054382a9e7b9115bed2e7fa860aaefed21025009fcfacc3019",

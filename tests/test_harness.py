@@ -172,6 +172,17 @@ def test_strongly_convex_sweep_has_one_summary():
     assert a == 1.0 and summary.metadata["a_used"] == "1.0"
 
 
+def test_stderr_is_finite_where_f_is_huge_but_finite():
+    # f(x_hat) near 5e297, whose squared deviations overflow: the stderr of two
+    # runs is |f_1 - f_2| / 2, finite, with no overflow warning
+    cfg = parse_config("regime = compact\ninstance = inline\nn = 50\ncap = 1e300\n"
+                       "budget = 1e300\na = 1e300, 1\niterations = 3\nruns = 2\n")
+    summary = sweep_a(cfg)[0][1]
+    (f1, _, _), (f2, _, _) = mc_run((cfg, [(1e300, cfg.base_seed), (1e300, cfg.base_seed + 1)]))
+    assert np.max(np.abs(f1)) > 1e297 and np.isfinite(summary.stderr_f_avg).all()
+    assert summary.stderr_f_avg == pytest.approx(np.abs(f1 - f2) / 2.0, rel=1e-14)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

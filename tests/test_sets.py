@@ -399,6 +399,42 @@ def test_partial_sort_project_equals_full_sort_and_rows(rng, monkeypatch):
     assert {("fallback", True), ("q >= 64", True), ("slack", True)} <= seen
 
 
+def nudge_passes(box, s, tau):
+    """Per row, the ulp-doubling steps up from tau until clip(s - tau, 0, cap)
+    sums to at most the budget: the passes of project's nudge loop."""
+    passes = []
+    for row, t in zip(s, tau.tolist()):
+        k, step = 0, np.spacing(box.cap)
+        while np.clip(row - t, 0.0, box.cap).sum() > box.budget:
+            k, t, step = k + 1, t + step, 2.0 * step
+        passes.append(k)
+    return passes
+
+
+def test_nudge_reclips_rows_as_if_alone(rng, monkeypatch):
+    # the rows of an n = 1000 stack leave the search with their first clip
+    # within budget or a hair over it; the nudge passes re-clip only the rows
+    # still over budget, and each row equals the row projected alone, bit for bit
+    box, calls, search = CappedBox(1000, 1.0, 1.0), [], CappedBox._tau
+
+    def spy(box, s, xs, t0):
+        tau = search(box, s, xs, t0)
+        calls.append((s, tau.copy()))
+        return tau
+
+    monkeypatch.setattr(CappedBox, "_tau", spy)
+    stack = np.where(rng.random((32, 1000)) < 0.6, rng.uniform(0.0, 0.01, (32, 1000)),
+                     -rng.random((32, 1000)))
+    stack[::8] = rng.uniform(0.0, 1e-3, (4, 1000))  # slack rows
+    got = box.project(stack)
+    s, tau = calls[-1]  # the outer search, over every binding row
+    passes = nudge_passes(box, s, tau)
+    assert len(passes) == 28 and {0, 1} <= set(passes)
+    for row, p in zip(stack, got):
+        assert p.tobytes() == box.project(row).tobytes()
+    assert box.contains(got, 0.0)
+
+
 def test_stacked_project_rejects_non_finite():
     box = CappedBox(3, 1.0, 1.0)
     stack = np.zeros((4, 3))

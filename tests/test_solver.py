@@ -315,8 +315,8 @@ def test_blocked_f_equals_pointwise_f_value(n, num_iterations):
     problem = make_problem(inst)
     trace = run_compact(problem, 1.0, num_iterations, rng_from_seed(0))
     xs, x_hats = replay_iterates(problem, 1.0, num_iterations)
-    assert np.array_equal(trace.f_iter, [f_value(inst, x, False) for x in xs])
-    assert np.array_equal(trace.f_avg, [f_value(inst, x, False) for x in x_hats])
+    assert np.array_equal(trace.f_iter, [f_value(inst, x) for x in xs])
+    assert np.array_equal(trace.f_avg, [f_value(inst, x) for x in x_hats])
     assert np.array_equal(trace.f_min, np.minimum.accumulate(trace.f_iter))
 
 
@@ -377,7 +377,7 @@ def test_stacked_averages_equal_per_row_replay(regime):
         state, f_avg = AverageState.empty(), []
         for k in range(num_iterations + 1):
             state = state.absorb(stacks[k][i], schedule.alpha(k))
-            f_avg.append(f_value(inst, state.x_hat, False))
+            f_avg.append(f_value(inst, state.x_hat))
         assert np.array_equal(trace.f_avg, f_avg), i
         assert np.array_equal(trace.x_hat_final, state.x_hat), i
 
@@ -425,8 +425,8 @@ def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, runs, n
     for k in range(num_iterations + 1):
         alpha = float(InverseSqrtStepsize(a).alpha(k))
         state = state.absorb(x, alpha)
-        f_iter.append(f_value(inst, x, False))
-        f_avg.append(f_value(inst, state.x_hat, False))
+        f_iter.append(f_value(inst, x))
+        f_avg.append(f_value(inst, state.x_hat))
         if k < num_iterations:
             g = _subgradient(inst, x, inst.coeffs + standard_normals(rng, inst.n))
             x = prox_step(inst.feasible_set, x, g, alpha)

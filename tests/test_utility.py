@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 from conftest import (STACK_FLOATS, fd_grad, mc_estimate_f, mc_estimate_f_dense,
-                      norm_cdf_interval, piecewise_gaussian_quadrature)
+                      norm_cdf_interval, phi_slope, piecewise_gaussian_quadrature)
 
 from ssmd.gaussian import norm_pdf, rng_from_seed, standard_normals
+from ssmd.solver import prox_step
 from ssmd.utility import (
     Envelope,
     default_envelope,
@@ -19,7 +20,6 @@ from ssmd.utility import (
     make_instance,
     make_problem,
     phi,
-    phi_slope,
     reference_solution,
     stochastic_subgradient,
 )
@@ -206,8 +206,6 @@ def test_f_value_stack_equals_rows(rng):
     assert np.array_equal(f_value(inst, stack[:10].reshape(5, 2, 100)),
                           np.reshape(want[:10], (5, 2)))
     assert np.array_equal(grad_f(inst, stack), [grad_f(inst, x) for x in rows])
-    with pytest.raises(ValueError):
-        f_value(inst, np.vstack([stack, np.full(100, 1.0)]))  # last row infeasible
 
 
 def test_f_sampler_shares_one_draw_across_rows(rng):
@@ -285,10 +283,14 @@ def test_noise_block_equals_per_iteration_draws(inst):
     assert np.array_equal(block, [standard_normals(r, inst.n) for _ in range(rows)])
 
 
-def test_f_value_feasibility_check():
+def test_f_value_evaluates_points_outside_the_set():
+    # the closed form holds on all of R^n: at x = 1 (sum 100 > budget 10),
+    # a'x ~ N(sum a, 100), and f is E[phi] there plus the regulariser
     inst = default_instance("test1", reg_weight=100.0)
-    with pytest.raises(ValueError):
-        f_value(inst, np.full(100, 1.0))  # sum = 100 > budget = 10
+    x = np.full(100, 1.0)
+    want = expected_phi_gaussian(inst.envelope, float(np.sum(inst.coeffs)), 10.0) \
+        + 50.0 * float(np.sum((x - inst.anchor) ** 2))
+    assert f_value(inst, x) == want
 
 
 def test_f_value_against_monte_carlo(rng):
@@ -343,6 +345,22 @@ def test_subgradient_vanishes_at_anchor():
     assert np.array_equal(g, np.zeros(4))
 
 
+@pytest.mark.parametrize("over, accepted", [(5e-10, True), (5e-9, False)])
+def test_subgradient_checks_feasibility_as_prox_step_does(over, accepted):
+    # one tolerance, FEAS_TOL = 1e-9, for the library's feasibility checks
+    inst = default_instance("test1", reg_weight=100.0)
+    x = np.zeros(100)
+    x[:2] = 5.0 + over / 2.0  # sum = budget + over, each below cap
+    assert x.sum() - inst.feasible_set.budget == pytest.approx(over, rel=1e-3)
+    for call in (lambda: stochastic_subgradient(inst, x, rng_from_seed(0)),
+                 lambda: prox_step(inst.feasible_set, x, np.ones(100), 1.0)):
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValueError, match="feasible"):
+                call()
+
+
 def test_subgradient_mean_matches_fd(rng):
     inst = default_instance("test1", reg_weight=100.0)
     x = inst.feasible_set.project(rng.random(100) * 0.05 + 0.01)
@@ -364,7 +382,7 @@ def test_subgradient_mean_matches_fd(rng):
         done += b
     mean /= n_draws
     se = np.sqrt(np.maximum(sq / n_draws - mean**2, 0.0) / n_draws)
-    fd = fd_grad(lambda v: f_value(inst, v, check_feasible=False), x, 1e-5)
+    fd = fd_grad(lambda v: f_value(inst, v), x, 1e-5)
     assert np.all(np.abs(mean - fd) <= 3.0 * se + 1e-4)
 
 
@@ -375,7 +393,7 @@ def test_stacked_fd_grad_equals_per_coordinate_loop(n, rng):
     x = inst.feasible_set.project(rng.random(n))
 
     def f(v):
-        return f_value(inst, v, check_feasible=False)
+        return f_value(inst, v)
 
     h, want = 1e-6, np.empty(n)
     for i in range(n):
@@ -390,7 +408,7 @@ def test_grad_matches_fd(rng):
     for _ in range(3):
         x = inst.feasible_set.project(rng.random(100) * 1.2)
         g = grad_f(inst, x)
-        fd = fd_grad(lambda v: f_value(inst, v, check_feasible=False), x, 1e-6)
+        fd = fd_grad(lambda v: f_value(inst, v), x, 1e-6)
         assert np.max(np.abs(g - fd)) < 1e-6
 
 
