@@ -17,14 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import rng_from_seed
-from .sets import CappedBox, bregman_diameter_sq
+from .sets import CappedBox, bregman_diameter_sq, range_errors
 from .solver import (
     compact_rate_bound,
     run_compact,
     run_strongly_convex,
     strongly_convex_rate_bounds,
 )
-from .stepsizes import InverseSqrtStepsize, NesterovStepsize, TsengStepsize, kahan_cumsum
+from .stepsizes import NesterovStepsize, TsengStepsize
 from .utility import (
     INSTANCE_LABELS,
     default_instance,
@@ -154,36 +154,19 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("iterations must be >= 1")
     if cfg.regime == STRONGLY_CONVEX and cfg.reg_weight <= 0.0:
         errors.append("strongly_convex requires lambda > 0")
-    elif cfg.regime == STRONGLY_CONVEX and 1.0 / cfg.reg_weight == np.inf:
-        errors.append("lambda must be large enough that the step scale 1/lambda is finite")
-    # written so that nan fails every check
-    if not 0.0 <= cfg.reg_weight < np.inf:
-        errors.append("lambda must be nonnegative and finite")
+    if cfg.reg_weight != 0.0:  # 0 is legal, nan is not
+        errors += range_errors("lambda", cfg.reg_weight)
     if cfg.schedule not in _SCHEDULES:
         errors.append(f"schedule must be one of {sorted(_SCHEDULES)}")
-    if not all(0.0 < a < np.inf for a in cfg.a_values):
-        errors.append("every a must be positive and finite")
-    elif cfg.regime == COMPACT and cfg.iterations >= 1 \
-            and (cfg.iterations + 1) ** 1.5 / min(cfg.a_values) >= 1e300:
-        # only here, as S_K <= (K+1)^1.5 / a, can the engine's Kahan sums of
-        # 1/alpha_k = sqrt(k+1)/a overflow, to inf or nan
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            sums = kahan_cumsum(1.0 / np.column_stack(
-                [InverseSqrtStepsize(a).alphas(cfg.iterations) for a in cfg.a_values]))
-        if not np.isfinite(sums[-1]).all():
-            errors.append("every a must be large enough that S_K = sum_k sqrt(k+1)/a is finite")
+    errors += range_errors("a", *cfg.a_values)
     if cfg.instance == "inline":
         if cfg.n is None or cfg.cap is None or cfg.budget is None:
             errors.append("inline instance requires n, cap and budget")
         else:
-            bad = [f"{key} must be positive and finite" for key in ("n", "cap", "budget")
-                   if not 0 < getattr(cfg, key) < np.inf]
-            if not bad:
-                try:
-                    CappedBox(cfg.n, cfg.cap, cfg.budget)
-                except ValueError as exc:  # the cap's range
-                    bad.append(str(exc))
-            errors += bad
+            try:
+                CappedBox(cfg.n, cfg.cap, cfg.budget)
+            except ValueError as exc:  # n, or the range of cap and budget
+                errors.append(str(exc))
     elif cfg.instance not in INSTANCE_LABELS:
         errors.append(f"instance must be one of {list(INSTANCE_LABELS)} or 'inline'")
     else:
@@ -267,20 +250,11 @@ def instance_constants(cfg: ExperimentConfig) -> dict:
     instance = build_instance(cfg)
     const_rng = rng_from_seed(cfg.base_seed ^ _CONSTANTS_SEED_XOR)
     c_est, nu_est = estimate_constants(instance, CONSTANT_SAMPLES, const_rng)
-    # c_est * c_est is inf past the float range, where c_est**2 raises OverflowError
-    if not np.isfinite(c_est * c_est + nu_est * nu_est):
-        raise ConfigError("lambda must be small enough that C^2 + nu^2 is finite")
-    c_tilde_sq = c_est**2 + nu_est**2
-    # the strongly convex gap bound is largest at k = 0
-    if cfg.regime == STRONGLY_CONVEX and \
-            not np.isfinite(strongly_convex_rate_bounds(0, c_tilde_sq, cfg.reg_weight)[0]):
-        raise ConfigError("lambda must be large enough that 2 (C^2 + nu^2) / lambda is finite")
-    d_sq = bregman_diameter_sq(instance.feasible_set)
     return {
         "c_est": c_est,
         "nu_est": nu_est,
-        "c_tilde_sq": c_tilde_sq,
-        "diameter_sq": d_sq,
+        "c_tilde_sq": c_est**2 + nu_est**2,
+        "diameter_sq": bregman_diameter_sq(instance.feasible_set),
     }
 
 
@@ -289,13 +263,7 @@ def bound_curve(cfg: ExperimentConfig, a: float, constants: dict) -> np.ndarray:
     ks = np.arange(cfg.iterations + 1)
     if cfg.regime == STRONGLY_CONVEX:
         return strongly_convex_rate_bounds(ks, constants["c_tilde_sq"], cfg.reg_weight)[0]
-    d_sq, c_tilde_sq = constants["diameter_sq"], constants["c_tilde_sq"]
-    if d_sq < np.inf:
-        return compact_rate_bound(ks, a, d_sq, c_tilde_sq)
-    # d^2 overflows where d^2/a need not, on an inline box only: form d^2/a as
-    # (d/cap)^2 cap (cap/a), and pass it and a C~^2 with a = 1
-    unit_d_sq = bregman_diameter_sq(CappedBox(cfg.n, 1.0, cfg.budget / cfg.cap))
-    return compact_rate_bound(ks, 1.0, unit_d_sq * cfg.cap * (cfg.cap / a), a * c_tilde_sq)
+    return compact_rate_bound(ks, a, constants["diameter_sq"], constants["c_tilde_sq"])
 
 
 def a_values(cfg: ExperimentConfig) -> tuple:
@@ -340,11 +308,8 @@ def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]
         # runs stacked in seed order, so the means fold in run order
         f_avg, f_iter, f_min = (np.vstack(col) for col in
                                 zip(*results[i * cfg.runs:(i + 1) * cfg.runs]))
-        # the deviations are squared at the scale of max |f| (a power of two, so
-        # exact), where a huge but finite f does not overflow
-        e = np.frexp(np.abs(f_avg).max())[1]
-        stderr = np.ldexp(np.ldexp(f_avg, -e).std(axis=0, ddof=1), e) / np.sqrt(cfg.runs) \
-            if cfg.runs > 1 else np.zeros(cfg.iterations + 1)
+        stderr = f_avg.std(axis=0, ddof=1) / np.sqrt(cfg.runs) if cfg.runs > 1 \
+            else np.zeros(cfg.iterations + 1)
         summaries.append((a, McSummary(
             mean_f_avg=f_avg.mean(axis=0), stderr_f_avg=stderr,
             mean_f_iter=f_iter.mean(axis=0), mean_f_min=f_min.mean(axis=0),

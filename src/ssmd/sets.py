@@ -9,9 +9,7 @@ values that an a-priori rounding-error bound certifies, then a scan of the kinks
 above the last value it rules out, so the projection is deterministic to
 roundoff.  A lone row is sorted in full; the rows of a stack are searched in a
 window of their largest components, taken from one partition, and a row is
-sorted in full only when the bound does not certify its window.  The final
-interpolation is scaled by a power of two, so any normal cap with 4 n cap
-finite is projected to working precision.
+sorted in full only when the bound does not certify its window.
 
 ``project`` and ``contains`` take a point (n,) or a stack (m, n): each row is
 projected exactly as if alone, and a stack is contained when every row is.
@@ -21,12 +19,29 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import frexp, inf, ldexp, nextafter
+from math import inf, nextafter
 
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
+
+# The one accepted range of cap, budget, every a and a positive lambda, checked
+# here and in harness.parse_config.  At both ends, with n and K + 1 below 2^40
+# (more than fits in memory), the extreme float expressions stay far inside the
+# normal floats [2^-1022, 2^1024): C^2, about n cap^2 lambda^2, is at most 2^280
+# (a C^2 in the compact bound 2^340), f and the strongly convex bounds
+# C^2 / lambda and C^2 / lambda^2 at most 2^220, the weight sums
+# S_K <= (K + 1)^1.5 / a at most 2^120, and _tau's interpolation product, at
+# most 4 n cap^2 <= 2^162, and its error bound 16 n (n + 4) cap eps, at least
+# 2^-112, leave room for every rounding step
+MAGNITUDES = (2.0 ** -60, 2.0 ** 60)
+
+
+def range_errors(key: str, *values: float) -> list[str]:
+    """One message naming key for each value outside MAGNITUDES (nan is)."""
+    lo, hi = MAGNITUDES
+    return [f"{key} must be in [2^-60, 2^60], got {value!r}"
+            for value in values if not lo <= value <= hi]
 
 
 def _as_rows(x, n: int) -> np.ndarray:
@@ -51,13 +66,9 @@ class CappedBox:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not (0.0 < self.cap < np.inf and 0.0 < self.budget < np.inf):
-            raise ValueError("cap and budget must be positive and finite")
-        # _tau's sums reach 2 n cap in magnitude, and its error bound E holds
-        # for normal floats only
-        if not (_TINY <= self.cap and 4.0 * self.n * self.cap < np.inf):
-            raise ValueError(f"cap must be at least {_TINY!r} with 4 n cap finite, "
-                             f"got cap = {self.cap!r} at n = {self.n}")
+        errors = range_errors("cap", self.cap) + range_errors("budget", self.budget)
+        if errors:
+            raise ValueError("; ".join(errors))
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = _as_rows(x, self.n)
@@ -141,9 +152,6 @@ class CappedBox:
         m, w = xs.shape
         cap, budget = self.cap, self.budget
         bound = budget + 2.0 * (16.0 * self.n * (self.n + 4) * cap * _EPS)
-        # (vlo - budget)(hi - lo) is of order n cap^2: scaled by sc = 2^-e,
-        # cap = f 2^e, exactly, so it neither overflows nor leaves the normals
-        sc = ldexp(1.0, -frexp(cap)[1])
         tail = np.zeros((m, w + 1))
         np.add.accumulate(xs[:, ::-1], axis=-1, out=tail[:, w - 1::-1])
         flat_s, flat_l = memoryview(xs.ravel()), memoryview((xs - cap).ravel())
@@ -187,7 +195,7 @@ class CappedBox:
                     if vhi <= budget:
                         break
                     lo, vlo = hi, vhi
-            taus[k] = lo + (vlo - budget) * sc * (hi - lo) / (vlo - vhi) / sc
+            taus[k] = lo + (vlo - budget) * (hi - lo) / (vlo - vhi)
         tau = np.array(taus)
         if redo:
             tau[redo] = self._tau(s[redo], np.sort(s[redo], axis=-1), t0[redo])
@@ -203,7 +211,7 @@ def bregman_diameter_sq(box: CappedBox) -> float:
     q cap^2 + r^2 beyond (r the remainder).  g has non-increasing
     increments, so g(m) + g(n - m) peaks at m = n // 2.  q is clamped at n,
     where g(m) = m cap^2 for every m <= n, so a budget far above n cap
-    (budget/cap may overflow) gives n cap^2 / 2.
+    gives n cap^2 / 2.
     """
     cap, n = box.cap, box.n
     q = int(np.floor(min(box.budget / cap + 1e-12, n)))

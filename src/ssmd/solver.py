@@ -225,10 +225,7 @@ def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float):
     if not (0.0 < c_tilde_sq < np.inf and 0.0 < mu_f < np.inf):
         raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
-    # divided twice by mu_f, as mu_f**2 underflows to 0 for a tiny mu_f; a
-    # bound past the float range is inf
-    with np.errstate(over="ignore"):
-        return 2.0 / (k + 1.0) * c_tilde_sq / mu_f, 4.0 / (k + 1.0) * c_tilde_sq / mu_f / mu_f
+    return 2.0 / (k + 1.0) * c_tilde_sq / mu_f, 4.0 / (k + 1.0) * c_tilde_sq / mu_f / mu_f
 
 
 def compact_rate_bound(k, a: float, diameter_sq: float, c_tilde_sq: float):

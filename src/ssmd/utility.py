@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import frexp
 from typing import Optional
 
 import numpy as np
@@ -175,13 +174,8 @@ def default_instance(label: str, reg_weight: float) -> UtilityInstance:
 
 def _moments(instance: UtilityInstance, x: np.ndarray):
     """Per row: mean a'x and std ||x|| of (a + xi)'x.  Row sums, not BLAS
-    products, so no row depends on the rows stacked with it.  Where x x may
-    over- or underflow, ||x|| is formed on x scaled by the cap's power of two."""
-    mean, cap = np.sum(instance.coeffs * x, axis=-1), instance.feasible_set.cap
-    if 1e-150 < cap < 1e150:
-        return mean, np.sqrt(np.sum(x * x, axis=-1))
-    x = np.ldexp(x, -frexp(cap)[1])
-    return mean, np.ldexp(np.sqrt(np.sum(x * x, axis=-1)), frexp(cap)[1])
+    products, so no row depends on the rows stacked with it."""
+    return np.sum(instance.coeffs * x, axis=-1), np.sqrt(np.sum(x * x, axis=-1))
 
 
 def _regulariser(instance: UtilityInstance, x: np.ndarray):
@@ -333,10 +327,8 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
         # with reg_weight = 0, g = m + 0 (x - anchor) has the squares of m
         g_sq = mean_sq = np.sum(mean * mean, axis=-1)
         if instance.reg_weight:
-            # a huge lambda makes C^2 inf; instance_constants rejects it by name
-            with np.errstate(over="ignore"):
-                g = mean + instance.reg_weight * (x - instance.anchor)
-                g_sq = np.sum(g * g, axis=-1)
+            g = mean + instance.reg_weight * (x - instance.anchor)
+            g_sq = np.sum(g * g, axis=-1)
         c_sq = max(c_sq, float(np.max(g_sq)))
         noise_sq = max(noise_sq, float(np.max(_noise_sq(instance, mean_sq, cells))))
     return float(np.sqrt(c_sq)), float(np.sqrt(noise_sq))

@@ -188,35 +188,13 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert err.startswith(f"ssmd: config error: cannot read config {cfg}: 'utf-8' codec")
 
 
-def test_bounds_with_budget_over_cap_overflowing_exits_0(tmp_path, capsys):
-    # budget / cap = 1e310 overflows to inf; the budget never binds, and the
-    # diameter is the box's, n cap^2 / 2
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(SMALL.replace("n = 4", "n = 3").replace("cap = 1.0", "cap = 1e-10")
-                   .replace("budget = 1.5", "budget = 1e300"))
-    assert main(["bounds", "--config", str(cfg)]) == 0
-    assert "k,bound" in capsys.readouterr().out
-
-
-def test_bounds_finite_where_only_the_diameter_overflows(tmp_path, capsys):
-    # d^2 = cap^2 = 1e600 overflows, d^2/a = 1e300 does not at a = 1e300;
-    # with C~^2 = 2.2961667268817063 the k = 0 bound is 1.5 (d^2/a + a C~^2).
-    # At a = 1, d^2/a itself overflows, and inf is the rounded bound
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("regime = compact\ninstance = inline\nn = 50\ncap = 1e300\n"
-                   "budget = 1e300\na = 1e300, 1\niterations = 3\n")
-    assert main(["bounds", "--config", str(cfg)]) == 0
-    big, one = (block.splitlines()[2:] for block in
-                capsys.readouterr().out.split("# a = ")[1:])
-    big = [float(row.split(",")[1]) for row in big]
-    assert len(big) == 4 and all(0.0 < b < math.inf for b in big)
-    want = 1.5 * (1.0 + 2.2961667268817063) * 1e300
-    assert abs(big[0] - want) <= 1e-12 * want
-    assert one == [f"{k},inf" for k in range(4)]
-
-
 INLINE = "regime = compact\ninstance = inline\nn = 4\ncap = 1.0\nbudget = 1.5\n"
 NAMED = "regime = compact\ninstance = test1\n"
+SC_NAMED = "regime = strongly_convex\ninstance = test1\n"
+# the ends of the accepted range of cap, budget, every a and a positive lambda
+# (sets.MAGNITUDES), and the floats one ulp outside them
+LO, HI = 2.0 ** -60, 2.0 ** 60
+BELOW, ABOVE = math.nextafter(LO, 0.0), math.nextafter(HI, math.inf)
 
 
 @pytest.mark.parametrize("text, key", [
@@ -231,18 +209,34 @@ NAMED = "regime = compact\ninstance = test1\n"
     pytest.param(NAMED + "n = 100\n", "n", id="n-named"),
     pytest.param(NAMED + "cap = 10\n", "cap", id="cap-named"),
     pytest.param(NAMED + "budget = 10\n", "budget", id="budget-named"),
-    # the weight sum of sqrt(k+1)/a over 1000 iterations overflows
+    # one ulp outside either end of the accepted range
+    *[pytest.param(text.format(value), key, id=f"{key}-{end}-range")
+      for key, text in (("cap", INLINE.replace("cap = 1.0", "cap = {!r}")),
+                        ("budget", INLINE.replace("budget = 1.5", "budget = {!r}")),
+                        ("a", NAMED + "a = 1, {!r}\n"),
+                        ("lambda", SC_NAMED + "lambda = {!r}\n"))
+      for end, value in (("below", BELOW), ("above", ABOVE))],
+    # configs whose float expressions used to overflow are now out of range:
+    # the weight sum of sqrt(k+1)/a over 1000 iterations
     pytest.param(NAMED + "a = 1, 1e-305\n", "a", id="a-weight-sum-overflows"),
-    pytest.param("regime = strongly_convex\ninstance = test1\nlambda = 1e-320\n", "lambda",
-                 id="lambda-inverse-overflows"),
-    # the constant C^2 + nu^2 of the bound overflows
-    pytest.param("regime = strongly_convex\ninstance = test1\nlambda = 1e200\n", "lambda",
-                 id="lambda-constants-overflow"),
+    pytest.param(NAMED + "a = 1e-300\nruns = 1\n", "a", id="a-tiny-weight-sum-finite"),
+    # 1/lambda, and lambda**2 at lambda = 1e-300
+    pytest.param(SC_NAMED + "lambda = 1e-320\n", "lambda", id="lambda-inverse-overflows"),
+    pytest.param(SC_NAMED + "lambda = 1e-300\nruns = 1\niterations = 3\n", "lambda",
+                 id="lambda-tiny-square-underflows"),
+    # the constant C^2 + nu^2 of the bound
+    pytest.param(SC_NAMED + "lambda = 1e200\n", "lambda", id="lambda-constants-overflow"),
     pytest.param("regime = strongly_convex\ninstance = inline\nn = 3\ncap = 1e300\n"
-                 "budget = 1e300\nlambda = 1\n", "lambda", id="lambda-inline-constants-overflow"),
-    # 1/lambda is finite, the gap bound 2 (C^2 + nu^2) / lambda is not
-    pytest.param("regime = strongly_convex\ninstance = test1\nlambda = 1e-308\n", "lambda",
-                 id="lambda-gap-bound-overflows"),
+                 "budget = 1e300\nlambda = 1\n", "cap", id="cap-inline-constants-overflow"),
+    # the gap bound 2 (C^2 + nu^2) / lambda
+    pytest.param(SC_NAMED + "lambda = 1e-308\n", "lambda", id="lambda-gap-bound-overflows"),
+    # budget / cap, with the clamp at n that the diameter then takes
+    pytest.param(SMALL.replace("n = 4", "n = 3").replace("cap = 1.0", "cap = 1e-10")
+                 .replace("budget = 1.5", "budget = 1e300"), "budget",
+                 id="budget-over-cap-overflows"),
+    # the diameter n cap^2 / 2, where d^2 / a did not at a = 1e300
+    pytest.param("regime = compact\ninstance = inline\nn = 50\ncap = 1e300\nbudget = 1e300\n"
+                 "a = 1e300, 1\niterations = 3\nruns = 1\n", "cap", id="cap-diameter-overflows"),
 ])
 def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.txt"
@@ -254,25 +248,38 @@ def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, text, key):
 
 
 def test_tiny_a_with_a_finite_weight_sum_runs(tmp_path, capsys):
-    # sum_k sqrt(k+1)/a is about 2e304 at a = 1e-300 and K = 1000; warnings
-    # are errors here, so exit 0 also means no overflow warning
+    # sum_k sqrt(k+1)/a is about 2.4e22 at the smallest a, 2^-60, and K = 1000;
+    # warnings are errors here, so exit 0 also means no overflow warning
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(NAMED + "a = 1e-300\nruns = 1\n")
+    cfg.write_text(NAMED + f"a = {LO!r}\nruns = 1\n")
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     rows = (tmp_path / "o" / "experiment_a0.csv").read_text().splitlines()
     assert len(rows) == 1002 and "nan" not in "".join(rows)
 
 
 def test_tiny_lambda_runs_without_warning(tmp_path, capsys):
-    # 1/lambda is finite at lambda = 1e-300, though lambda**2 underflows to 0
+    # the smallest lambda, 2^-60: the step scale 1/lambda and the distance
+    # bound's Ct^2 / lambda^2 are large and finite
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("regime = strongly_convex\ninstance = test1\nlambda = 1e-300\n"
-                   "runs = 1\niterations = 3\n")
+    cfg.write_text(SC_NAMED + f"lambda = {LO!r}\nruns = 1\niterations = 3\n")
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
 
 
 EXTREME = "regime = compact\ninstance = inline\nn = 50\ncap = {0}\nbudget = {0}\n"
+CORNER = "instance = inline\niterations = 3\nruns = 2\nregime = "
+
+
+def _column_values(text: str, *columns: str) -> list:
+    """The values of the named columns in a CSV, or in every block of bounds
+    output, as floats."""
+    values = []
+    for block in text.split("# a = "):
+        rows = [line.split(",") for line in block.splitlines() if "," in line]
+        if rows:
+            at = [rows[0].index(column) for column in columns]
+            values += [float(row[i]) for row in rows[1:] for i in at]
+    return values
 
 
 @pytest.mark.parametrize("command, text, code", [
@@ -280,18 +287,44 @@ EXTREME = "regime = compact\ninstance = inline\nn = 50\ncap = {0}\nbudget = {0}\
                    id=f"reference-{regime}-{name}")
       for regime in ("compact", "strongly_convex")
       for name in ("test1", "test2", "test3", "test4")],
-    pytest.param("bounds", EXTREME.format("1e-300"), 0, id="bounds-cap-1e-300"),
-    pytest.param("bounds", EXTREME.format("1e300"), 0, id="bounds-cap-1e300"),
+    pytest.param("bounds", EXTREME.format("1e-300"), 1, id="bounds-cap-1e-300"),
+    pytest.param("bounds", EXTREME.format("1e300"), 1, id="bounds-cap-1e300"),
     pytest.param("bounds", EXTREME.format("1e307"), 1, id="bounds-n-cap-overflows"),
+    # corners of the accepted range: the largest f and constants (n = 1000 with
+    # cap, budget and lambda at 2^60), the largest d^2 / a and a Ct^2, a budget
+    # 2^120 caps (clamped at n in the diameter), and the smallest box and lambda
+    *[pytest.param(command, CORNER + text, 0, id=f"{command}-corner-{name}")
+      for name, text in (
+          ("largest-f", f"strongly_convex\nn = 1000\ncap = {HI!r}\nbudget = {HI!r}\n"
+                        f"lambda = {HI!r}\n"),
+          ("largest-d2", f"compact\nn = 50\ncap = {HI!r}\nbudget = {HI!r}\n"
+                         f"a = {HI!r}, {LO!r}\n"),
+          ("budget-over-cap", f"compact\nn = 50\ncap = {LO!r}\nbudget = {HI!r}\n"
+                              f"a = {LO!r}, {HI!r}\nlambda = {LO!r}\n"),
+          ("smallest", f"strongly_convex\nn = 1\ncap = {LO!r}\nbudget = {LO!r}\n"
+                       f"lambda = {LO!r}\nschedule = step-2\n"))
+      for command in ("experiment", "bounds")],
 ])
 def test_every_accepted_config_runs(tmp_path, capsys, command, text, code):
-    # the reference stops on the flat optima of test2 and test4; caps at both
-    # ends of the float range project, and one too large for n is rejected
+    # the reference stops on the flat optima of test2 and test4; the corners of
+    # the accepted range run with finite columns and no warning (warnings are
+    # errors here), and caps outside it are rejected
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text)
-    assert main([command, "--config", str(cfg)]) == code
-    err = capsys.readouterr().err
-    assert "cap must be" in err if code else not err
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)] if command == "experiment" else argv) == code
+    captured = capsys.readouterr()
+    assert "cap must be" in captured.err if code else not captured.err
+    if command == "bounds" and not code:
+        values = _column_values(captured.out, "bound")
+        assert values and all(map(math.isfinite, values))
+    if command == "experiment":
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs
+        for csv in csvs:
+            values = _column_values(csv.read_text(), "stderr_f_avg", "bound")
+            assert values and all(map(math.isfinite, values)), csv.name
 
 
 def test_reference_falls_back_to_config_tol(tmp_path, capsys):
@@ -405,17 +438,6 @@ PINNED = {
         "experiment.csv": "449161c8ac97a4487fa941676c41b9c203f842d16f8e262964ac1f8efb2c0a85",
         "experiment.csv.meta": "09e268c720762d1f06c5cce1ce5c95548ab35f8d2afc7fcb5ff631d24dc67018",
         "bounds": "7d8d4a27370f1bd0201dc43da100e22694089c3773176aad33710e1de8949c92",
-    },
-    # d^2 overflows, d^2/a does not at a = 1e300
-    "regime = compact\ninstance = inline\nn = 50\ncap = 1e300\nbudget = 1e300\n"
-    "a = 1e300, 1\niterations = 3\nruns = 1\n": {
-        "experiment_a0.csv": "ddda2da1ecd05f054382a9e7b9115bed2e7fa860aaefed21025009fcfacc3019",
-        "experiment_a0.csv.meta":
-            "efbbf2cab84bc62d4ee77ea1e91db8d2c47fac7d3589ad4d9e7e9c4a2a9345c9",
-        "experiment_a1.csv": "927a55f70fa47e1e54e8a0c99402d86a67e6ae60ca1a70df3af01e4547dc4ef8",
-        "experiment_a1.csv.meta":
-            "8afbda9f6d6ba3142a12afaa56badf0acb7c72a9a1a33620d0bca39f7cb099ea",
-        "bounds": "eb2b1e1e9849ffe156dd6bf1a90cde7d1da20417e20f360f9555590a5b465490",
     },
 }
 # math.erfc, from the platform libm, where the digests were recorded

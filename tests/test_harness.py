@@ -173,13 +173,15 @@ def test_strongly_convex_sweep_has_one_summary():
 
 
 def test_stderr_is_finite_where_f_is_huge_but_finite():
-    # f(x_hat) near 5e297, whose squared deviations overflow: the stderr of two
-    # runs is |f_1 - f_2| / 2, finite, with no overflow warning
-    cfg = parse_config("regime = compact\ninstance = inline\nn = 50\ncap = 1e300\n"
-                       "budget = 1e300\na = 1e300, 1\niterations = 3\nruns = 2\n")
+    # cap, budget and a at the top of the accepted range, 2^60: f(x_hat) near
+    # 1e16, and the stderr of two runs is |f_1 - f_2| / 2, with no warning
+    top = repr(2.0 ** 60)
+    cfg = parse_config(f"regime = compact\ninstance = inline\nn = 50\ncap = {top}\n"
+                       f"budget = {top}\na = {top}, 1\niterations = 3\nruns = 2\n")
     summary = sweep_a(cfg)[0][1]
-    (f1, _, _), (f2, _, _) = mc_run((cfg, [(1e300, cfg.base_seed), (1e300, cfg.base_seed + 1)]))
-    assert np.max(np.abs(f1)) > 1e297 and np.isfinite(summary.stderr_f_avg).all()
+    (f1, _, _), (f2, _, _) = mc_run((cfg, [(2.0 ** 60, cfg.base_seed),
+                                           (2.0 ** 60, cfg.base_seed + 1)]))
+    assert np.max(np.abs(f1)) > 1e15 and np.isfinite(summary.stderr_f_avg).all()
     assert summary.stderr_f_avg == pytest.approx(np.abs(f1 - f2) / 2.0, rel=1e-14)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import (
     project_bisection,
 )
 
-from ssmd.sets import CappedBox, bregman_diameter_sq
+from ssmd.sets import MAGNITUDES, CappedBox, bregman_diameter_sq
 
 
 def test_project_examples():
@@ -152,11 +153,11 @@ def test_projection_kkt_any_magnitude(rng):
         assert box.contains(p, 0.0), (cap, budget, x)
         assert kkt_residual_any_scale(cap, budget, x, p) < 1e-9 * max(cap, budget), \
             (cap, budget, x)
-    # caps near both ends of the normal floats, where the threshold's
-    # interpolation, of order n cap^2 before it is scaled, over- or underflows
-    for cap in (1e-300, 1e-160, 1e160, 1e300):
+    # caps at both ends of the accepted range, where the threshold's
+    # interpolation is of order n cap^2
+    for cap in MAGNITUDES:
         for n in (50, 1000):
-            for budget in (cap, cap * rng.uniform(0.2, 3.0)):
+            for budget in (cap, float(np.clip(cap * rng.uniform(0.2, 3.0), *MAGNITUDES))):
                 box = CappedBox(n, cap, budget)
                 stack = cap * rng.uniform(-1.0, 3.0, (4, n))
                 for x, p in zip(stack, box.project(stack)):
@@ -170,8 +171,8 @@ def test_diameter_formula_examples():
     assert bregman_diameter_sq(CappedBox(100, 10.0, 10.0)) == 100.0
     assert bregman_diameter_sq(CappedBox(100, 10.0, 100.0)) == 1000.0
     assert abs(bregman_diameter_sq(CappedBox(2, 10.0, 1e-4)) - 1e-8) < 1e-22
-    # budget / cap overflows to inf: q is clamped at n, every point of the box fits
-    assert bregman_diameter_sq(CappedBox(3, 1e-10, 1e300)) == 1.5 * 1e-10**2
+    # budget far above n cap: q is clamped at n, every point of the box fits
+    assert bregman_diameter_sq(CappedBox(3, 1e-10, 2.0 ** 60)) == 1.5 * 1e-10**2
 
 
 def test_diameter_against_vertex_enumeration():
@@ -452,12 +453,17 @@ def test_stacked_project_rejects_non_finite():
                                          (1.0, np.inf)])
 def test_non_finite_cap_or_budget_is_rejected(cap, budget):
     for n in (1, 2):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=r"must be in \[2\^-60, 2\^60\], got (nan|inf)"):
             CappedBox(n, cap, budget)
 
 
-@pytest.mark.parametrize("n, cap", [(50, 1e-310), (1, 5e-324), (50, 1e307), (1, 1e308)])
+@pytest.mark.parametrize("n, cap", [(50, 1e-310), (1, 5e-324), (50, 1e307), (1, 1e308),
+                                    (1, math.nextafter(MAGNITUDES[0], 0.0)),
+                                    (1000, math.nextafter(MAGNITUDES[1], math.inf))])
 def test_cap_outside_the_search_range_is_rejected(n, cap):
-    # a subnormal cap, or one with 4 n cap infinite, is out of the search's range
-    with pytest.raises(ValueError, match="cap must be"):
+    # a cap outside the accepted range MAGNITUDES, which is the search's range,
+    # whatever n is; the ends themselves are accepted
+    with pytest.raises(ValueError, match="cap must be in"):
         CappedBox(n, cap, 1.0)
+    for end in MAGNITUDES:
+        CappedBox(n, end, end)
