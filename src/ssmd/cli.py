@@ -102,7 +102,7 @@ def _cmd_reference(args) -> tuple[int, list[str]]:
 
 def _cmd_bounds(args) -> tuple[int, list[str]]:
     cfg = _load_config(args.config)
-    constants = instance_constants(cfg)
+    constants = instance_constants(cfg, build_instance(cfg))
     lines = []
     for a in a_values(cfg):
         if cfg.regime == COMPACT:

@@ -229,8 +229,7 @@ def build_instance(cfg: ExperimentConfig):
 def _mc_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(f_avg, f_iter, f_min) of each (a, seed) task of a chunk, in order, from
     one batch of runs on one instance; top level so process pools can dispatch it."""
-    cfg, tasks = args
-    instance = build_instance(cfg)
+    cfg, instance, tasks = args
     problem = make_problem(instance, f_eval_samples=cfg.eval_samples,
                            analytic_f=cfg.analytic_f)
     a_list, seeds = zip(*tasks)
@@ -243,11 +242,10 @@ def _mc_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return [(trace.f_avg, trace.f_iter, trace.f_min) for trace in traces]
 
 
-def instance_constants(cfg: ExperimentConfig) -> dict:
-    """Empirical constants behind the bound column, derived from base_seed:
-    C and nu are maxima over sampled points of the grad_f norm and of the
-    closed-form root noise second moment (see estimate_constants)."""
-    instance = build_instance(cfg)
+def instance_constants(cfg: ExperimentConfig, instance) -> dict:
+    """Empirical constants of cfg's instance behind the bound column, derived
+    from base_seed: C and nu are maxima over sampled points of the grad_f norm
+    and of the closed-form root noise second moment (see estimate_constants)."""
     const_rng = rng_from_seed(cfg.base_seed ^ _CONSTANTS_SEED_XOR)
     c_est, nu_est = estimate_constants(instance, CONSTANT_SAMPLES, const_rng)
     return {
@@ -273,20 +271,20 @@ def a_values(cfg: ExperimentConfig) -> tuple:
 
 
 def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]:
-    """(a, summary) for every a of a_values(cfg), in order, with one set of
-    constants and one reference solution; the (a, seed) tasks of every a run in
-    chunks of at most BATCH_RUNS, and the results come back in task order."""
+    """(a, summary) for every a of a_values(cfg), in order; one instance gives
+    the constants, the reference solution and every run, and the (a, seed) tasks
+    of every a run in chunks of at most BATCH_RUNS, coming back in task order."""
     a_list = a_values(cfg)
     workers = cfg.workers if workers is None else int(workers)
     instance = build_instance(cfg)
-    constants = instance_constants(cfg)
+    constants = instance_constants(cfg, instance)
     f_ref = reference_solution(instance, cfg.reference_tol)[1] \
         if cfg.compute_reference else None
 
     seeds = [(cfg.base_seed + r) % (1 << 64) for r in range(cfg.runs)]
     tasks = [(a, s) for a in a_list for s in seeds]
     size = min(BATCH_RUNS, -(-len(tasks) // workers))
-    chunks = [(cfg, tasks[i:i + size]) for i in range(0, len(tasks), size)]
+    chunks = [(cfg, instance, tasks[i:i + size]) for i in range(0, len(tasks), size)]
     if workers > 1:
         # imported here, so a serial run and every other CLI command skip multiprocessing
         from concurrent.futures import ProcessPoolExecutor

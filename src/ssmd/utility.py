@@ -127,18 +127,18 @@ class UtilityInstance:
         return self.feasible_set.n
 
 
-def default_envelope(m: int = 10) -> Envelope:
+def default_envelope() -> Envelope:
     """The documented deterministic envelope: a risk-averse piecewise-linear
-    disutility with m pieces, slopes (j - m)/(2.5 m) rising from -0.36 to a
-    flat tail at 0, and m-1 breakpoints at j/m in (0, 1).
+    disutility with 10 pieces, slopes (j - 10)/25 for j = 1..10, rising from
+    -0.36 to a flat tail at 0, and 9 breakpoints at j/10 in (0, 1).
 
     Intercepts follow from anchoring phi(0) = 0 and placing the j-th
-    breakpoint at j/m: c_{j+1} = c_j - (j/m) * (d_{j+1} - d_j).
+    breakpoint at j/10: c_{j+1} = c_j - (j/10) * (d_{j+1} - d_j).
     """
-    slopes = [(j - m) / (2.5 * m) for j in range(1, m + 1)]
+    slopes = [(j - 10) / 25.0 for j in range(1, 11)]
     intercepts = [0.0]
-    for j in range(1, m):
-        intercepts.append(intercepts[-1] - (j / m) * (slopes[j] - slopes[j - 1]))
+    for j in range(1, 10):
+        intercepts.append(intercepts[-1] - (j / 10) * (slopes[j] - slopes[j - 1]))
     return Envelope(intercepts=np.array(intercepts), slopes=np.array(slopes))
 
 

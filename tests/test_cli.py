@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ssmd import cli
+from ssmd import cli, harness
 from ssmd.cli import main
 from ssmd.harness import build_instance, parse_config
 from ssmd.utility import reference_solution
@@ -34,12 +34,29 @@ seed = 11
 """
 
 
-def test_experiment_compact_sweep(tmp_path, capsys):
+@pytest.fixture
+def built(monkeypatch):
+    """Every instance a command builds, through harness.build_instance under
+    both names it is called by."""
+    instances = []
+
+    def counting(cfg):
+        instances.append(build_instance(cfg))
+        return instances[-1]
+
+    monkeypatch.setattr(harness, "build_instance", counting)
+    monkeypatch.setattr(cli, "build_instance", counting)
+    return instances
+
+
+def test_experiment_compact_sweep(tmp_path, capsys, built, monkeypatch):
+    # six runs in chunks of one share the one instance the command builds
+    monkeypatch.setattr(harness, "BATCH_RUNS", 1)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SMALL)
     out = tmp_path / "out"
     code = main(["experiment", "--config", str(cfg), "--out", str(out)])
-    assert code == 0
+    assert code == 0 and len(built) == 1
     assert (out / "experiment_a0.csv").exists()
     assert (out / "experiment_a1.csv").exists()
     assert (out / "experiment_a0.csv.meta").exists()
@@ -157,10 +174,10 @@ def test_compact_reference_from_the_origin_exits_0(tmp_path):
     assert abs(f_ref - (-0.18)) < 1e-6
 
 
-def test_bounds_command(tmp_path, capsys):
+def test_bounds_command(tmp_path, capsys, built):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SMALL)
-    assert main(["bounds", "--config", str(cfg)]) == 0
+    assert main(["bounds", "--config", str(cfg)]) == 0 and len(built) == 1
     out = capsys.readouterr().out
     assert "# a = 0.5" in out
     assert "k,bound" in out
@@ -422,9 +439,10 @@ def test_reader_leaving_a_real_pipe_is_quiet(tmp_path, unbuffered):
     proc.stderr.close()
 
 
-# sha256 of the outputs of the criterion-13 config and of a strongly convex
-# step-2 one: a change that moves any output byte fails here, and one that
-# means to records the new digests
+# sha256 of the outputs of the criterion-13 config, of a strongly convex
+# step-2 one and of the four benchmark workloads, with their configs as
+# benchmarks/run.py writes them at seed 41: a change that moves any output
+# byte fails here, and one that means to records the new digests
 PINNED = {
     "regime = compact\ninstance = inline\nn = 6\ncap = 1.0\nbudget = 2.5\na = 0.7\n"
     "iterations = 60\nruns = 8\nseed = 3\n": {
@@ -438,6 +456,51 @@ PINNED = {
         "experiment.csv": "449161c8ac97a4487fa941676c41b9c203f842d16f8e262964ac1f8efb2c0a85",
         "experiment.csv.meta": "09e268c720762d1f06c5cce1ce5c95548ab35f8d2afc7fcb5ff631d24dc67018",
         "bounds": "7d8d4a27370f1bd0201dc43da100e22694089c3773176aad33710e1de8949c92",
+    },
+    # sc_test1
+    "regime = strongly_convex\ninstance = test1\nlambda = 100\nschedule = step-1\n"
+    "iterations = 100\nruns = 20\ncompute_reference = true\nseed = 41\n"
+    "workers = 1\n": {
+        "experiment.csv":
+            "309c98f008fa18b2275805b53f5d1ffec0f2fd2727e589d5ae40d41434f36621",
+        "experiment.csv.meta":
+            "f8d0132ada2611600a818eeca91601a4e8e7fba505a7b6c605e17bc389d55b39",
+        "bounds": "ef96269ccdd73dc00264e9eda2d17b97033bd81acf7bf744d39d0dec83532675",
+    },
+    # compact_test1_sweep
+    "regime = compact\ninstance = test1\na = 1, 10, 30\niterations = 1000\n"
+    "runs = 1\nseed = 41\nworkers = 1\n": {
+        "experiment_a0.csv":
+            "3285bb531d958d09c9902d164588df43a3b9bc74ac76fcc53f911f91bda2cce4",
+        "experiment_a0.csv.meta":
+            "b97b5f9397ac09b21562dfa18e04ac8faf3c6f9643fd14b2d3a7e345ce45b15a",
+        "experiment_a1.csv":
+            "1bfdfb8119178317322f97ad67803af09ca5a0259ac8fd07ab6492fbfe24a8df",
+        "experiment_a1.csv.meta":
+            "d0a858d40ad887be705fbc688d740e0db0638f7f57ab6b687fff8c9d26d4f671",
+        "experiment_a2.csv":
+            "368bcbbeeca057bad626e03eec1949aa400e5bed77390d358a72ff775778468c",
+        "experiment_a2.csv.meta":
+            "1db1e4c788969ab22414db8c33d469ff90fe67e8c7f58d1c2a2c589e4af20ad7",
+        "bounds": "9a77731449c6a250900026a6ce93be22a2c3444944833ea8db07081270caf14c",
+    },
+    # compact_bind_n1000
+    "regime = compact\ninstance = inline\nn = 1000\ncap = 1\nbudget = 1\na = 1\n"
+    "iterations = 1000\nruns = 1\nseed = 41\nworkers = 1\n": {
+        "experiment_a0.csv":
+            "51b774179cb58c5f4645ad6d182a624259b570b51cfabf39da60d0605162af54",
+        "experiment_a0.csv.meta":
+            "b6a1626f48deff2e5c41ce63772435302f96bf89c26d60d6e2a2073847ff5a5b",
+        "bounds": "828ac2546830c08a85be19e2cfab96eb42aa1b197190a4f3459963a7f630cd54",
+    },
+    # sampled_test1
+    "regime = compact\ninstance = test1\na = 10\niterations = 2\nruns = 1\n"
+    "analytic_f = false\nseed = 41\nworkers = 1\n": {
+        "experiment_a0.csv":
+            "0ec32c8e422a4fb849c9ea703ae6cd983a1c16f5075e6e72b78a839af03f3c22",
+        "experiment_a0.csv.meta":
+            "d330a649e475ae09de607e43d4f0d0407e695a42c06a9a0543e8c87059d7c97d",
+        "bounds": "16c666e62450f04fca0e5271b9f0a74ad0dc51d96cb98de8afe5e4a4ac6258ec",
     },
 }
 # math.erfc, from the platform libm, where the digests were recorded

@@ -179,8 +179,9 @@ def test_stderr_is_finite_where_f_is_huge_but_finite():
     cfg = parse_config(f"regime = compact\ninstance = inline\nn = 50\ncap = {top}\n"
                        f"budget = {top}\na = {top}, 1\niterations = 3\nruns = 2\n")
     summary = sweep_a(cfg)[0][1]
-    (f1, _, _), (f2, _, _) = mc_run((cfg, [(2.0 ** 60, cfg.base_seed),
-                                           (2.0 ** 60, cfg.base_seed + 1)]))
+    (f1, _, _), (f2, _, _) = mc_run((cfg, build_instance(cfg),
+                                     [(2.0 ** 60, cfg.base_seed),
+                                      (2.0 ** 60, cfg.base_seed + 1)]))
     assert np.max(np.abs(f1)) > 1e15 and np.isfinite(summary.stderr_f_avg).all()
     assert summary.stderr_f_avg == pytest.approx(np.abs(f1 - f2) / 2.0, rel=1e-14)
 
@@ -341,7 +342,7 @@ def test_output_independent_of_workers_and_batch(text, tmp_path, monkeypatch):
     runs = []
 
     def counting(args):
-        runs.append(len(args[1]))
+        runs.append(len(args[2]))
         return mc_run(args)
 
     monkeypatch.setattr(harness, "_mc_run", counting)
