@@ -32,9 +32,9 @@ import numpy as np
 from .gaussian import rng_from_seed
 from .stepsizes import InverseSqrtStepsize, kahan_cumsum
 
-# Feasibility tolerance (l-inf on constraint violations) of start points,
-# prox base points, the engine's iterates and the one-sample oracle's point:
-# the library's one feasibility tolerance.
+# Feasibility tolerance (l-inf on constraint violations) of prox base points,
+# the engine's iterates and the one-sample oracle's point: the library's one
+# feasibility tolerance.
 FEAS_TOL = 1e-9
 
 
@@ -69,6 +69,10 @@ def no_noise(rng: np.random.Generator, rows: int) -> np.ndarray:
 @dataclass
 class ProblemHandle:
     """Everything an engine needs to run on one problem instance.
+
+    The engine assumes what its callers build: a feasible x0 (n,), one f
+    value per point, and one subgradient per point or one for all.  An
+    infeasible x0 fails the first block's feasibility check.
 
     noise(rng, rows) draws one run's oracle noise of `rows` iterations, one
     row per iteration; oracle(x, xi) returns the stochastic subgradients at a
@@ -113,34 +117,20 @@ def _f_evaluator(problem: ProblemHandle):
                                             problem.f_eval_samples)
 
 
-def _checked(values, shape: tuple):
-    if np.shape(values) != shape:
-        raise ValueError(f"f must map a stack of {shape[-1]} points to values of "
-                         f"shape {shape}, got shape {np.shape(values)}")
-    return values
-
-
 def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
          num_iterations: int, rng):
     """The runs of a batch, advanced together: row i of the (R, n) state is run
     i, with its own generator and its own column of alphas (K+1, R).  Returns
     one RunTrace, or a list of R of them when rng is a list."""
-    if num_iterations < 1:
-        raise ValueError("num_iterations must be positive")
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
     set_ = problem.feasible_set
-    x0 = np.asarray(problem.x0, dtype=float)
-    if x0.ndim != 1 or not set_.contains(x0, FEAS_TOL):
-        raise ValueError("the initial point must be one feasible point (n,)")
     alphas = np.broadcast_to(alphas, (num_iterations + 1, len(rngs)))
-    if not np.all((alphas > 0.0) & (alphas < np.inf)):
-        raise ValueError("stepsizes must be positive and finite")
     steps = alphas[..., None] * step_scale
 
     f = _f_evaluator(problem)
     m = num_iterations + 1
-    x = np.tile(x0, (len(rngs), 1))
+    x = np.tile(np.asarray(problem.x0, dtype=float), (len(rngs), 1))
     runs, n = x.shape
     # x_k and x_hat_k of every run are copied into a block of B iterations,
     # where f, the distances and feasibility are checked once on the block's
@@ -170,19 +160,14 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
             if not set_.contains(done[:, 0].reshape(-1, n), FEAS_TOL):
                 raise ArithmeticError("an iterate left the feasible set")
             if f is not None:
-                points = done.reshape(-1, n)
-                f_vals[k - j:k + 1] = _checked(f(points), points.shape[:1]).reshape(-1, 2, runs)
+                f_vals[k - j:k + 1] = np.reshape(f(done.reshape(-1, n)), (-1, 2, runs))
             if dist is not None:
                 dist[k - j:k + 1] = np.sum((done - x_star) ** 2, axis=-1)
         if k < num_iterations:
             if j == 0:
                 count = min(rows, num_iterations - k)
                 xi = np.stack([problem.noise(r, count) for r in rngs], axis=1)
-            g = problem.oracle(x, xi[j])
-            if k == 0 and np.shape(g) not in (x.shape, x.shape[1:]):
-                raise ValueError(f"the oracle must return one subgradient per point, or "
-                                 f"one for all, got shape {np.shape(g)} for points {x.shape}")
-            x = set_.project(x - steps[k] * g)
+            x = set_.project(x - steps[k] * problem.oracle(x, xi[j]))
 
     traces = [RunTrace(
         f_iter=f_vals[:, 0, i].copy(),
@@ -200,11 +185,7 @@ def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int, r
 
     rng is one generator, or a list of them for a batch of runs sharing the
     schedule."""
-    if not 0.0 < problem.mu_f < np.inf:
-        raise ValueError("the strongly convex engine requires a positive, finite mu_f")
-    if isinstance(schedule, InverseSqrtStepsize):
-        raise ValueError("a/sqrt(k+1) is not certified for the strongly convex engine")
-    alphas = schedule.alphas(max(num_iterations, 0))[:, None]
+    alphas = schedule.alphas(num_iterations)[:, None]
     return _run(problem, alphas, 1.0 / problem.mu_f, num_iterations, rng)
 
 
@@ -222,22 +203,16 @@ def run_compact(problem: ProblemHandle, a, num_iterations: int, rng):
 def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float):
     """(gap bound, distance bound) at iteration k; the distance bound holds for
     the weighted average and for the iterate alike."""
-    if not (0.0 < c_tilde_sq < np.inf and 0.0 < mu_f < np.inf):
-        raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
     return 2.0 / (k + 1.0) * c_tilde_sq / mu_f, 4.0 / (k + 1.0) * c_tilde_sq / mu_f / mu_f
 
 
 def compact_rate_bound(k, a: float, diameter_sq: float, c_tilde_sq: float):
     """Gap bound for the compact engine at iteration k."""
-    if not 0.0 < a < np.inf:
-        raise ValueError("parameters must be positive and finite")
     k = np.asarray(k, dtype=float)
     return 1.5 / np.sqrt(k + 1.0) * (diameter_sq / a + a * c_tilde_sq)
 
 
 def optimal_stepsize_scale(diameter: float, c_tilde_sq: float) -> float:
     """The scale a* = d / sqrt(Ct^2) minimizing the compact-engine gap bound."""
-    if not 0.0 < diameter < np.inf:
-        raise ValueError("parameters must be positive and finite")
     return diameter / np.sqrt(c_tilde_sq)

@@ -58,8 +58,6 @@ class InverseSqrtStepsize:
     """alpha_k = a/sqrt(k+1) for a tunable scale a > 0."""
 
     def __init__(self, a: float):
-        if not 0.0 < a < np.inf:
-            raise ValueError("a must be positive and finite")
         self.a = float(a)
 
     def alpha(self, k: int) -> float:
@@ -129,8 +127,6 @@ def alpha_cap_violations(al: np.ndarray) -> np.ndarray:
 def verify_suite(k_max: int) -> list[tuple[str, Optional[int]]]:
     """Machine-check the stepsize conditions and cumulative-weight bounds:
     (check name, first violating k or None) per check."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     tables = {"tseng": TsengStepsize().alphas(k_max),
               "nesterov": NesterovStepsize().alphas(k_max)}
     checks = [(f"{check}[{name}]", violations(al))

@@ -84,8 +84,6 @@ def expected_phi_gaussian(envelope: Envelope, mu, sigma):
     the plain envelope value phi(mu).
     """
     mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float))
-    if np.any(sigma < 0.0):
-        raise ValueError("sigma must be nonnegative")
     zero = sigma == 0.0
     m, s = mu[..., None], np.where(zero, 1.0, sigma)[..., None]
     out = np.asarray(_piece_sum(envelope, m, s, *norm_cells((envelope.breakpoints - m) / s)))
@@ -114,13 +112,6 @@ class UtilityInstance:
     anchor: np.ndarray
     feasible_set: CappedBox
     x0: np.ndarray
-
-    def __post_init__(self):
-        n = self.feasible_set.n
-        if self.coeffs.shape != (n,) or self.anchor.shape != (n,) or self.x0.shape != (n,):
-            raise ValueError("inconsistent dimensions")
-        if self.reg_weight < 0.0:
-            raise ValueError("reg_weight must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -159,16 +150,14 @@ INSTANCE_LABELS = tuple(_TEST_BUDGETS)
 
 
 def default_instance(label: str, reg_weight: float) -> UtilityInstance:
-    """The four documented benchmark instances (n = 100, cap = 10)."""
-    key = label.lower()
-    if key not in _TEST_BUDGETS:
-        raise ValueError(f"unknown instance label: {label!r}")
+    """The four documented benchmark instances (n = 100, cap = 10), by their
+    lower-case label in INSTANCE_LABELS."""
     x0 = np.zeros(100)
-    if key == "test3":
+    if label == "test3":
         x0[:10] = 1.0
-    elif key == "test4":
+    elif label == "test4":
         x0[:10] = 10.0
-    return make_instance(key, n=100, cap=10.0, budget=_TEST_BUDGETS[key],
+    return make_instance(label, n=100, cap=10.0, budget=_TEST_BUDGETS[label],
                          reg_weight=reg_weight, x0=x0)
 
 
@@ -277,8 +266,6 @@ def reference_solution(instance: UtilityInstance, tol: float,
     and the unit-step projected-gradient residual to drop below tol; hitting
     the iteration cap raises :class:`ConvergenceError`.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
     proj = instance.feasible_set.project
     x = proj(np.asarray(instance.x0 if x_init is None else x_init, dtype=float))
     fx = f_value(instance, x)
@@ -316,8 +303,6 @@ def estimate_constants(instance: UtilityInstance, sample_count: int,
     moment E||eps(x)||^2 (the paper's bound holds at every x).  Each sample's
     point is rng.random(n), projected after scaling by cap.  Points go in
     chunks of at most 32,768 floats, and no value depends on the chunk size."""
-    if sample_count < 1000:
-        raise ValueError("sample_count must be at least 1000")
     set_, n = instance.feasible_set, instance.n
     chunk = max(1, 32_768 // n)
     c_sq = noise_sq = 0.0

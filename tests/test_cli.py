@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ssmd import cli, harness
+from ssmd import cli, harness, utility
 from ssmd.cli import main
 from ssmd.harness import build_instance, parse_config
 from ssmd.utility import reference_solution
@@ -153,6 +153,14 @@ def test_reference_command(tmp_path, capsys):
     assert val < 1.0  # utility minimum sits below the flat envelope level
 
 
+def test_reference_without_convergence_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(utility, "REFERENCE_ITERATIONS", 2)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SC)
+    assert main(["reference", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("ssmd: error: no convergence to tol=")
+
+
 def test_strongly_convex_small_n_exits_0(tmp_path):
     # n = 3 < 2(floor(budget/cap) + 1): the diameter still has a closed form
     cfg = tmp_path / "cfg.txt"
@@ -220,6 +228,12 @@ BELOW, ABOVE = math.nextafter(LO, 0.0), math.nextafter(HI, math.inf)
     pytest.param(NAMED + "a = nan\n", "a", id="a-nan"),
     pytest.param(NAMED + "a = 1, inf\n", "a", id="a-inf"),
     pytest.param(NAMED + "reference_tol = nan\n", "reference_tol", id="reference_tol-nan"),
+    pytest.param(NAMED + "reference_tol = 0\n", "reference_tol", id="reference_tol-0"),
+    pytest.param(NAMED + "reference_tol = inf\n", "reference_tol", id="reference_tol-inf"),
+    pytest.param("regime = compact\ninstance = test9\n", "instance", id="instance-unknown"),
+    # a/sqrt(k+1) is not certified for the strongly convex engine, and no
+    # schedule key selects it
+    pytest.param(SC_NAMED + "schedule = step-3\n", "schedule", id="schedule-unknown"),
     pytest.param(INLINE.replace("cap = 1.0", "cap = inf"), "cap", id="cap-inf"),
     pytest.param(INLINE.replace("budget = 1.5", "budget = nan"), "budget", id="budget-nan"),
     pytest.param(INLINE.replace("n = 4", "n = 0"), "n", id="n-0"),

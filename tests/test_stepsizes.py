@@ -34,8 +34,6 @@ def test_alpha_values():
     assert abs(n.alpha(1) - GOLDEN_RATIO_CONJ) < 1e-15
     assert InverseSqrtStepsize(2.0).alpha(3) == 1.0
     with pytest.raises(ValueError):
-        InverseSqrtStepsize(0.0)
-    with pytest.raises(ValueError):
         t.alpha(-1)
 
 
@@ -120,8 +118,6 @@ def test_kahan_cumsum_on_columns(rng):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_scale_is_rejected(bad):
-    with pytest.raises(ValueError, match="positive and finite"):
-        InverseSqrtStepsize(bad)
     # a table with a non-finite a = alpha_0 fails at every k, without a warning
     assert sqrt_sum_growth_violations(np.full(11, bad)).size == 11
 

@@ -149,10 +149,6 @@ def test_expected_phi_broadcasts():
                  (np.array(0.3), np.array(0.0))):
         assert type(expected_phi_gaussian(env, m, s)) is float
 
-    # a negative sigma anywhere in a broadcast is rejected
-    with pytest.raises(ValueError, match="nonnegative"):
-        expected_phi_gaussian(env, mus, np.array([[1.0], [-1.0]]))
-
 
 def _two_sided_terms(breakpoints, mu, sigma):
     """The former per-piece form: erfc and the pdf at both ends of every piece."""
@@ -425,12 +421,6 @@ def test_subgradient_inequality(rng):
             assert lhs >= rhs - 1e-9
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
-def test_reference_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
-        reference_solution(default_instance("test1", reg_weight=0.0), tol)
-
-
 def test_reference_pure_quadratic():
     inst = with_envelope(make_instance("quad", n=6, cap=10.0, budget=10.0, reg_weight=100.0),
                          [0.0], [0.0])
@@ -472,8 +462,6 @@ def test_default_instances():
     # coefficients are reproducible across constructions
     t1b = default_instance("test1", reg_weight=100.0)
     assert np.array_equal(t1.coeffs, t1b.coeffs)
-    with pytest.raises(ValueError):
-        default_instance("test9", reg_weight=1.0)
 
 
 def test_estimate_constants_linear():
@@ -575,8 +563,6 @@ def test_estimate_constants_self_consistent():
     c2, n2 = estimate_constants(inst, 10_000, rng_from_seed(2))
     assert abs(c1 - c2) / max(c1, c2) < 0.10
     assert abs(n1 - n2) / max(n1, n2) < 0.10
-    with pytest.raises(ValueError):
-        estimate_constants(inst, 500, rng_from_seed(0))
 
 
 def test_instance_metadata_roundtrippable():
