@@ -32,10 +32,6 @@ class AverageState:
     def absorb(self, x, alpha: float) -> "AverageState":
         """Absorb a point (n,) with weight 1/alpha; returns the updated state."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or self.x_hat is not None and x.shape != self.x_hat.shape:
-            raise ValueError("need one point (n,) of the running average's dimension")
-        if not 0.0 < alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
         y = 1.0 / alpha - self._carry
         new_sum = self.weight_sum + y
         carry = (new_sum - self.weight_sum) - y

@@ -32,12 +32,6 @@ import numpy as np
 from .gaussian import rng_from_seed
 from .stepsizes import InverseSqrtStepsize, kahan_cumsum
 
-# Feasibility tolerance (l-inf on constraint violations) of prox base points,
-# the engine's iterates and the one-sample oracle's point: the library's one
-# feasibility tolerance.
-FEAS_TOL = 1e-9
-
-
 # Floats in the engine's per-block stack of iterates x_k of all R runs: 4096
 # per run of a full harness batch (BATCH_RUNS = 32).  A block is
 # max(1, BLOCK_FLOATS // (R n)) iterations, so a smaller batch gets longer blocks
@@ -47,32 +41,20 @@ BLOCK_FLOATS = 32 * 4096
 
 def prox_step(feasible_set, x, g, alpha: float) -> np.ndarray:
     """One mirror-descent step, argmin_{z in X} alpha*<g, z - x> + ||z - x||^2/2:
-    the projection of x - alpha*g onto X, after checking one point's inputs.
-    The engine projects its stack of runs directly."""
-    x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=float)
-    if x.shape != g.shape or x.ndim != 1:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {g.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(g).all()):
-        raise ValueError("non-finite components")
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite")
-    if not feasible_set.contains(x, FEAS_TOL):
-        raise ValueError("prox step requires a feasible base point")
-    return feasible_set.project(x - alpha * g)
-
-
-def no_noise(rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Noise of an oracle that draws nothing: one empty row per iteration."""
-    return np.empty((rows, 0))
+    the projection of x - alpha*g onto X.  The engine projects its stack of runs
+    directly."""
+    return feasible_set.project(np.asarray(x, dtype=float) - alpha * np.asarray(g, dtype=float))
 
 
 @dataclass
 class ProblemHandle:
     """Everything an engine needs to run on one problem instance.
 
-    The engine assumes what its callers build: a feasible x0 (n,), one f
-    value per point, and one subgradient per point or one for all.  An
-    infeasible x0 fails the first block's feasibility check.
+    The engine assumes what its callers build: a feasible x0 (n,), a noise,
+    one of f_exact and f_sampler, one f value per point, and one subgradient
+    per point or one for all.  Every iterate, x0 first, is checked feasible
+    exactly, at tolerance 0, once per block: the projection returns points
+    inside the set in its own arithmetic, so any point outside is a fault.
 
     noise(rng, rows) draws one run's oracle noise of `rows` iterations, one
     row per iteration; oracle(x, xi) returns the stochastic subgradients at a
@@ -88,7 +70,7 @@ class ProblemHandle:
     oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
     feasible_set: object
     x0: np.ndarray
-    noise: Callable[[np.random.Generator, int], np.ndarray] = no_noise
+    noise: Callable[[np.random.Generator, int], np.ndarray]
     mu_f: float = 0.0
     f_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_sampler: Optional[Callable[..., np.ndarray]] = None
@@ -110,8 +92,8 @@ class RunTrace:
 
 
 def _f_evaluator(problem: ProblemHandle):
-    """f on a stack of points (m, n) -> (m,), or None."""
-    if problem.f_exact is not None or problem.f_sampler is None:
+    """f on a stack of points (m, n) -> (m,)."""
+    if problem.f_exact is not None:
         return problem.f_exact
     return lambda points: problem.f_sampler(points, rng_from_seed(problem.f_eval_seed),
                                             problem.f_eval_samples)
@@ -140,7 +122,7 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
     # draws of n, so no output depends on B
     rows = max(1, BLOCK_FLOATS // (runs * n))
     block = np.empty((rows, 2, runs, n))
-    f_vals = np.full((m, 2, runs), np.nan)
+    f_vals = np.empty((m, 2, runs))
     x_star = None if problem.x_star is None else np.asarray(problem.x_star, dtype=float)
     dist = None if x_star is None else np.empty((m, 2, runs))
 
@@ -157,10 +139,9 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
         block[j, 1] = x_hat
         if j == rows - 1 or k == num_iterations:
             done = block[:j + 1]
-            if not set_.contains(done[:, 0].reshape(-1, n), FEAS_TOL):
+            if not set_.contains(done[:, 0].reshape(-1, n)):
                 raise ArithmeticError("an iterate left the feasible set")
-            if f is not None:
-                f_vals[k - j:k + 1] = np.reshape(f(done.reshape(-1, n)), (-1, 2, runs))
+            f_vals[k - j:k + 1] = np.reshape(f(done.reshape(-1, n)), (-1, 2, runs))
             if dist is not None:
                 dist[k - j:k + 1] = np.sum((done - x_star) ** 2, axis=-1)
         if k < num_iterations:

@@ -27,8 +27,6 @@ class TsengStepsize:
     """Explicit 2/(k+1) schedule with alpha_0 pinned to 1."""
 
     def alpha(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("k must be nonnegative")
         return 1.0 if k == 0 else 2.0 / (k + 1)
 
     def alphas(self, k_max: int) -> np.ndarray:
@@ -41,8 +39,6 @@ class NesterovStepsize:
     """Recursive schedule; alpha(k) runs the recursion k times."""
 
     def alpha(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("k must be nonnegative")
         return self.alphas(k)[k]
 
     def alphas(self, k_max: int) -> np.ndarray:
@@ -61,8 +57,6 @@ class InverseSqrtStepsize:
         self.a = float(a)
 
     def alpha(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("k must be nonnegative")
         return self.a / np.sqrt(k + 1.0)
 
     def alphas(self, k_max: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .gaussian import norm_cells, norm_pdf, rng_from_seed, standard_normals
 from .sets import CappedBox
-from .solver import FEAS_TOL, ProblemHandle
+from .solver import ProblemHandle
 
 # Seed for the one-time draw of the linear coefficients a (kept in the
 # serialized metadata so runs are reproducible).
@@ -250,8 +250,6 @@ def stochastic_subgradient(instance: UtilityInstance, x,
                            rng: np.random.Generator) -> np.ndarray:
     """One-sample stochastic subgradient: phi'((a+xi)'x) (a+xi) + reg term."""
     x = np.asarray(x, dtype=float)
-    if not instance.feasible_set.contains(x, FEAS_TOL):
-        raise ValueError("x is infeasible")
     return _subgradient(instance, x, instance.coeffs + standard_normals(rng, instance.n))
 
 

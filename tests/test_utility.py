@@ -7,7 +7,6 @@ from conftest import (STACK_FLOATS, fd_grad, mc_estimate_f, mc_estimate_f_dense,
                       norm_cdf_interval, phi_slope, piecewise_gaussian_quadrature)
 
 from ssmd.gaussian import norm_pdf, rng_from_seed, standard_normals
-from ssmd.solver import prox_step
 from ssmd.utility import (
     Envelope,
     default_envelope,
@@ -339,22 +338,6 @@ def test_subgradient_vanishes_at_anchor():
     x = inst.anchor.copy()
     g = stochastic_subgradient(inst, x, rng_from_seed(0))
     assert np.array_equal(g, np.zeros(4))
-
-
-@pytest.mark.parametrize("over, accepted", [(5e-10, True), (5e-9, False)])
-def test_subgradient_checks_feasibility_as_prox_step_does(over, accepted):
-    # one tolerance, FEAS_TOL = 1e-9, for the library's feasibility checks
-    inst = default_instance("test1", reg_weight=100.0)
-    x = np.zeros(100)
-    x[:2] = 5.0 + over / 2.0  # sum = budget + over, each below cap
-    assert x.sum() - inst.feasible_set.budget == pytest.approx(over, rel=1e-3)
-    for call in (lambda: stochastic_subgradient(inst, x, rng_from_seed(0)),
-                 lambda: prox_step(inst.feasible_set, x, np.ones(100), 1.0)):
-        if accepted:
-            call()
-        else:
-            with pytest.raises(ValueError, match="feasible"):
-                call()
 
 
 def test_subgradient_mean_matches_fd(rng):
