@@ -22,10 +22,6 @@ import numpy as np
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = 1.0 / float(np.sqrt(2.0 * np.pi))
 
-# 2**53; uniforms are midpoints of the 2**53 dyadic cells of (0, 1), so the
-# inverse CDF never sees 0 or 1 exactly.
-_CELLS = 9007199254740992
-
 
 def erfc(x):
     """Complementary error function, elementwise, from libm's ``math.erfc``."""
@@ -99,18 +95,13 @@ def _poly(coeffs, r, out=None):
 def norm_ppf(p):
     """Standard normal quantile function (AS 241, PPND16).
 
-    Requires 0 < p < 1 elementwise; values outside give nan.  The central
-    branch runs over blocks of _BLOCK values in place and the tails in one
-    pass over the rest; every value is the same as that of the plain
-    expressions, bit for bit.
+    Defined for 0 < p < 1 elementwise; p outside (0, 1) gives nan with a
+    RuntimeWarning, and nan gives nan.  The central branch runs over blocks
+    of _BLOCK values in place and the tails in one pass over the rest; every
+    value is the same as that of the plain expressions, bit for bit.
     """
     p = np.asarray(p, dtype=float)
     flat = p.ravel()
-    bad = None
-    if flat.size and not (flat.min() > 0.0 and flat.max() < 1.0):
-        # p outside (0, 1) and nan pass as 0.5, central and harmless, then nan
-        bad = ~((flat > 0.0) & (flat < 1.0))
-        flat = np.where(bad, 0.5, flat)
     out = np.empty(flat.shape)
     central = np.empty(flat.shape, dtype=bool)
     q, r, num, den = (np.empty(min(flat.size, _BLOCK)) for _ in range(4))
@@ -142,8 +133,6 @@ def norm_ppf(p):
             rf = r[~near] - 5.0
             val[~near] = _poly(_E, rf) / _poly(_F, rf)
         out[tail] = np.where(lower, -val, val)
-    if bad is not None:
-        out[bad] = np.nan
     return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
 
@@ -153,11 +142,12 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
-    """Uniforms strictly inside (0, 1): midpoints of 2**53 dyadic cells.
-    rng.random() is a 2**53-cell index times 2**-53, so adding half a cell
-    equals (index + 0.5) / 2**53 bit for bit."""
+    """Uniforms in [2**-54, 1 - 2**-53]: rng.random(), a 2**53-cell index times
+    2**-53, plus half a cell.  Below 1/2 that is the cell's midpoint; above, the
+    sum rounds to even, and the top cell's 1.0 is clamped to 1 - 2**-53."""
     u = rng.random(size)
-    u += 0.5 / _CELLS
+    u += 2.0**-54
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return u
 
 

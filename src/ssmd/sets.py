@@ -33,7 +33,10 @@ _EPS = float(np.finfo(float).eps)
 # C^2 / lambda and C^2 / lambda^2 at most 2^220, the weight sums
 # S_K <= (K + 1)^1.5 / a at most 2^120, and _tau's interpolation product, at
 # most 4 n cap^2 <= 2^162, and its error bound 16 n (n + 4) cap eps, at least
-# 2^-112, leave room for every rounding step
+# 2^-112, leave room for every rounding step.  project's shift x - r stays
+# below 2^184: points are below 2^60 + 2^60 2^121 after an engine step (step
+# <= 2^60, |g_i| <= 0.36 (1 + |xi_i|) + lambda |x_i - anchor_i| < 2^121 with
+# |xi| < 9), 2^20 2^121 after a reference step and cap in the constants estimate
 MAGNITUDES = (2.0 ** -60, 2.0 ** 60)
 
 
@@ -101,10 +104,9 @@ class CappedBox:
         lo = max(n - 1 - max(64, q), 0) if binding > 1 else 0
         xs = np.sort(np.partition(x, lo, axis=-1)[:, lo:] if lo else x, axis=-1)
         r = xs[:, n - 1 - q - lo, None]
-        with np.errstate(over="ignore"):  # a finite x - r may overflow; clipped, inf is exact
-            s = np.subtract(x, r)
-            s.clip(-cap, cap, out=s)
-            xs = (xs - r).clip(-cap, cap)
+        s = np.subtract(x, r)
+        s.clip(-cap, cap, out=s)
+        xs = (xs - r).clip(-cap, cap)
         tau = self._tau(s, xs, np.maximum(-cap, -r[:, 0]))
         # nudge a row's tau up by doubling ulps if roundoff left its sum a hair
         # over budget, so the result is exactly feasible and projection is

@@ -41,9 +41,9 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Envelope:
-    """phi(t) = max_j (c_j + d_j t) on pieces of strictly increasing slope d,
-    each the maximum between its breakpoints: breakpoint j is where pieces j
-    and j + 1 meet."""
+    """phi(t) = max_j (c_j + d_j t) on the caller's pieces: nonempty, finite,
+    of strictly increasing slope d and each the maximum between its
+    breakpoints; breakpoint j is where pieces j and j + 1 meet."""
 
     intercepts: np.ndarray
     slopes: np.ndarray
@@ -51,17 +51,7 @@ class Envelope:
 
     def __post_init__(self):
         c, d = self.intercepts, self.slopes
-        if c.ndim != 1 or c.shape != d.shape or c.size == 0:
-            raise ValueError("need nonempty piece arrays of one shape")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(d))):
-            raise ValueError("pieces must be finite")
-        if np.any(np.diff(d) <= 0.0):
-            raise ValueError("slopes must be strictly increasing")
-        breakpoints = (c[:-1] - c[1:]) / (d[1:] - d[:-1])
-        if np.any(np.diff(breakpoints) <= 0.0):
-            raise ValueError("every piece must be the maximum somewhere: breakpoints "
-                             "must be strictly increasing")
-        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "breakpoints", (c[:-1] - c[1:]) / (d[1:] - d[:-1]))
 
 
 def _active_piece(envelope: Envelope, t):

@@ -9,6 +9,7 @@ import pytest
 from ssmd import cli, harness, utility
 from ssmd.cli import main
 from ssmd.harness import build_instance, parse_config
+from ssmd.sets import CappedBox
 from ssmd.utility import reference_solution
 
 SMALL = """regime = compact
@@ -322,29 +323,46 @@ def _column_values(text: str, *columns: str) -> list:
     pytest.param("bounds", EXTREME.format("1e300"), 1, id="bounds-cap-1e300"),
     pytest.param("bounds", EXTREME.format("1e307"), 1, id="bounds-n-cap-overflows"),
     # corners of the accepted range: the largest f and constants (n = 1000 with
-    # cap, budget and lambda at 2^60), the largest d^2 / a and a Ct^2, a budget
-    # 2^120 caps (clamped at n in the diameter), and the smallest box and lambda
+    # cap, budget and lambda at 2^60), the largest d^2 / a and a Ct^2, the
+    # longest engine steps (cap, budget, a and lambda at 2^60: about 2^180), a
+    # budget 2^120 caps (clamped at n in the diameter), and the smallest box
+    # and lambda
     *[pytest.param(command, CORNER + text, 0, id=f"{command}-corner-{name}")
       for name, text in (
           ("largest-f", f"strongly_convex\nn = 1000\ncap = {HI!r}\nbudget = {HI!r}\n"
                         f"lambda = {HI!r}\n"),
           ("largest-d2", f"compact\nn = 50\ncap = {HI!r}\nbudget = {HI!r}\n"
                          f"a = {HI!r}, {LO!r}\n"),
+          ("largest-step", f"compact\nn = 50\ncap = {HI!r}\nbudget = {HI!r}\na = {HI!r}\n"
+                           f"lambda = {HI!r}\n"),
           ("budget-over-cap", f"compact\nn = 50\ncap = {LO!r}\nbudget = {HI!r}\n"
                               f"a = {LO!r}, {HI!r}\nlambda = {LO!r}\n"),
           ("smallest", f"strongly_convex\nn = 1\ncap = {LO!r}\nbudget = {LO!r}\n"
                        f"lambda = {LO!r}\nschedule = step-2\n"))
       for command in ("experiment", "bounds")],
 ])
-def test_every_accepted_config_runs(tmp_path, capsys, command, text, code):
+def test_every_accepted_config_runs(tmp_path, capsys, monkeypatch, request, command, text,
+                                    code):
     # the reference stops on the flat optima of test2 and test4; the corners of
     # the accepted range run with finite columns and no warning (warnings are
-    # errors here), and caps outside it are rejected
+    # errors here), and caps outside it are rejected.  At the top corners the
+    # engine's steps bind, so CappedBox.project shifts them, x - r up to about
+    # 2^180, without an overflow warning
+    callers, tau = [], CappedBox._tau
+
+    def spy(self, *args):
+        callers.append(sys._getframe(2).f_code.co_name)  # the caller of project
+        return tau(self, *args)
+
+    monkeypatch.setattr(CappedBox, "_tau", spy)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text)
     out = tmp_path / "out"
     argv = [command, "--config", str(cfg)]
     assert main(argv + ["--out", str(out)] if command == "experiment" else argv) == code
+    if request.node.callspec.id in ("experiment-corner-largest-d2",
+                                    "experiment-corner-largest-step"):
+        assert "_run" in callers
     captured = capsys.readouterr()
     assert "cap must be" in captured.err if code else not captured.err
     if command == "bounds" and not code:

@@ -108,9 +108,35 @@ def test_uniform_open_strictly_inside():
 
 
 def test_uniform_open_equals_cell_midpoints():
-    # random() plus half a cell is (2**53-cell index + 0.5) / 2**53, bit for bit
+    # random() plus half a cell is (2**53-cell index + 0.5) / 2**53 rounded, bit
+    # for bit: the cell's midpoint below 1/2, rounded to even above it, and the
+    # top cell's 1.0 clamped to the largest double below 1
     cells = rng_from_seed(19).integers(0, 2**53, size=100_000, dtype=np.int64)
-    assert np.array_equal(uniform_open(rng_from_seed(19), 100_000), (cells + 0.5) / 2**53)
+    want = np.minimum((cells + 0.5) / 2**53, 1.0 - 2.0**-53)
+    assert np.array_equal(uniform_open(rng_from_seed(19), 100_000), want)
+
+
+class _Cells:
+    """A stand-in generator whose random(size) returns the given cells."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size):
+        assert size == len(self.values)
+        return np.array(self.values)
+
+
+def test_uniform_open_top_cell_stays_below_one():
+    # random()'s top value 1 - 2**-53 plus half a cell rounds to 1.0, whose
+    # quantile is nan: clamped, it stays inside (0, 1) and its quantile finite
+    cells = [0.0, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53]
+    u = uniform_open(_Cells(cells), len(cells))
+    assert np.array_equal(u, [2.0**-54, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53])
+    assert np.all((u > 0.0) & (u < 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(norm_ppf(u)).all()
 
 
 def test_normal_stream_is_pure_function_of_seed():
@@ -165,21 +191,32 @@ def test_ppf_equals_formula_with_temporaries():
     u = uniform_open(rng_from_seed(31), 100_000)
     edges = np.array([1e-300, np.nextafter(0.075, 0.0), 0.075, np.nextafter(0.075, 1.0),
                       0.925, 1.0 - 1e-16, 0.0, 1.0])
-    for p in (u, edges, u[np.abs(u - 0.5) <= 0.425], u[np.abs(u - 0.5) > 0.425]):
-        with np.errstate(invalid="ignore"):  # the old formula: p = 0 and 1 give inf / inf
-            want = norm_ppf_with_temporaries(p)
-        assert np.array_equal(norm_ppf(p), want, equal_nan=True)
-    assert np.isnan(norm_ppf(edges[-2:])).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (u, edges[:-2], u[np.abs(u - 0.5) <= 0.425], u[np.abs(u - 0.5) > 0.425]):
+            assert np.array_equal(norm_ppf(p), norm_ppf_with_temporaries(p))
+    with np.errstate(invalid="ignore"):  # the old formula: p = 0 and 1 give inf / inf
+        want = norm_ppf_with_temporaries(edges)
+    with pytest.warns(RuntimeWarning):  # p = 0 and 1 lie outside (0, 1)
+        got = norm_ppf(edges)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[-2:]).all()
     assert norm_ppf(0.3) == norm_ppf_with_temporaries(0.3)[0]
 
 
-def test_ppf_outside_unit_interval_is_nan_without_warnings():
+def test_ppf_outside_unit_interval_is_nan_with_a_warning():
+    # nan outside (0, 1), with numpy's RuntimeWarning; nan gives nan without one
+    with pytest.warns(RuntimeWarning):
+        got = norm_ppf(np.array([0.0, 0.5, 1.0]))
+    assert np.array_equal(got, [np.nan, 0.0, np.nan], equal_nan=True)
+    with pytest.warns(RuntimeWarning):
+        assert np.isnan(norm_ppf([-1.0, 2.0, np.nan, np.inf, -np.inf, 1e300])).all()
+    for p in (0.0, 1.0):
+        with pytest.warns(RuntimeWarning):
+            assert np.isnan(norm_ppf(p))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = norm_ppf(np.array([0.0, 0.5, 1.0]))
-        assert np.array_equal(got, [np.nan, 0.0, np.nan], equal_nan=True)
-        assert np.isnan(norm_ppf([-1.0, 2.0, np.nan, np.inf, -np.inf, 1e300])).all()
-        assert np.isnan(norm_ppf(0.0)) and np.isnan(norm_ppf(1.0))
+        assert norm_ppf(0.5) == 0.0 and np.isnan(norm_ppf(np.nan))
 
 
 def same_bits(got, want):
@@ -194,7 +231,8 @@ def same_bits(got, want):
                                   3 * gaussian._BLOCK + 5])
 def test_blocked_ppf_equals_formula_with_temporaries(size):
     # edge values and p outside (0, 1) placed on both sides of every block
-    # boundary, in C, strided and Fortran layouts: no warning, same bits
+    # boundary, in C, strided and Fortran layouts: same bits, a RuntimeWarning
+    # from the entries outside (0, 1), and none once they are replaced by 0.5
     block = gaussian._BLOCK
     special = np.array([0.0, 1.0, np.nan, np.inf, -np.inf, 1e300, 5e-324, 0.5,
                         np.nextafter(0.075, 0.0), 0.075, np.nextafter(0.075, 1.0),
@@ -205,13 +243,14 @@ def test_blocked_ppf_equals_formula_with_temporaries(size):
     at = at[at < size]
     p[at] = special[np.arange(at.size) % special.size]
     p[-1] = special[5]
-    with np.errstate(all="ignore"):  # the formula with temporaries overflows and divides inf
-        want = norm_ppf_with_temporaries(p)
-        strided = norm_ppf_with_temporaries(np.repeat(p, 2)[::2])
-        grid = np.asfortranarray(np.resize(p, (7, size)))
-        want_grid = norm_ppf_with_temporaries(grid.ravel(order="K")).reshape(grid.shape, order="F")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+
+    def check(p):
+        with np.errstate(all="ignore"):  # the formula with temporaries overflows and divides inf
+            want = norm_ppf_with_temporaries(p)
+            strided = norm_ppf_with_temporaries(np.repeat(p, 2)[::2])
+            grid = np.asfortranarray(np.resize(p, (7, size)))
+            want_grid = norm_ppf_with_temporaries(grid.ravel(order="K")).reshape(grid.shape,
+                                                                                 order="F")
         assert same_bits(norm_ppf(p), want)
         assert same_bits(norm_ppf(np.repeat(p, 2)[::2]), strided)
         assert same_bits(norm_ppf(grid), want_grid)
@@ -219,3 +258,9 @@ def test_blocked_ppf_equals_formula_with_temporaries(size):
         for i in range(min(size, 40)):
             got = norm_ppf(np.array(p[i]))
             assert isinstance(got, float) and same_bits(got, want[i])
+
+    with pytest.warns(RuntimeWarning):
+        check(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check(np.where((p > 0.0) & (p < 1.0), p, 0.5))

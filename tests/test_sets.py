@@ -130,11 +130,13 @@ def test_projection_huge_component_regression():
     assert np.array_equal(p[:8], np.zeros(8))
     assert abs(p[8] - box.budget) <= 1e-15 * box.budget
     assert kkt_residual_any_scale(box.cap, box.budget, x, p) < 1e-12
-    # finite components more than a max float apart: their shift overflows to
-    # -inf, which the clip makes exact, alone and in a stack, with no warning
+    # finite components more than a max float apart, far beyond any point the
+    # program projects: their shift overflows to -inf with numpy's warning, and
+    # the clip makes it exact, alone and in a stack
     x = np.array([1.7e308, 1e308, -1.7e308])
     for point in (x, np.stack([x, x])):
-        p = CappedBox(3, 1.0, 1.0).project(point)
+        with pytest.warns(RuntimeWarning):
+            p = CappedBox(3, 1.0, 1.0).project(point)
         assert np.array_equal(p, np.broadcast_to([1.0, 0.0, 0.0], point.shape))
 
 

@@ -45,22 +45,6 @@ def test_envelope_abs_value():
     assert envelope([0.7], [-2.0]).breakpoints.shape == (0,)
 
 
-@pytest.mark.parametrize("intercepts, slopes, match", [
-    ([0.0, np.nan], [0.0, 1.0], "finite"),
-    ([0.0, 0.0], [-np.inf, 1.0], "finite"),
-    ([0.0, 1.0], [1.0, 1.0], "slopes"),
-    ([0.0, 0.0], [1.0, -1.0], "slopes"),
-    # the middle piece lies below the max of the outer two everywhere
-    ([0.0, -1.0, 0.0], [-1.0, 0.0, 1.0], "maximum"),
-    ([0.0, 0.0], [1.0], "shape"),
-    ([], [], "nonempty"),
-    ([[0.0]], [[1.0]], "shape"),
-])
-def test_envelope_rejects_bad_pieces(intercepts, slopes, match):
-    with pytest.raises(ValueError, match=match):
-        envelope(intercepts, slopes)
-
-
 def test_phi_examples():
     assert phi(ABS, -2.0) == 2.0
     assert phi_slope(ABS, -2.0) == -1.0
