@@ -5,8 +5,8 @@ Subcommands:
 * ``experiment --config PATH --out DIR [--workers N]`` run the Monte-Carlo
   experiment and write CSV + metadata sidecar files into DIR.
 * ``verify --kmax N`` machine-check the stepsize conditions.
-* ``reference --config PATH`` print the high-accuracy optimal value, solved
-  to the config's ``reference_tol``.
+* ``reference --config PATH`` print the reference optimal value f_ref, then
+  f_lower = f_ref - gap <= f*, with gap <= the config's ``reference_tol``.
 * ``bounds --config PATH`` print the theoretical bound curve as CSV.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
@@ -46,7 +46,7 @@ from .harness import (  # noqa: E402
     sweep_a,
 )
 from .stepsizes import verify_suite  # noqa: E402
-from .utility import reference_solution  # noqa: E402
+from .utility import reference_gap, reference_solution  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,8 +96,9 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
 
 def _cmd_reference(args) -> tuple[int, list[str]]:
     cfg = _load_config(args.config)
-    _, f_ref = reference_solution(build_instance(cfg), cfg.reference_tol)
-    return 0, [repr(f_ref)]
+    instance = build_instance(cfg)
+    x_ref, f_ref = reference_solution(instance, cfg.reference_tol)
+    return 0, [repr(f_ref), repr(f_ref - reference_gap(instance, x_ref))]
 
 
 def _cmd_bounds(args) -> tuple[int, list[str]]:

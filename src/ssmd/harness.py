@@ -32,6 +32,7 @@ from .utility import (
     instance_metadata,
     make_instance,
     make_problem,
+    reference_gap,
     reference_solution,
 )
 
@@ -278,8 +279,8 @@ def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]
     workers = cfg.workers if workers is None else int(workers)
     instance = build_instance(cfg)
     constants = instance_constants(cfg, instance)
-    f_ref = reference_solution(instance, cfg.reference_tol)[1] \
-        if cfg.compute_reference else None
+    x_ref, f_ref = reference_solution(instance, cfg.reference_tol) \
+        if cfg.compute_reference else (None, None)
 
     seeds = [(cfg.base_seed + r) % (1 << 64) for r in range(cfg.runs)]
     tasks = [(a, s) for a in a_list for s in seeds]
@@ -298,7 +299,8 @@ def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]
         "mu_f": repr(cfg.reg_weight),
         "mu_w": repr(1.0),
         **instance_metadata(instance),
-        **({} if f_ref is None else {"f_ref": repr(f_ref)}),
+        **({} if f_ref is None else {"f_ref": repr(f_ref),
+                                     "f_lower": repr(f_ref - reference_gap(instance, x_ref))}),
         "config": config_text(cfg),
     }
     summaries = []

@@ -36,7 +36,7 @@ _EPS = float(np.finfo(float).eps)
 # 2^-112, leave room for every rounding step.  project's shift x - r stays
 # below 2^184: points are below 2^60 + 2^60 2^121 after an engine step (step
 # <= 2^60, |g_i| <= 0.36 (1 + |xi_i|) + lambda |x_i - anchor_i| < 2^121 with
-# |xi| < 9), 2^20 2^121 after a reference step and cap in the constants estimate
+# |xi| < 9), 2^27 2^121 after a reference step and cap in the constants estimate
 MAGNITUDES = (2.0 ** -60, 2.0 ** 60)
 
 

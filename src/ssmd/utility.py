@@ -243,43 +243,40 @@ def stochastic_subgradient(instance: UtilityInstance, x,
     return _subgradient(instance, x, instance.coeffs + standard_normals(rng, instance.n))
 
 
+def reference_gap(instance: UtilityInstance, x: np.ndarray) -> float:
+    """Frank-Wolfe duality gap at a feasible x: the max over the capped box of
+    g'(x - y), g = grad_f(x) (Jaggi, ICML 2013); f is convex, so f(x) - gap <= f*.
+    The minimizer y of g'y caps the most negative g_i first until the budget is spent."""
+    set_, g = instance.feasible_set, grad_f(instance, x)
+    fill = np.clip(set_.budget - set_.cap * np.arange(set_.n), 0.0, set_.cap)
+    return float(g @ x - np.minimum(np.sort(g), 0.0) @ fill)
+
+
 def reference_solution(instance: UtilityInstance, tol: float,
                        x_init: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
-    """High-accuracy minimizer via deterministic projected descent.
-
-    Gradients are the closed-form :func:`grad_f` of the exact objective;
-    backtracking keeps the procedure deterministic while the accepted steps
-    shrink near the solution.  Convergence requires both the last move per
-    unit step, over max(1, step) (on flat optima the step reaches its 1e6 cap),
-    and the unit-step projected-gradient residual to drop below tol; hitting
-    the iteration cap raises :class:`ConvergenceError`.
-    """
-    proj = instance.feasible_set.project
-    x = proj(np.asarray(instance.x0 if x_init is None else x_init, dtype=float))
+    """High-accuracy minimizer by projected gradient, returned at the first x
+    whose reference_gap is at most tol, so f(x) - f* <= tol; the iteration cap
+    raises :class:`ConvergenceError`.  The trial step is 1/c (1e8 where
+    c <= 1e-8), c = reg_weight + E[phi'(t) Z]/||x|| the curvature of f along x
+    (reg_weight at x = 0), halved until f decreases enough or it is below 1e-20."""
+    set_, lam = instance.feasible_set, instance.reg_weight
+    x = set_.project(np.asarray(instance.x0 if x_init is None else x_init, dtype=float))
     fx = f_value(instance, x)
-    step = 1.0
-    last_move = np.inf
     for _ in range(REFERENCE_ITERATIONS):
-        g = grad_f(instance, x)
-        residual = float(np.sqrt(np.sum((x - proj(x - g)) ** 2)))
-        if residual <= tol and last_move <= tol * max(1.0, step):
+        if reference_gap(instance, x) <= tol:
             return x, fx
-        step = min(step * 2.0, 1e6)
-        # roundoff allowance proportional to the objective's own scale; an
-        # additive constant here would swamp problems whose optimum is ~0
-        slack = 1e-14 * abs(fx)
-        # c1 = 1/4 keeps the accepted step below 1.5/L on quadratics, so the
-        # iteration contracts instead of ping-ponging across the minimizer
+        mean, (_, sigma, zero, _, _, pdf_diff) = _oracle_mean(instance, x)
+        g = mean + lam * (x - instance.anchor)
+        c = lam if zero[0] else lam + float(instance.envelope.slopes @ pdf_diff) / sigma[0]
+        step = 1.0 / c if c > 1e-8 else 1e8
         while True:
-            x_new = proj(x - step * g)
+            x_new = set_.project(x - step * g)
             f_new = f_value(instance, x_new)
-            if f_new <= fx + 0.25 * float(g @ (x_new - x)) + slack:
+            # c1 = 1/4 keeps the accepted step below 1.5/L on quadratics; the
+            # slack is roundoff on f's own scale, where a constant would swamp f* ~ 0
+            if f_new <= fx + 0.25 * float(g @ (x_new - x)) + 1e-14 * abs(fx) or step < 1e-20:
                 break
             step *= 0.5
-            if step < 1e-20:
-                x_new, f_new = x, fx
-                break
-        last_move = float(np.sqrt(np.sum((x_new - x) ** 2)))
         x, fx = x_new, f_new
     raise ConvergenceError(f"no convergence to tol={tol} in {REFERENCE_ITERATIONS} iterations")
 

@@ -403,6 +403,26 @@ def test_compact_claims_from_the_floor(label):
           f"{NAMED_RUNS} runs x K={K_RUN} ({time.perf_counter() - t0:.1f}s)")
 
 
+# ------------------------------------- strongly convex claim on test1, certified
+
+@pytest.mark.parametrize("schedule", ["step-1", "step-2"])
+def test_strongly_convex_claim_from_the_certified_floor(schedule):
+    # f_lower = f_ref - gap <= f*, so mean f(x_hat_k) - f_lower overstates the
+    # mean gap and a pass is sound.  The margin, fixed before running, is
+    # none: the gap must lie in [0, bound] at every k
+    t0 = time.perf_counter()
+    (_, summary), = sweep_a(parse_config(
+        f"regime = strongly_convex\ninstance = test1\nlambda = 100\nschedule = {schedule}\n"
+        f"runs = {N_SEEDS}\niterations = {K_RUN}\ncompute_reference = true\nseed = 41\n"))
+    f_lower = float(summary.metadata["f_lower"])
+    assert f_lower <= float(summary.metadata["f_ref"])
+    gap = summary.mean_f_avg - f_lower
+    assert np.all(gap >= 0.0) and np.all(gap <= summary.bound), float(np.max(gap / summary.bound))
+    print(f"\nPASS strongly convex claim on test1 ({schedule}) from f_lower: "
+          f"gap/bound <= {np.max(gap / summary.bound):.2g}, {N_SEEDS} runs x K={K_RUN} "
+          f"({time.perf_counter() - t0:.1f}s)")
+
+
 # --------------------------------------------------------------- criterion 12
 
 

@@ -10,7 +10,7 @@ from ssmd import cli, harness, utility
 from ssmd.cli import main
 from ssmd.harness import build_instance, parse_config
 from ssmd.sets import CappedBox
-from ssmd.utility import reference_solution
+from ssmd.utility import reference_gap, reference_solution
 
 SMALL = """regime = compact
 instance = inline
@@ -150,8 +150,10 @@ def test_reference_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SC)
     assert main(["reference", "--config", str(cfg)]) == 0
-    val = float(capsys.readouterr().out.strip())
-    assert val < 1.0  # utility minimum sits below the flat envelope level
+    f_ref, f_lower = map(float, capsys.readouterr().out.splitlines())
+    assert f_ref < 1.0  # utility minimum sits below the flat envelope level
+    # the second line is the certified floor, within reference_tol = 1e-6
+    assert f_ref - 1e-6 <= f_lower <= f_ref
 
 
 def test_reference_without_convergence_exits_2(tmp_path, capsys, monkeypatch):
@@ -319,6 +321,12 @@ def _column_values(text: str, *columns: str) -> list:
                    id=f"reference-{regime}-{name}")
       for regime in ("compact", "strongly_convex")
       for name in ("test1", "test2", "test3", "test4")],
+    # a reference stopped on its projected-gradient residual stalled on these
+    *[pytest.param("reference", f"regime = strongly_convex\ninstance = {name}\nlambda = 1e5\n",
+                   0, id=f"reference-lambda-1e5-{name}")
+      for name in ("test1", "test2", "test3", "test4")],
+    pytest.param("reference", CORNER + f"strongly_convex\nn = 1000\ncap = {HI!r}\nbudget = 1\n"
+                  "lambda = 8192\n", 0, id="reference-cap-2^60"),
     pytest.param("bounds", EXTREME.format("1e-300"), 1, id="bounds-cap-1e-300"),
     pytest.param("bounds", EXTREME.format("1e300"), 1, id="bounds-cap-1e300"),
     pytest.param("bounds", EXTREME.format("1e307"), 1, id="bounds-n-cap-overflows"),
@@ -343,11 +351,12 @@ def _column_values(text: str, *columns: str) -> list:
 ])
 def test_every_accepted_config_runs(tmp_path, capsys, monkeypatch, request, command, text,
                                     code):
-    # the reference stops on the flat optima of test2 and test4; the corners of
-    # the accepted range run with finite columns and no warning (warnings are
-    # errors here), and caps outside it are rejected.  At the top corners the
-    # engine's steps bind, so CappedBox.project shifts them, x - r up to about
-    # 2^180, without an overflow warning
+    # the reference stops on the flat optima of test2 and test4, and at
+    # lambda = 1e5 and cap = 2^60; the corners of the accepted range run with
+    # finite columns and no warning (warnings are errors here), and caps
+    # outside it are rejected.  At the top corners the engine's steps bind, so
+    # CappedBox.project shifts them, x - r up to about 2^180, without an
+    # overflow warning
     callers, tau = [], CappedBox._tau
 
     def spy(self, *args):
@@ -379,14 +388,15 @@ def test_every_accepted_config_runs(tmp_path, capsys, monkeypatch, request, comm
 def test_reference_falls_back_to_config_tol(tmp_path, capsys):
     text = "regime = strongly_convex\ninstance = test1\nlambda = 100\n"
     instance = build_instance(parse_config(text))
-    loose = reference_solution(instance, 1e-2)[1]
-    tight = reference_solution(instance, 1e-6)[1]
-    assert loose != tight
-    for name, tol, want in (("loose", "reference_tol = 1e-2\n", loose), ("tight", "", tight)):
+    loose = reference_solution(instance, 1e-2)
+    tight = reference_solution(instance, 1e-6)
+    assert loose[1] != tight[1]
+    for name, tol, (x, f) in (("loose", "reference_tol = 1e-2\n", loose), ("tight", "", tight)):
         cfg = tmp_path / f"{name}.txt"
         cfg.write_text(text + tol)
         assert main(["reference", "--config", str(cfg)]) == 0
-        assert capsys.readouterr().out == f"{want!r}\n"
+        # f_ref, then the floor f_ref - gap
+        assert capsys.readouterr().out == f"{f!r}\n{f - reference_gap(instance, x)!r}\n"
 
 
 def test_strongly_convex_runs_only_the_first_a(tmp_path, capsys):
@@ -496,7 +506,7 @@ PINNED = {
         "experiment.csv":
             "309c98f008fa18b2275805b53f5d1ffec0f2fd2727e589d5ae40d41434f36621",
         "experiment.csv.meta":
-            "f8d0132ada2611600a818eeca91601a4e8e7fba505a7b6c605e17bc389d55b39",
+            "b3da5199365d486dd3bfe41c58dd69636020103057c20b0c48aee283212d3884",
         "bounds": "ef96269ccdd73dc00264e9eda2d17b97033bd81acf7bf744d39d0dec83532675",
     },
     # compact_test1_sweep

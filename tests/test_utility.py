@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (STACK_FLOATS, fd_grad, mc_estimate_f, mc_estimate_f_dense,
-                      norm_cdf_interval, phi_slope, piecewise_gaussian_quadrature)
+from conftest import (STACK_FLOATS, capped_box_vertices, fd_grad, mc_estimate_f,
+                      mc_estimate_f_dense, norm_cdf_interval, phi_slope,
+                      piecewise_gaussian_quadrature)
 
 from ssmd.gaussian import norm_pdf, rng_from_seed, standard_normals
 from ssmd.utility import (
+    INSTANCE_LABELS,
     Envelope,
     default_envelope,
     default_instance,
@@ -19,6 +21,7 @@ from ssmd.utility import (
     make_instance,
     make_problem,
     phi,
+    reference_gap,
     reference_solution,
     stochastic_subgradient,
 )
@@ -414,6 +417,68 @@ def test_reference_self_consistency():
     _, f1 = reference_solution(inst, 1e-6)
     _, f2 = reference_solution(inst, 1e-6, x_init=np.full(100, 0.05))
     assert abs(f1 - f2) < 1e-7
+
+
+def test_reference_gap_is_the_box_minimum():
+    # with phi = 0 and lambda = 1, grad_f(0) = -anchor = g exactly, so the gap
+    # at x = 0 is -min g'y over the box, which a linear function attains at a
+    # vertex; budgets below cap, between cap and n cap, and above n cap
+    rng = rng_from_seed(31)
+    for n in range(1, 7):
+        for cap in (0.7, 1.0, 2.5):
+            for budget in (0.4 * cap, cap * (1.0 + 0.55 * (n - 1)), 1.5 * n * cap):
+                verts = capped_box_vertices(cap, budget, n)
+                inst = with_envelope(make_instance("box", n=n, cap=cap, budget=budget,
+                                                   reg_weight=1.0), [0.0], [0.0])
+                for _ in range(5):
+                    g = rng.standard_normal(n)
+                    inst = dataclasses.replace(inst, anchor=-g)
+                    assert np.array_equal(grad_f(inst, np.zeros(n)), g)
+                    gap = reference_gap(inst, np.zeros(n))
+                    assert gap == pytest.approx(-np.min(verts @ g), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("reg", [0.0, 100.0])
+@pytest.mark.parametrize("label", INSTANCE_LABELS)
+def test_reference_is_certified_to_tol(label, reg):
+    # from x0 and from the warm start budget/n, the returned point's
+    # Frank-Wolfe gap, a bound on f(x_ref) - f*, is at most tol
+    inst = default_instance(label, reg_weight=reg)
+    for x_init in (None, np.full(100, inst.feasible_set.budget / 100)):
+        x_ref, f_ref = reference_solution(inst, 1e-6, x_init=x_init)
+        assert inst.feasible_set.contains(x_ref) and f_ref == f_value(inst, x_ref)
+        assert reference_gap(inst, x_ref) <= 1e-6
+
+
+def test_reference_floor_is_below_f_on_the_box():
+    # f_lower = f_ref - gap <= f* <= f(y) at 10^4 feasible y per box: projected
+    # uniforms scaled by cap 10^-3u, so some points are inside the budget and
+    # some on it (test1 and test3 share one box, test2 and test4 the other)
+    rng = rng_from_seed(32)
+    for labels in (("test1", "test3"), ("test2", "test4")):
+        set_ = default_instance(labels[0], reg_weight=0.0).feasible_set
+        scale = set_.cap * 10.0 ** (-3.0 * rng.random((10_000, 1)))
+        y = set_.project(scale * rng.random((10_000, 100)))
+        assert set_.contains(y) and np.any(y.sum(axis=-1) < set_.budget)
+        for label in labels:
+            for reg in (0.0, 100.0):
+                inst = default_instance(label, reg_weight=reg)
+                x_ref, f_ref = reference_solution(inst, 1e-6)
+                f_lower = f_ref - reference_gap(inst, x_ref)
+                assert np.min(f_value(inst, y)) >= f_lower, (label, reg)
+
+
+def test_reference_brackets_f_star_on_a_segment():
+    # n = 1, cap = 1, budget = 0.5, lambda = 0 at tol 1e-9: f* is the minimum
+    # over [0, 0.5], at x* = 0.49, near which f'' = sum_j (d_(j+1) - d_j)
+    # pdf(z_j) (b_j/x)^2 / x < 2, so the least of a grid of 2e5 points
+    # (h = 2.5e-6) lies within f'' h^2 / 8 < 1e-11 above it: f* is in
+    # [grid - 1e-11, grid], and f_lower <= f* <= f_ref
+    inst = make_instance("segment", n=1, cap=1.0, budget=0.5, reg_weight=0.0)
+    x_ref, f_ref = reference_solution(inst, 1e-9)
+    f_lower = f_ref - reference_gap(inst, x_ref)
+    grid = float(np.min(f_value(inst, np.linspace(0.0, 0.5, 200_000)[:, None])))
+    assert f_lower <= grid - 1e-11 <= f_ref and f_ref - f_lower <= 1e-9
 
 
 def test_default_instances():
