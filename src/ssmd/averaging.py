@@ -6,13 +6,13 @@ The average is maintained by the convex-combination recursion
 
 which keeps x_hat inside the feasible set whenever every absorbed point is,
 and keeps magnitudes bounded.  The cumulative weight S carries a Kahan
-compensation term.
+compensation term.  A stack of points (R, n) is averaged row by row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -22,15 +22,16 @@ class AverageState:
     """Weighted average x_hat of absorbed points with cumulative weight sum."""
 
     x_hat: Optional[np.ndarray]
-    weight_sum: float
-    _carry: float = 0.0
+    weight_sum: Union[float, np.ndarray]
+    _carry: Union[float, np.ndarray] = 0.0
 
     @staticmethod
     def empty() -> "AverageState":
         return AverageState(x_hat=None, weight_sum=0.0)
 
-    def absorb(self, x, alpha: float) -> "AverageState":
-        """Absorb a point (n,) with weight 1/alpha; returns the updated state."""
+    def absorb(self, x, alpha) -> "AverageState":
+        """Absorb a point (n,) with weight 1/alpha, or a stack (R, n) with one
+        alpha per row (R, 1); returns the updated state."""
         x = np.asarray(x, dtype=float)
         y = 1.0 / alpha - self._carry
         new_sum = self.weight_sum + y

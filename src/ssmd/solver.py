@@ -29,8 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .averaging import AverageState
 from .gaussian import rng_from_seed
-from .stepsizes import InverseSqrtStepsize, kahan_cumsum
+from .stepsizes import InverseSqrtStepsize
 
 # Floats in the engine's per-block stack of iterates x_k of all R runs: 4096
 # per run of a full harness batch (BATCH_RUNS = 32).  A block is
@@ -39,11 +40,11 @@ from .stepsizes import InverseSqrtStepsize, kahan_cumsum
 BLOCK_FLOATS = 32 * 4096
 
 
-def prox_step(feasible_set, x, g, alpha: float) -> np.ndarray:
-    """One mirror-descent step, argmin_{z in X} alpha*<g, z - x> + ||z - x||^2/2:
-    the projection of x - alpha*g onto X.  The engine projects its stack of runs
-    directly."""
-    return feasible_set.project(np.asarray(x, dtype=float) - alpha * np.asarray(g, dtype=float))
+def prox_step(feasible_set, x, g, alpha) -> np.ndarray:
+    """The mirror-descent step, argmin_{z in X} alpha*<g, z - x> + ||z - x||^2/2:
+    the projection of x - alpha*g onto X, per row of a stack of points x (R, n)
+    with each row's alpha (R, 1), or for one point (n,) and one alpha."""
+    return feasible_set.project(x - alpha * g)
 
 
 @dataclass
@@ -126,17 +127,12 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
     x_star = None if problem.x_star is None else np.asarray(problem.x_star, dtype=float)
     dist = None if x_star is None else np.empty((m, 2, runs))
 
-    # x_hat_k by AverageState's recursion, on each run's Kahan sums S_k of 1/alpha_t
-    sums = kahan_cumsum(1.0 / alphas)
-    ratios = (sums[:-1] / sums[1:])[..., None]
+    average = AverageState.empty()
     for k in range(m):
-        if k == 0:
-            x_hat = x.copy()
-        else:
-            x_hat = ratios[k - 1] * x_hat + (1.0 - ratios[k - 1]) * x
+        average = average.absorb(x, alphas[k, :, None])
         j = k % rows
         block[j, 0] = x
-        block[j, 1] = x_hat
+        block[j, 1] = average.x_hat
         if j == rows - 1 or k == num_iterations:
             done = block[:j + 1]
             if not set_.contains(done[:, 0].reshape(-1, n)):
@@ -148,7 +144,7 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
             if j == 0:
                 count = min(rows, num_iterations - k)
                 xi = np.stack([problem.noise(r, count) for r in rngs], axis=1)
-            x = set_.project(x - steps[k] * problem.oracle(x, xi[j]))
+            x = prox_step(set_, x, problem.oracle(x, xi[j]), steps[k])
 
     traces = [RunTrace(
         f_iter=f_vals[:, 0, i].copy(),
@@ -156,7 +152,7 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
         f_min=np.minimum.accumulate(f_vals[:, 0, i]),
         dist_iter_sq=None if dist is None else dist[:, 0, i].copy(),
         dist_avg_sq=None if dist is None else dist[:, 1, i].copy(),
-        x_hat_final=x_hat[i].copy(),
+        x_hat_final=average.x_hat[i].copy(),
     ) for i in range(runs)]
     return traces[0] if single else traces
 

@@ -228,19 +228,16 @@ def grad_f(instance: UtilityInstance, x) -> np.ndarray:
     return _oracle_mean(instance, x)[0] + instance.reg_weight * (x - instance.anchor)
 
 
-def _subgradient(instance: UtilityInstance, x: np.ndarray, noisy: np.ndarray) -> np.ndarray:
-    """phi'((a+xi)'x) (a+xi) + reg term per row, given noisy = a + xi."""
+def stochastic_subgradient(instance: UtilityInstance, x: np.ndarray,
+                           xi: np.ndarray) -> np.ndarray:
+    """The one-sample stochastic subgradient phi'((a+xi)'x) (a+xi) + reg term
+    per row of x (R, n) or (n,), given its noise xi ~ N(0, I) of the same shape;
+    either side may be one (n,) shared by every row of the other."""
+    noisy = instance.coeffs + xi
     t = np.sum(noisy * x, axis=-1)
     g = instance.envelope.slopes[_active_piece(instance.envelope, t)][..., None] * noisy
     # reg_weight = 0 adds +-0.0, which changes only the sign of a zero g_i
     return g + instance.reg_weight * (x - instance.anchor) if instance.reg_weight else g
-
-
-def stochastic_subgradient(instance: UtilityInstance, x,
-                           rng: np.random.Generator) -> np.ndarray:
-    """One-sample stochastic subgradient: phi'((a+xi)'x) (a+xi) + reg term."""
-    x = np.asarray(x, dtype=float)
-    return _subgradient(instance, x, instance.coeffs + standard_normals(rng, instance.n))
 
 
 def reference_gap(instance: UtilityInstance, x: np.ndarray) -> float:
@@ -255,15 +252,18 @@ def reference_gap(instance: UtilityInstance, x: np.ndarray) -> float:
 def reference_solution(instance: UtilityInstance, tol: float,
                        x_init: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
     """High-accuracy minimizer by projected gradient, returned at the first x
-    whose reference_gap is at most tol, so f(x) - f* <= tol; the iteration cap
-    raises :class:`ConvergenceError`.  The trial step is 1/c (1e8 where
-    c <= 1e-8), c = reg_weight + E[phi'(t) Z]/||x|| the curvature of f along x
-    (reg_weight at x = 0), halved until f decreases enough or it is below 1e-20."""
+    whose reference_gap is at most tol, so f(x) - f* <= tol.  The trial step is
+    1/c (1e8 where c <= 1e-8), c = reg_weight + E[phi'(t) Z]/||x|| the
+    curvature of f along x (reg_weight at x = 0), halved until f decreases
+    enough or it is below 1e-20.  The step depends on x alone, so an iterate
+    that repeats x or the one before it repeats forever: that, like the
+    iteration cap, raises :class:`ConvergenceError`."""
     set_, lam = instance.feasible_set, instance.reg_weight
-    x = set_.project(np.asarray(instance.x0 if x_init is None else x_init, dtype=float))
+    x = x_prev = set_.project(np.asarray(instance.x0 if x_init is None else x_init, dtype=float))
     fx = f_value(instance, x)
     for _ in range(REFERENCE_ITERATIONS):
-        if reference_gap(instance, x) <= tol:
+        gap = reference_gap(instance, x)
+        if gap <= tol:
             return x, fx
         mean, (_, sigma, zero, _, _, pdf_diff) = _oracle_mean(instance, x)
         g = mean + lam * (x - instance.anchor)
@@ -277,7 +277,9 @@ def reference_solution(instance: UtilityInstance, tol: float,
             if f_new <= fx + 0.25 * float(g @ (x_new - x)) + 1e-14 * abs(fx) or step < 1e-20:
                 break
             step *= 0.5
-        x, fx = x_new, f_new
+        if np.array_equal(x_new, x) or np.array_equal(x_new, x_prev):
+            raise ConvergenceError(f"no convergence to tol={tol}: iterates cycle at gap {gap!r}")
+        x_prev, x, fx = x, x_new, f_new
     raise ConvergenceError(f"no convergence to tol={tol} in {REFERENCE_ITERATIONS} iterations")
 
 
@@ -316,9 +318,6 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
     def noise(rng, rows):
         return standard_normals(rng, (rows, instance.n))
 
-    def oracle(x, xi):
-        return _subgradient(instance, x, instance.coeffs + xi)
-
     env = instance.envelope
     edges = np.concatenate([[-np.inf], env.breakpoints, [np.inf]])
 
@@ -340,7 +339,7 @@ def make_problem(instance: UtilityInstance, f_eval_samples: int = 10_000,
         return np.where(sigma > 0.0, mean, phi(env, mu)) + reg
 
     return ProblemHandle(
-        oracle=oracle,
+        oracle=partial(stochastic_subgradient, instance),
         feasible_set=instance.feasible_set,
         x0=instance.x0,
         noise=noise,

@@ -164,6 +164,26 @@ def test_reference_without_convergence_exits_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("ssmd: error: no convergence to tol=")
 
 
+def test_reference_stops_when_its_iterate_cycles(tmp_path, capsys, monkeypatch):
+    # at lambda = 1e5 the projected gradient enters a 2-cycle at a gap of about
+    # 9e-12; the step depends on x alone, so the solver stops there at once
+    # instead of running out its iteration cap
+    calls, gap = [], utility.reference_gap
+
+    def spy(instance, x):
+        calls.append(x)
+        return gap(instance, x)
+
+    monkeypatch.setattr(utility, "reference_gap", spy)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("regime = strongly_convex\ninstance = test1\nlambda = 1e5\n"
+                   "reference_tol = 1e-12\niterations = 10\nruns = 1\n")
+    assert main(["reference", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ssmd: error: no convergence to tol=1e-12: iterates cycle at gap ")
+    assert len(calls) < 100
+
+
 def test_strongly_convex_small_n_exits_0(tmp_path):
     # n = 3 < 2(floor(budget/cap) + 1): the diameter still has a closed form
     cfg = tmp_path / "cfg.txt"
@@ -371,7 +391,7 @@ def test_every_accepted_config_runs(tmp_path, capsys, monkeypatch, request, comm
     assert main(argv + ["--out", str(out)] if command == "experiment" else argv) == code
     if request.node.callspec.id in ("experiment-corner-largest-d2",
                                     "experiment-corner-largest-step"):
-        assert "_run" in callers
+        assert "prox_step" in callers
     captured = capsys.readouterr()
     assert "cap must be" in captured.err if code else not captured.err
     if command == "bounds" and not code:

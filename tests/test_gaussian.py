@@ -75,11 +75,10 @@ def _modules_loaded_by(module: str, prefixes: tuple) -> str:
     return proc.stdout.strip()
 
 
-@pytest.mark.parametrize("prefix", ["scipy", "multiprocessing", "ssmd.averaging"])
+@pytest.mark.parametrize("prefix", ["scipy", "multiprocessing"])
 def test_import_cli_loads_no_scipy(prefix):
-    # the library needs numpy alone; scipy is a test dependency, the process
-    # pool is imported only by a run with more than one worker, and the
-    # engine forms its averages without ssmd.averaging
+    # the library needs numpy alone; scipy is a test dependency, and the
+    # process pool is imported only by a run with more than one worker
     assert _modules_loaded_by("ssmd.cli", (prefix,)) == "[]"
 
 

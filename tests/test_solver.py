@@ -18,7 +18,8 @@ from ssmd.solver import (
     strongly_convex_rate_bounds,
 )
 from ssmd.stepsizes import InverseSqrtStepsize, NesterovStepsize, TsengStepsize
-from ssmd.utility import _subgradient, default_instance, f_value, make_instance, make_problem
+from ssmd.utility import (default_instance, f_value, make_instance, make_problem,
+                          stochastic_subgradient)
 
 UNIT_INTERVAL = CappedBox(1, 1.0, 1.0)
 
@@ -411,7 +412,7 @@ def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, runs, n
         f_iter.append(f_value(inst, x))
         f_avg.append(f_value(inst, state.x_hat))
         if k < num_iterations:
-            g = _subgradient(inst, x, inst.coeffs + standard_normals(rng, inst.n))
+            g = stochastic_subgradient(inst, x, standard_normals(rng, inst.n))
             x = prox_step(inst.feasible_set, x, g, alpha)
     assert np.array_equal(trace.f_iter, f_iter)
     assert np.array_equal(trace.f_avg, f_avg)
