@@ -227,20 +227,20 @@ def build_instance(cfg: ExperimentConfig):
     return default_instance(cfg.instance, reg_weight=cfg.reg_weight)
 
 
-def _mc_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(f_avg, f_iter, f_min) of each (a, seed) task of a chunk, in order, from
-    one batch of runs on one instance; top level so process pools can dispatch it."""
+def _mc_run(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f_avg, f_iter, f_min) of a chunk's (a, seed) tasks, one row each in order,
+    from one batch of runs on one instance; top level so process pools can dispatch it."""
     cfg, instance, tasks = args
     problem = make_problem(instance, f_eval_samples=cfg.eval_samples,
                            analytic_f=cfg.analytic_f)
     a_list, seeds = zip(*tasks)
     rngs = [rng_from_seed(seed) for seed in seeds]
     if cfg.regime == STRONGLY_CONVEX:
-        traces = run_strongly_convex(problem, _SCHEDULES[cfg.schedule](),
-                                     cfg.iterations, rngs)
+        trace = run_strongly_convex(problem, _SCHEDULES[cfg.schedule](),
+                                    cfg.iterations, rngs)
     else:
-        traces = run_compact(problem, a_list, cfg.iterations, rngs)
-    return [(trace.f_avg, trace.f_iter, trace.f_min) for trace in traces]
+        trace = run_compact(problem, a_list, cfg.iterations, rngs)
+    return trace.f_avg, trace.f_iter, trace.f_min
 
 
 def instance_constants(cfg: ExperimentConfig, instance) -> dict:
@@ -293,7 +293,8 @@ def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]
             done = list(pool.map(_mc_run, chunks))
     else:
         done = [_mc_run(chunk) for chunk in chunks]
-    results = [result for chunk in done for result in chunk]
+    # (f_avg, f_iter, f_min), each with every task's row in task order
+    curves = np.concatenate(done, axis=1)
     shared = {
         **{key: repr(value) for key, value in constants.items()},
         "mu_f": repr(cfg.reg_weight),
@@ -305,9 +306,8 @@ def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]
     }
     summaries = []
     for i, a in enumerate(a_list):
-        # runs stacked in seed order, so the means fold in run order
-        f_avg, f_iter, f_min = (np.vstack(col) for col in
-                                zip(*results[i * cfg.runs:(i + 1) * cfg.runs]))
+        # a's runs as C-ordered rows in seed order, so the means fold in run order
+        f_avg, f_iter, f_min = curves[:, i * cfg.runs:(i + 1) * cfg.runs]
         stderr = f_avg.std(axis=0, ddof=1) / np.sqrt(cfg.runs) if cfg.runs > 1 \
             else np.zeros(cfg.iterations + 1)
         summaries.append((a, McSummary(

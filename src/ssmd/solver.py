@@ -5,8 +5,8 @@ the exact projection of x - alpha*g onto the feasible set.  Two regimes are
 provided: the strongly convex engine, which scales the schedule by 1/mu_f, and
 the compact-set engine with the a/sqrt(k+1) schedule.  Both maintain the
 1/alpha-weighted running average and record a per-iteration trace.  One engine
-serves both: it advances a stack of runs, one row per run, and a single run is
-a batch of one.
+serves both: it advances a stack of runs and traces them, one row per run,
+and a single run is a batch of one.
 
 The rate-bound calculators evaluate the guarantees the engines are tested
 against.  The paper states them for a mu_w-strongly convex w; ||x||^2/2 has
@@ -66,7 +66,8 @@ class ProblemHandle:
     samples = N each point's mean over the N draws that N such calls make;
     a point's value does not depend on the points stacked with it.  The
     engine takes f_exact if set, and otherwise the mean of f_eval_samples
-    draws from f_eval_seed, with one f_sampler call per block."""
+    draws from f_eval_seed, with one f_sampler call per block, on the block's
+    (B, 2, R) stack of x_k and x_hat_k as one (-1, n) array."""
 
     oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
     feasible_set: object
@@ -75,20 +76,18 @@ class ProblemHandle:
     mu_f: float = 0.0
     f_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_sampler: Optional[Callable[..., np.ndarray]] = None
-    x_star: Optional[np.ndarray] = None
     f_eval_samples: int = 10_000
     f_eval_seed: int = 0
 
 
 @dataclass
 class RunTrace:
-    """Per-iteration metrics of one run at k = 0..K; arrays all have length K+1."""
+    """Per-iteration metrics at k = 0..K of R runs, row i for run i: f_iter,
+    f_avg and f_min are (R, K+1) and x_hat_final (R, n), or (K+1,) and (n,)."""
 
     f_iter: np.ndarray
     f_avg: np.ndarray
     f_min: np.ndarray
-    dist_iter_sq: Optional[np.ndarray]
-    dist_avg_sq: Optional[np.ndarray]
     x_hat_final: np.ndarray
 
 
@@ -104,7 +103,8 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
          num_iterations: int, rng):
     """The runs of a batch, advanced together: row i of the (R, n) state is run
     i, with its own generator and its own column of alphas (K+1, R).  Returns
-    one RunTrace, or a list of R of them when rng is a list."""
+    one RunTrace with row i for run i, or with that run's rows alone when rng
+    is a single generator."""
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
     set_ = problem.feasible_set
@@ -116,16 +116,14 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
     x = np.tile(np.asarray(problem.x0, dtype=float), (len(rngs), 1))
     runs, n = x.shape
     # x_k and x_hat_k of every run are copied into a block of B iterations,
-    # where f, the distances and feasibility are checked once on the block's
-    # (B, 2, R) stack of points; each run's oracle noise of the block's
-    # iterations is drawn from its stream in one call at the block's start.
-    # f and the distances are per point and one draw of B n normals equals B
-    # draws of n, so no output depends on B
+    # where f and feasibility are checked once on the block's (B, 2, R) stack
+    # of points; each run's oracle noise of the block's iterations is drawn
+    # from its stream in one call at the block's start.  f is per point and
+    # one draw of B n normals equals B draws of n, so no output depends on B.
+    # f_vals keeps each run's f(x_k) and f(x_hat_k) as C-ordered rows (R, K+1)
     rows = max(1, BLOCK_FLOATS // (runs * n))
     block = np.empty((rows, 2, runs, n))
-    f_vals = np.empty((m, 2, runs))
-    x_star = None if problem.x_star is None else np.asarray(problem.x_star, dtype=float)
-    dist = None if x_star is None else np.empty((m, 2, runs))
+    f_vals = np.empty((2, runs, m))
 
     average = AverageState.empty()
     for k in range(m):
@@ -137,31 +135,25 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
             done = block[:j + 1]
             if not set_.contains(done[:, 0].reshape(-1, n)):
                 raise ArithmeticError("an iterate left the feasible set")
-            f_vals[k - j:k + 1] = np.reshape(f(done.reshape(-1, n)), (-1, 2, runs))
-            if dist is not None:
-                dist[k - j:k + 1] = np.sum((done - x_star) ** 2, axis=-1)
+            f_vals[..., k - j:k + 1] = np.reshape(f(done.reshape(-1, n)),
+                                                  (-1, 2, runs)).transpose(1, 2, 0)
         if k < num_iterations:
             if j == 0:
                 count = min(rows, num_iterations - k)
                 xi = np.stack([problem.noise(r, count) for r in rngs], axis=1)
             x = prox_step(set_, x, problem.oracle(x, xi[j]), steps[k])
 
-    traces = [RunTrace(
-        f_iter=f_vals[:, 0, i].copy(),
-        f_avg=f_vals[:, 1, i].copy(),
-        f_min=np.minimum.accumulate(f_vals[:, 0, i]),
-        dist_iter_sq=None if dist is None else dist[:, 0, i].copy(),
-        dist_avg_sq=None if dist is None else dist[:, 1, i].copy(),
-        x_hat_final=average.x_hat[i].copy(),
-    ) for i in range(runs)]
-    return traces[0] if single else traces
+    run = 0 if single else slice(None)
+    return RunTrace(f_iter=f_vals[0, run], f_avg=f_vals[1, run],
+                    f_min=np.minimum.accumulate(f_vals[0, run], axis=-1),
+                    x_hat_final=average.x_hat[run])
 
 
 def run_strongly_convex(problem: ProblemHandle, schedule, num_iterations: int, rng):
     """Run the strongly convex engine: prox steps of size alpha_k / mu_f.
 
     rng is one generator, or a list of them for a batch of runs sharing the
-    schedule."""
+    schedule, one trace row each."""
     alphas = schedule.alphas(num_iterations)[:, None]
     return _run(problem, alphas, 1.0 / problem.mu_f, num_iterations, rng)
 
@@ -170,8 +162,8 @@ def run_compact(problem: ProblemHandle, a, num_iterations: int, rng):
     """Run the compact-set engine, run i with the stepsizes of
     InverseSqrtStepsize(a_i): alpha_k = a_i/sqrt(k+1).
 
-    rng is one generator, or a list of them for a batch of runs, with one a
-    for all of them or one per generator."""
+    rng is one generator, or a list of them for a batch of runs, one trace
+    row each, with one a for all of them or one per generator."""
     alphas = np.column_stack([InverseSqrtStepsize(v).alphas(num_iterations)
                               for v in np.ravel(a)])
     return _run(problem, alphas, 1.0, num_iterations, rng)

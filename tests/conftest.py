@@ -2,10 +2,12 @@
 
 Each helper is independent of the library path it checks: brute-force grids,
 vertex enumeration, quadrature, direct sums, a bisected projection threshold,
-finite-difference gradients and Monte-Carlo estimates of f.
+finite-difference gradients and Monte-Carlo estimates of f.  A recorder of
+the engine's distances to an optimum wraps a handle's f_exact.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +127,27 @@ def project_bisection(feasible_set, x, tol: float = 1e-12) -> np.ndarray:
         else:
             hi = mid
     return np.clip(x - 0.5 * (lo + hi), 0.0, cap)
+
+
+def distance_recorder(problem, x_star, runs):
+    """problem with an f_exact that also records each evaluated point's squared
+    distance to x_star, and a function returning the recorded (iterate,
+    average) distances of a run of `runs` runs as C-ordered (runs, K+1) stacks.
+    The engine values each block's (B, 2, R) stack of x_k and x_hat_k as one
+    (-1, n) array, so each block reshapes back to (B, 2, R) distances."""
+    x_star = np.asarray(x_star, dtype=float)
+    f, blocks = problem.f_exact, []
+
+    def f_exact(points):
+        stack = points.reshape(-1, 2, runs, x_star.shape[0])
+        blocks.append(np.sum((stack - x_star) ** 2, axis=-1))
+        return f(points)
+
+    def distances():
+        dist = np.ascontiguousarray(np.concatenate(blocks).transpose(1, 2, 0))
+        return dist[0], dist[1]
+
+    return replace(problem, f_exact=f_exact), distances
 
 
 def fd_grad(f, x: np.ndarray, h: float) -> np.ndarray:

@@ -10,7 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import capped_box_vertices, kkt_residual_capped_box, mc_estimate_f
+from conftest import (
+    capped_box_vertices,
+    distance_recorder,
+    kkt_residual_capped_box,
+    mc_estimate_f,
+)
 
 from ssmd.averaging import AverageState
 from ssmd.gaussian import rng_from_seed
@@ -47,6 +52,7 @@ from ssmd.utility import (
     expected_phi_gaussian,
     f_value,
     make_problem,
+    reference_gap,
     reference_solution,
 )
 from ssmd import cli
@@ -157,8 +163,7 @@ def c6_problem():
     return ProblemHandle(
         oracle=oracle, feasible_set=C6_BOX, x0=C6_X0,
         noise=lambda rng, rows: rng.random((rows, 4)), mu_f=C6_MU,
-        f_exact=lambda x: 0.5 * C6_MU * np.sum((x - C6_XSTAR) ** 2, axis=-1),
-        x_star=C6_XSTAR)
+        f_exact=lambda x: 0.5 * C6_MU * np.sum((x - C6_XSTAR) ** 2, axis=-1))
 
 
 def c6_exact_c_tilde_sq():
@@ -174,10 +179,11 @@ def c6_runs():
     t0 = time.perf_counter()
     out = {}
     for name, sched_cls in (("tseng", TsengStepsize), ("nesterov", NesterovStepsize)):
-        traces = run_strongly_convex(c6_problem(), sched_cls(), K_RUN,
-                                     [rng_from_seed(BASE_SEED + r) for r in range(N_SEEDS)])
-        out[name] = tuple(np.vstack([getattr(tr, col) for tr in traces])
-                          for col in ("f_avg", "dist_avg_sq", "dist_iter_sq"))
+        problem, distances = distance_recorder(c6_problem(), C6_XSTAR, N_SEEDS)
+        trace = run_strongly_convex(problem, sched_cls(), K_RUN,
+                                    [rng_from_seed(BASE_SEED + r) for r in range(N_SEEDS)])
+        dist_iter_sq, dist_avg_sq = distances()
+        out[name] = (trace.f_avg, dist_avg_sq, dist_iter_sq)
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -226,8 +232,7 @@ def c7_problem(setup):
     return ProblemHandle(
         oracle=oracle, feasible_set=box, x0=setup["x0"],
         noise=lambda rng, rows: rng.random((rows, n)),
-        f_exact=lambda x: np.sum(np.abs(x - x_star), axis=-1),
-        x_star=x_star)
+        f_exact=lambda x: np.sum(np.abs(x - x_star), axis=-1))
 
 
 def c7_constants(setup):
@@ -248,10 +253,9 @@ def c7_runs():
         d_sq, c_tilde_sq = c7_constants(setup)
         a_star = optimal_stepsize_scale(np.sqrt(d_sq), c_tilde_sq)
         for a_label, a in (("a_star", a_star), ("a_one", 1.0)):
-            traces = run_compact(c7_problem(setup), a, K_RUN,
-                                 [rng_from_seed(BASE_SEED + r) for r in range(N_SEEDS)])
-            out[(name, a_label)] = (np.vstack([tr.f_avg for tr in traces]),
-                                    np.vstack([tr.f_min for tr in traces]), a)
+            trace = run_compact(c7_problem(setup), a, K_RUN,
+                                [rng_from_seed(BASE_SEED + r) for r in range(N_SEEDS)])
+            out[(name, a_label)] = (trace.f_avg, trace.f_min, a)
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -410,8 +414,9 @@ def test_compact_claims_from_the_floor(label):
 @pytest.mark.parametrize("schedule", ["step-1", "step-2"])
 def test_strongly_convex_claim_from_the_certified_floor(schedule):
     # f_lower = f_ref - gap <= f*, so mean f(x_hat_k) - f_lower overstates the
-    # mean gap and a pass is sound.  The margin, fixed before running, is
-    # none: the gap must lie in [0, bound] at every k
+    # mean gap and a pass is sound.  The margins, fixed before running, are
+    # none for the bound: the gap must lie in [0, bound] at every k; and 0.2
+    # for the O(1/k) rate: its log-log slope on [100, K] is at most -0.8
     t0 = time.perf_counter()
     (_, summary), = sweep_a(parse_config(
         f"regime = strongly_convex\ninstance = test1\nlambda = 100\nschedule = {schedule}\n"
@@ -420,8 +425,41 @@ def test_strongly_convex_claim_from_the_certified_floor(schedule):
     assert f_lower <= float(summary.metadata["f_ref"])
     gap = summary.mean_f_avg - f_lower
     assert np.all(gap >= 0.0) and np.all(gap <= summary.bound), float(np.max(gap / summary.bound))
+    slope = _loglog_slope(gap)
+    assert slope <= -0.8, slope
     print(f"\nPASS strongly convex claim on test1 ({schedule}) from f_lower: "
-          f"gap/bound <= {np.max(gap / summary.bound):.2g}, {N_SEEDS} runs x K={K_RUN} "
+          f"gap/bound <= {np.max(gap / summary.bound):.2g}, slope {slope:.2f}, "
+          f"{N_SEEDS} runs x K={K_RUN} ({time.perf_counter() - t0:.1f}s)")
+
+
+def test_strongly_convex_distance_claim_against_the_certified_optimum():
+    # the per-iterate claim E||x_k - x*||^2, E||x_hat_k - x*||^2 <= 4 Ct^2 /
+    # ((k+1) mu^2) on test1 at lambda = 100, step-1, runs on seeds 41..140, with
+    # the bound column's Ct^2.  x_ref's Frank-Wolfe gap G bounds ||x_ref - x*||
+    # by sqrt(2G/mu), so by Minkowski's inequality sqrt(mean ||x_k - x_ref||^2)
+    # + sqrt(2G/mu) overstates the root mean distance to x* and a pass is
+    # sound.  The rate margin, fixed before running, is a log-log slope of the
+    # mean squared distance on [100, K] of at most -0.8
+    t0 = time.perf_counter()
+    cfg = parse_config("regime = strongly_convex\ninstance = test1\nlambda = 100\nseed = 41\n")
+    inst = build_instance(cfg)
+    x_ref, _ = reference_solution(inst, 1e-12)
+    band = np.sqrt(2.0 * reference_gap(inst, x_ref) / cfg.reg_weight)
+    _, dist_bound = strongly_convex_rate_bounds(
+        np.arange(K_RUN + 1), instance_constants(cfg, inst)["c_tilde_sq"], cfg.reg_weight)
+    problem, distances = distance_recorder(make_problem(inst), x_ref, N_SEEDS)
+    run_strongly_convex(problem, TsengStepsize(), K_RUN,
+                        [rng_from_seed(41 + r) for r in range(N_SEEDS)])
+    report = []
+    for name, dist_sq in zip(("x_k", "x_hat_k"), distances()):
+        mean = dist_sq.mean(axis=0)
+        ratio = (np.sqrt(mean) + band) / np.sqrt(dist_bound)
+        assert np.all(ratio <= 1.0), (name, float(np.max(ratio)))
+        slope = _loglog_slope(mean)
+        assert slope <= -0.8, (name, slope)
+        report.append(f"{name} root ratio <= {np.max(ratio):.2g}, slope {slope:.2f}")
+    print(f"\nPASS strongly convex distance claim on test1 against x_ref "
+          f"(band {band:.2g}): {'; '.join(report)}, {N_SEEDS} runs x K={K_RUN} "
           f"({time.perf_counter() - t0:.1f}s)")
 
 
@@ -443,9 +481,9 @@ def test_weighted_average_beats_the_uniform_average(schedule):
         f_uniform.append(f_value(inst, total / (len(f_uniform) + 1)))
         return problem.oracle(x, xi)
 
-    traces = run_strongly_convex(replace(problem, oracle=recording), schedule(), K_RUN + 1,
-                                 [rng_from_seed(41 + r) for r in range(N_SEEDS)])
-    f_weighted = np.vstack([tr.f_avg[:K_RUN + 1] for tr in traces])
+    trace = run_strongly_convex(replace(problem, oracle=recording), schedule(), K_RUN + 1,
+                                [rng_from_seed(41 + r) for r in range(N_SEEDS)])
+    f_weighted = trace.f_avg[:, :K_RUN + 1]
     diff = (np.column_stack(f_uniform[:K_RUN + 1]) - f_weighted)[:, 100:]
     z = diff.mean(axis=0) / (diff.std(axis=0, ddof=1) / np.sqrt(N_SEEDS))
     assert np.all(z > 4.0), float(np.min(z))

@@ -179,9 +179,8 @@ def test_stderr_is_finite_where_f_is_huge_but_finite():
     cfg = parse_config(f"regime = compact\ninstance = inline\nn = 50\ncap = {top}\n"
                        f"budget = {top}\na = {top}, 1\niterations = 3\nruns = 2\n")
     summary = sweep_a(cfg)[0][1]
-    (f1, _, _), (f2, _, _) = mc_run((cfg, build_instance(cfg),
-                                     [(2.0 ** 60, cfg.base_seed),
-                                      (2.0 ** 60, cfg.base_seed + 1)]))
+    f1, f2 = mc_run((cfg, build_instance(cfg), [(2.0 ** 60, cfg.base_seed),
+                                                (2.0 ** 60, cfg.base_seed + 1)]))[0]
     assert np.max(np.abs(f1)) > 1e15 and np.isfinite(summary.stderr_f_avg).all()
     assert summary.stderr_f_avg == pytest.approx(np.abs(f1 - f2) / 2.0, rel=1e-14)
 
@@ -222,14 +221,11 @@ def test_experiment_worker_invariance():
 
 def test_seed_streams_independent_of_order():
     cfg = parse_config(SMALL)
-    instance = build_instance(cfg)
-    traces = {}
-    for r in (3, 0, 2, 1):  # deliberately out of order
-        problem = make_problem(instance)
-        traces[r] = run_compact(problem, 0.5, cfg.iterations,
-                                rng_from_seed(cfg.base_seed + r))
+    order = [3, 0, 2, 1]  # deliberately out of order
+    trace = run_compact(make_problem(build_instance(cfg)), 0.5, cfg.iterations,
+                        [rng_from_seed(cfg.base_seed + r) for r in order])
     summary = sweep_a(cfg)[0][1]
-    stacked = np.vstack([traces[r].f_avg for r in range(4)])
+    stacked = trace.f_avg[np.argsort(order)]  # rows back in seed order
     assert np.array_equal(summary.mean_f_avg, stacked.mean(axis=0))
 
 

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import project_bisection
+from conftest import distance_recorder, project_bisection
 
 from ssmd.averaging import AverageState
 from ssmd.gaussian import rng_from_seed, standard_normals
@@ -47,7 +47,6 @@ def quadratic_problem(mu_f, x_star, box, x0, noise_halfwidth=0.0):
         noise=uniform_noise(n),
         mu_f=mu_f,
         f_exact=lambda x: 0.5 * mu_f * np.sum((x - x_star) ** 2, axis=-1),
-        x_star=x_star,
     )
 
 
@@ -69,7 +68,6 @@ def l1_problem(x_star, box, x0, noise_halfwidth=0.0):
         noise=uniform_noise(n),
         mu_f=0.0,
         f_exact=lambda x: np.sum(np.abs(x - x_star), axis=-1),
-        x_star=x_star,
     )
 
 
@@ -83,11 +81,13 @@ def test_strongly_convex_noiseless_under_bound():
 
 
 def test_strongly_convex_fixed_point():
-    problem = quadratic_problem(100.0, [0.3], UNIT_INTERVAL, [0.3])
+    problem, distances = distance_recorder(
+        quadratic_problem(100.0, [0.3], UNIT_INTERVAL, [0.3]), [0.3], 1)
     trace = run_strongly_convex(problem, NesterovStepsize(), 50, rng_from_seed(0))
     assert np.all(trace.f_iter == 0.0)
     assert np.all(trace.f_avg == 0.0)
-    assert np.all(trace.dist_iter_sq == 0.0)
+    dist_iter_sq, _ = distances()
+    assert dist_iter_sq.shape == (1, 51) and np.all(dist_iter_sq == 0.0)
 
 
 def test_strongly_convex_noisy_mean_under_bound():
@@ -356,14 +356,14 @@ def test_stacked_averages_equal_per_row_replay(regime):
         return oracle(x, xi)
 
     run(replace(problem, oracle=recording), num_iterations + 1)
-    traces = run(problem, num_iterations)
-    for i, (trace, schedule) in enumerate(zip(traces, schedules)):
+    trace = run(problem, num_iterations)
+    for i, schedule in enumerate(schedules):
         state, f_avg = AverageState.empty(), []
         for k in range(num_iterations + 1):
             state = state.absorb(stacks[k][i], schedule.alpha(k))
             f_avg.append(f_value(inst, state.x_hat))
-        assert np.array_equal(trace.f_avg, f_avg), i
-        assert np.array_equal(trace.x_hat_final, state.x_hat), i
+        assert np.array_equal(trace.f_avg[i], f_avg), i
+        assert np.array_equal(trace.x_hat_final[i], state.x_hat), i
 
 
 def instance_test1():
@@ -398,7 +398,7 @@ def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, runs, n
         return problem.noise(rng, count)
 
     trace = run_compact(replace(problem, noise=recording_noise), a, num_iterations,
-                        [rng_from_seed(4 + i) for i in range(runs)])[0]
+                        [rng_from_seed(4 + i) for i in range(runs)])
     assert len(noise_rows) == 3 and noise_rows[0] > noise_rows[-1]
     assert rows == [count for count in noise_rows for _ in range(runs)]
     assert sum(noise_rows) == num_iterations
@@ -414,9 +414,9 @@ def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, runs, n
         if k < num_iterations:
             g = stochastic_subgradient(inst, x, standard_normals(rng, inst.n))
             x = prox_step(inst.feasible_set, x, g, alpha)
-    assert np.array_equal(trace.f_iter, f_iter)
-    assert np.array_equal(trace.f_avg, f_avg)
-    assert np.array_equal(trace.x_hat_final, state.x_hat)
+    assert np.array_equal(trace.f_iter[0], f_iter)
+    assert np.array_equal(trace.f_avg[0], f_avg)
+    assert np.array_equal(trace.x_hat_final[0], state.x_hat)
 
 
 @pytest.mark.parametrize("build, a, num_iterations, runs, noise_rows", ENGINE_CASES)
@@ -471,10 +471,10 @@ def test_optimal_scale_is_argmin():
         assert abs(at_star - want) < 1e-12
 
 
-def assert_same_trace(got, want):
-    for col in ("f_iter", "f_avg", "f_min", "dist_iter_sq", "dist_avg_sq", "x_hat_final"):
-        a, b = getattr(got, col), getattr(want, col)
-        assert (a is None and b is None) or np.array_equal(a, b), col
+def assert_same_trace(batch, i, single):
+    """Row i of a batch's trace equals a single run's trace."""
+    for col in ("f_iter", "f_avg", "f_min", "x_hat_final"):
+        assert np.array_equal(getattr(batch, col)[i], getattr(single, col)), col
 
 
 BATCH_CASES = [
@@ -484,14 +484,14 @@ BATCH_CASES = [
                                                     reg_weight=1.0)), 9, id="n1000-binding"),
     pytest.param(lambda: quadratic_problem(3.0, [0.4, 0.9, 0.1], CappedBox(3, 1.0, 1.2),
                                            [0.0, 0.0, 0.0], noise_halfwidth=2.0), 300,
-                 id="quadratic-x_star"),
+                 id="quadratic"),
 ]
 
 
 @pytest.mark.parametrize("build, num_iterations", BATCH_CASES)
 def test_batched_runs_equal_single_runs(build, num_iterations):
-    # a list of generators advances the runs together; each run's trace equals
-    # its single-run call bit for bit, also with one a per run
+    # a list of generators advances the runs together; each run's row of the
+    # trace equals its single-run call bit for bit, also with one a per run
     problem = build()
     seeds = [3, 11, 4, 2**64 - 1, 8]
     a_values = [0.3, 1.0, 10.0, 1.0, 2.5]
@@ -500,14 +500,14 @@ def test_batched_runs_equal_single_runs(build, num_iterations):
         return [rng_from_seed(s) for s in seeds]
 
     batch = run_compact(problem, a_values, num_iterations, rngs())
-    assert len(batch) == len(seeds)
+    assert batch.f_iter.shape == (len(seeds), num_iterations + 1)
     for i, s in enumerate(seeds):
-        assert_same_trace(batch[i], run_compact(problem, a_values[i], num_iterations,
+        assert_same_trace(batch, i, run_compact(problem, a_values[i], num_iterations,
                                                 rng_from_seed(s)))
     for sched in (TsengStepsize(), NesterovStepsize()):
         batch = run_strongly_convex(problem, sched, num_iterations, rngs())
         for i, s in enumerate(seeds):
-            assert_same_trace(batch[i], run_strongly_convex(
+            assert_same_trace(batch, i, run_strongly_convex(
                 problem, sched, num_iterations, rng_from_seed(s)))
 
 
