@@ -133,7 +133,7 @@ def norm_ppf(p):
             rf = r[~near] - 5.0
             val[~near] = _poly(_E, rf) / _poly(_F, rf)
         out[tail] = np.where(lower, -val, val)
-    return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
+    return out.reshape(p.shape)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

@@ -11,7 +11,7 @@ not the fold order of the reduction.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -217,7 +217,7 @@ class McSummary:
     mean_f_iter: np.ndarray
     mean_f_min: np.ndarray
     bound: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 def build_instance(cfg: ExperimentConfig):
@@ -282,7 +282,7 @@ def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]
     x_ref, f_ref = reference_solution(instance, cfg.reference_tol) \
         if cfg.compute_reference else (None, None)
 
-    seeds = [(cfg.base_seed + r) % (1 << 64) for r in range(cfg.runs)]
+    seeds = [cfg.base_seed + r for r in range(cfg.runs)]
     tasks = [(a, s) for a in a_list for s in seeds]
     size = min(BATCH_RUNS, -(-len(tasks) // workers))
     chunks = [(cfg, instance, tasks[i:i + size]) for i in range(0, len(tasks), size)]

@@ -73,13 +73,10 @@ class CappedBox:
         if errors:
             raise ValueError("; ".join(errors))
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = _as_rows(x, self.n)
-        return bool(
-            (x >= -tol).all()
-            and (x <= self.cap + tol).all()
-            and (x.sum(axis=-1) <= self.budget + tol).all()
-        )
+        return bool((x >= 0.0).all() and (x <= self.cap).all()
+                    and (x.sum(axis=-1) <= self.budget).all())
 
     def project(self, x) -> np.ndarray:
         x = _as_rows(x, self.n)

@@ -180,8 +180,3 @@ def compact_rate_bound(k, a: float, diameter_sq: float, c_tilde_sq: float):
     """Gap bound for the compact engine at iteration k."""
     k = np.asarray(k, dtype=float)
     return 1.5 / np.sqrt(k + 1.0) * (diameter_sq / a + a * c_tilde_sq)
-
-
-def optimal_stepsize_scale(diameter: float, c_tilde_sq: float) -> float:
-    """The scale a* = d / sqrt(Ct^2) minimizing the compact-engine gap bound."""
-    return diameter / np.sqrt(c_tilde_sq)

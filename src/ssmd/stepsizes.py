@@ -23,11 +23,15 @@ import numpy as np
 ABS_SLACK = 1e-12
 
 
-class TsengStepsize:
-    """Explicit 2/(k+1) schedule with alpha_0 pinned to 1."""
+class _Schedule:
+    """alpha(k) is entry k of the schedule's table alpha_0..alpha_k."""
 
     def alpha(self, k: int) -> float:
-        return 1.0 if k == 0 else 2.0 / (k + 1)
+        return self.alphas(k)[k]
+
+
+class TsengStepsize(_Schedule):
+    """Explicit 2/(k+1) schedule with alpha_0 pinned to 1."""
 
     def alphas(self, k_max: int) -> np.ndarray:
         out = 2.0 / (np.arange(k_max + 1) + 1.0)
@@ -35,11 +39,8 @@ class TsengStepsize:
         return out
 
 
-class NesterovStepsize:
+class NesterovStepsize(_Schedule):
     """Recursive schedule; alpha(k) runs the recursion k times."""
-
-    def alpha(self, k: int) -> float:
-        return self.alphas(k)[k]
 
     def alphas(self, k_max: int) -> np.ndarray:
         out = [1.0]
@@ -50,14 +51,11 @@ class NesterovStepsize:
         return np.array(out)
 
 
-class InverseSqrtStepsize:
+class InverseSqrtStepsize(_Schedule):
     """alpha_k = a/sqrt(k+1) for a tunable scale a > 0."""
 
     def __init__(self, a: float):
         self.a = float(a)
-
-    def alpha(self, k: int) -> float:
-        return self.a / np.sqrt(k + 1.0)
 
     def alphas(self, k_max: int) -> np.ndarray:
         return self.a / np.sqrt(np.arange(k_max + 1) + 1.0)

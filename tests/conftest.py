@@ -129,6 +129,14 @@ def project_bisection(feasible_set, x, tol: float = 1e-12) -> np.ndarray:
     return np.clip(x - 0.5 * (lo + hi), 0.0, cap)
 
 
+def within_box(box, x, margin):
+    """box.contains with each constraint widened by margin, for weighted
+    averages of feasible points, which rounding may carry just outside."""
+    x = np.asarray(x)
+    return bool((x >= -margin).all() and (x <= box.cap + margin).all()
+                and (x.sum(axis=-1) <= box.budget + margin).all())
+
+
 def distance_recorder(problem, x_star, runs):
     """problem with an f_exact that also records each evaluated point's squared
     distance to x_star, and a function returning the recorded (iterate,

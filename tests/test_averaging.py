@@ -1,4 +1,5 @@
 import numpy as np
+from conftest import within_box
 
 from ssmd.averaging import AverageState
 from ssmd.sets import CappedBox
@@ -61,4 +62,4 @@ def test_average_stays_feasible(rng):
     st = AverageState.empty()
     for k in range(500):
         st = st.absorb(box.project(rng.random(4) * 3), 1.0 / (k + 1.0))
-        assert box.contains(st.x_hat, 1e-8)
+        assert within_box(box, st.x_hat, 1e-8)

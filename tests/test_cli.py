@@ -82,6 +82,23 @@ def test_experiment_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_run_seeds_wrap_at_64_bits(tmp_path, capsys):
+    # run r uses seed + r modulo 2^64: seeds 2^64 - 2 and -2 give runs
+    # 2^64 - 2, 2^64 - 1, 0 and 1 alike, so only the .meta config echoes differ
+    outs = []
+    for seed in (2**64 - 2, -2):
+        cfg = tmp_path / f"cfg{seed}.txt"
+        cfg.write_text(SMALL.replace("runs = 3\nseed = 11", f"runs = 4\nseed = {seed}"))
+        outs.append(tmp_path / f"out{seed}")
+        assert main(["experiment", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    for name in ("experiment_a0.csv", "experiment_a1.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        metas = [(out / (name + ".meta")).read_text().splitlines() for out in outs]
+        differ = [(a, b) for a, b in zip(*metas) if a != b]
+        assert [a.split(" = ")[0] for a, _ in differ] == ["config_hash", "seed"], differ
+        assert differ[1] == (f"seed = {2**64 - 2}", "seed = -2")
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("regime = compact\nruns = 0\n")

@@ -263,6 +263,7 @@ def test_csv_roundtrip_with_nan_rows():
         mean_f_iter=np.array([2.0, np.nan, 0.5]),
         mean_f_min=np.array([2.0, 2.0, 0.5]),
         bound=np.array([9.0, 4.5, 3.0]),
+        metadata={},
     )
     text = format_csv(summary)
     assert "nan" in text

@@ -34,8 +34,13 @@ def test_project_examples_against_grid():
 
 def test_contains_examples():
     box = CappedBox(2, 10.0, 10.0)
-    assert box.contains(np.array([5.0, 5.0]), 0.0)
-    assert not box.contains(np.array([5.0, 5.0000001]), 1e-9)
+    assert box.contains(np.array([5.0, 5.0]))
+    assert not box.contains(np.array([5.0, 5.0000001]))
+    # exact: one ulp below 0, over the cap or over the budget is outside
+    wide = CappedBox(2, 10.0, 20.0)
+    assert not wide.contains(np.array([-5e-324, 1.0]))
+    assert not wide.contains(np.array([0.0, np.nextafter(10.0, np.inf)]))
+    assert not box.contains(np.array([5.0, 5.0 + 2.0 ** -49]))  # sums to 10 + ulp(10)
 
 
 def test_project_dimension_mismatch():
@@ -51,7 +56,7 @@ def test_projection_against_grid_oracle(rng):
         box = CappedBox(n, cap, budget)
         x = rng.random(n) * 2.4 * cap - 0.6 * cap
         p = box.project(x)
-        assert box.contains(p, 1e-9)
+        assert box.contains(p)
         pts = {2: 101, 3: 33, 4: 18, 5: 14, 6: 10}[n]
         grid = feasible_grid(cap, budget, n, pts)
         v, dv = grid_argmin_distance(grid, x)
@@ -82,7 +87,7 @@ def test_projection_idempotent_nonexpansive(rng):
         px, py = box.project(x), box.project(y)
         assert np.array_equal(box.project(px), px)
         assert np.sqrt(np.sum((px - py) ** 2)) <= np.sqrt(np.sum((x - y) ** 2)) + 1e-12
-        assert box.contains(px, 1e-9)
+        assert box.contains(px)
 
 
 def test_projection_matches_bisection(rng):
@@ -126,7 +131,7 @@ def test_projection_huge_component_regression():
                   6.6503870085824905, 7.707402763900083, 17.52137407024935,
                   4.470659140334952, 12.264865379111784, 1.4561990328251615e+19])
     p = box.project(x)
-    assert box.contains(p, 0.0)
+    assert box.contains(p)
     assert np.array_equal(p[:8], np.zeros(8))
     assert abs(p[8] - box.budget) <= 1e-15 * box.budget
     assert kkt_residual_any_scale(box.cap, box.budget, x, p) < 1e-12
@@ -152,7 +157,7 @@ def test_projection_kkt_any_magnitude(rng):
             near = rng.random(n) < 0.5
             x[near] = 10.0 ** rng.uniform(0, 300) + cap * rng.uniform(-3, 3, near.sum())
         p = box.project(x)
-        assert box.contains(p, 0.0), (cap, budget, x)
+        assert box.contains(p), (cap, budget, x)
         assert kkt_residual_any_scale(cap, budget, x, p) < 1e-9 * max(cap, budget), \
             (cap, budget, x)
     # caps at both ends of the accepted range, where the threshold's
@@ -164,7 +169,7 @@ def test_projection_kkt_any_magnitude(rng):
                 stack = cap * rng.uniform(-1.0, 3.0, (4, n))
                 for x, p in zip(stack, box.project(stack)):
                     for p in (p, box.project(x)):
-                        assert box.contains(p, 0.0), (cap, budget)
+                        assert box.contains(p), (cap, budget)
                         assert kkt_residual_any_scale(cap, budget, x, p) < 1e-9 * cap, \
                             (cap, budget)
 
@@ -347,7 +352,7 @@ def test_stacked_project_equals_rows(rng, n):
             assert got.shape == rows.shape
             for row, p in zip(rows, got):
                 assert np.array_equal(p, box.project(row))
-            assert box.contains(got, 0.0)
+            assert box.contains(got)
         assert box.contains(stack[:1] * 0.0) and not box.contains(stack)
         assert np.array_equal(box.project(stack[3:4]), box.project(stack[3])[None])
 
@@ -396,7 +401,7 @@ def test_partial_sort_project_equals_full_sort_and_rows(rng, monkeypatch):
                                            for row, t in zip(s, t0)]
         for row, p in zip(stack, got):
             assert p.tobytes() == box.project(row).tobytes()
-        assert box.contains(got, 0.0)
+        assert box.contains(got)
         seen.update({("fallback", len(calls) > 1), ("q >= 64", q >= 64),
                      ("slack", len(s) < len(stack))})
     assert {("fallback", True), ("q >= 64", True), ("slack", True)} <= seen
@@ -435,7 +440,46 @@ def test_nudge_reclips_rows_as_if_alone(rng, monkeypatch):
     assert len(passes) == 28 and {0, 1} <= set(passes)
     for row, p in zip(stack, got):
         assert p.tobytes() == box.project(row).tobytes()
-    assert box.contains(got, 0.0)
+    assert box.contains(got)
+
+
+def over_budget_rows(box, m, rng):
+    """m points of [0, cap]^n whose sums exceed box.budget by 1 to 5 ulps."""
+    rows = []
+    while len(rows) < m:
+        x = rng.random(box.n) * box.cap
+        x *= box.budget / x.sum()
+        if x.max() > box.cap:
+            continue
+        want = int(rng.integers(1, 6))
+        for _ in range(200):
+            if (x.sum() - box.budget) / np.spacing(box.budget) >= want:
+                break
+            i = rng.integers(box.n)
+            x[i] = np.nextafter(x[i], np.inf)
+        if 1 <= (x.sum() - box.budget) / np.spacing(box.budget) <= 5:
+            rows.append(x)
+    return np.array(rows)
+
+
+def test_rows_a_few_ulps_over_budget_cross_at_t0():
+    # _tau's crossing-at-t0 branch (h(t0) <= budget, so tau = t0) runs only
+    # for rows whose clipped sum is a few ulps over budget; a line trace showed
+    # that on each box one of these seeds reaches it, alone and stacked
+    boxes = [CappedBox(5, 1.0, 2.5), CappedBox(8, 2.0, 3.0), CappedBox(100, 10.0, 10.0),
+             CappedBox(3, 1.0, 1.7), CappedBox(50, 1.0, 7.3)]
+    for seed in (0, 2):
+        rng = np.random.default_rng(seed)
+        for box in boxes:
+            rows = over_budget_rows(box, 8, rng)
+            stacked = box.project(rows)
+            assert box.contains(stacked)
+            for x, got in zip(rows, stacked):
+                p = box.project(x)
+                assert p.tobytes() == got.tobytes()
+                assert box.contains(p) and box.project(p).tobytes() == p.tobytes()
+                assert kkt_residual_capped_box(box.cap, box.budget, x, p) <= 1e-8
+            assert box.project(stacked).tobytes() == stacked.tobytes()
 
 
 def test_stacked_project_rejects_non_finite():

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import distance_recorder, project_bisection
+from conftest import distance_recorder, project_bisection, within_box
 
 from ssmd.averaging import AverageState
 from ssmd.gaussian import rng_from_seed, standard_normals
@@ -11,7 +11,6 @@ from ssmd.solver import (
     BLOCK_FLOATS,
     ProblemHandle,
     compact_rate_bound,
-    optimal_stepsize_scale,
     prox_step,
     run_compact,
     run_strongly_convex,
@@ -142,7 +141,7 @@ def test_trace_structure_and_feasibility():
     trace = run_strongly_convex(problem, TsengStepsize(), 300, rng)
     assert trace.f_iter.shape == trace.f_avg.shape == trace.f_min.shape == (301,)
     assert np.all(np.diff(trace.f_min) <= 0.0 + 1e-15)
-    assert box.contains(trace.x_hat_final, 1e-8)
+    assert within_box(box, trace.x_hat_final, 1e-8)
 
 
 def test_noiseless_determinism():
@@ -181,7 +180,7 @@ def test_euclidean_reduction_cross_check():
     for k in range(200):
         alpha = InverseSqrtStepsize(0.7).alpha(k)
         state = state.absorb(xs[k], alpha)
-        assert box.contains(xs[k + 1], 1e-8) and box.contains(state.x_hat, 1e-8)
+        assert box.contains(xs[k + 1]) and within_box(box, state.x_hat, 1e-8)
         alt = project_bisection(box, xs[k] - alpha * gs[k])
         assert np.allclose(xs[k + 1], alt, rtol=0.0, atol=1e-10), k
 
@@ -451,18 +450,11 @@ def test_rate_bound_values():
     assert compact_rate_bound(0, 1.0, 1.0, 1.0) == 3.0
 
 
-def test_optimal_scale_values():
-    assert optimal_stepsize_scale(1.0, 1.0) == 1.0
-    assert abs(optimal_stepsize_scale(10.0, 3.0 + 1.0) - 5.0) < 1e-15
-    # error-free, at Ct^2 = C^2/2: a* = d sqrt(2)/C
-    assert abs(optimal_stepsize_scale(1.0, 1.0 / 2.0) - np.sqrt(2.0)) < 1e-15
-
-
 def test_optimal_scale_is_argmin():
     d_sq, c_sq, nu_sq = 2.7, 1.9, 0.4
     # noisy, and error-free at Ct^2 = C^2/2
     for c_tilde_sq in (c_sq + nu_sq, c_sq / 2.0):
-        a_star = optimal_stepsize_scale(np.sqrt(d_sq), c_tilde_sq)
+        a_star = np.sqrt(d_sq) / np.sqrt(c_tilde_sq)
         at_star = compact_rate_bound(10, a_star, d_sq, c_tilde_sq)
         for a in np.linspace(0.05, 8.0, 400):
             assert at_star <= compact_rate_bound(10, a, d_sq, c_tilde_sq) + 1e-12

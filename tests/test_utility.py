@@ -490,7 +490,7 @@ def test_default_instances():
     t4 = default_instance("test4", reg_weight=0.0)
     assert np.array_equal(t4.x0[:10], np.full(10, 10.0))
     assert t4.x0.sum() == t4.feasible_set.budget  # on the budget boundary
-    assert t4.feasible_set.contains(t4.x0, 0.0)
+    assert t4.feasible_set.contains(t4.x0)
     # coefficients are reproducible across constructions
     t1b = default_instance("test1", reg_weight=100.0)
     assert np.array_equal(t1.coeffs, t1b.coeffs)
