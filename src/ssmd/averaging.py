@@ -9,35 +9,26 @@ and keeps magnitudes bounded.  The cumulative weight S carries a Kahan
 compensation term.  A stack of points (R, n) is averaged row by row.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional, Union
-
 import numpy as np
 
 
-@dataclass(frozen=True)
 class AverageState:
-    """Weighted average x_hat of absorbed points with cumulative weight sum."""
+    """Weighted average x_hat of absorbed points with cumulative weight sum;
+    AverageState() holds no point yet."""
 
-    x_hat: Optional[np.ndarray]
-    weight_sum: Union[float, np.ndarray]
-    _carry: Union[float, np.ndarray] = 0.0
+    def __init__(self):
+        self.x_hat, self.weight_sum, self._carry = None, 0.0, 0.0
 
-    @staticmethod
-    def empty() -> "AverageState":
-        return AverageState(x_hat=None, weight_sum=0.0)
-
-    def absorb(self, x, alpha) -> "AverageState":
-        """Absorb a point (n,) with weight 1/alpha, or a stack (R, n) with one
-        alpha per row (R, 1); returns the updated state."""
-        x = np.asarray(x, dtype=float)
+    def absorb(self, x, alpha) -> None:
+        """Absorb a float point (n,) with weight 1/alpha, or a stack (R, n)
+        with one alpha per row (R, 1), in place; x_hat is a new array each
+        call, so an x_hat kept from before never changes."""
         y = 1.0 / alpha - self._carry
         new_sum = self.weight_sum + y
-        carry = (new_sum - self.weight_sum) - y
+        self._carry = (new_sum - self.weight_sum) - y
         if self.x_hat is None:
-            return AverageState(x.copy(), new_sum, carry)
-        ratio = self.weight_sum / new_sum
-        x_hat = ratio * self.x_hat + (1.0 - ratio) * x
-        return AverageState(x_hat, new_sum, carry)
+            self.x_hat = x.astype(float)
+        else:
+            ratio = self.weight_sum / new_sum
+            self.x_hat = ratio * self.x_hat + (1.0 - ratio) * x
+        self.weight_sum = new_sum

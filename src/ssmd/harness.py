@@ -22,7 +22,7 @@ from .solver import (
     compact_rate_bound,
     run_compact,
     run_strongly_convex,
-    strongly_convex_rate_bounds,
+    strongly_convex_rate_bound,
 )
 from .stepsizes import NesterovStepsize, TsengStepsize
 from .utility import (
@@ -261,7 +261,7 @@ def bound_curve(cfg: ExperimentConfig, a: float, constants: dict) -> np.ndarray:
     """Theoretical gap-bound values at k = 0..iterations for this config."""
     ks = np.arange(cfg.iterations + 1)
     if cfg.regime == STRONGLY_CONVEX:
-        return strongly_convex_rate_bounds(ks, constants["c_tilde_sq"], cfg.reg_weight)[0]
+        return strongly_convex_rate_bound(ks, constants["c_tilde_sq"], cfg.reg_weight)
     return compact_rate_bound(ks, a, constants["diameter_sq"], constants["c_tilde_sq"])
 
 

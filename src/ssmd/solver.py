@@ -8,9 +8,9 @@ the compact-set engine with the a/sqrt(k+1) schedule.  Both maintain the
 serves both: it advances a stack of runs and traces them, one row per run,
 and a single run is a batch of one.
 
-The rate-bound calculators evaluate the guarantees the engines are tested
-against.  The paper states them for a mu_w-strongly convex w; ||x||^2/2 has
-mu_w = 1, which drops out (the .meta sidecar still records mu_w = 1.0):
+The engines are tested against the paper's guarantees, and the calculators
+evaluate their gap bounds.  The paper states them for a mu_w-strongly convex
+w; ||x||^2/2 has mu_w = 1, which drops out (the .meta sidecar records it):
 
 * strongly convex, weighted average:   gap <= 2*Ct^2 / ((k+1) mu_f)
   ||xhat - x*||^2 and ||x_k - x*||^2   <= 4*Ct^2 / ((k+1) mu_f^2)
@@ -125,9 +125,9 @@ def _run(problem: ProblemHandle, alphas: np.ndarray, step_scale: float,
     block = np.empty((rows, 2, runs, n))
     f_vals = np.empty((2, runs, m))
 
-    average = AverageState.empty()
+    average = AverageState()
     for k in range(m):
-        average = average.absorb(x, alphas[k, :, None])
+        average.absorb(x, alphas[k, :, None])
         j = k % rows
         block[j, 0] = x
         block[j, 1] = average.x_hat
@@ -169,11 +169,10 @@ def run_compact(problem: ProblemHandle, a, num_iterations: int, rng):
     return _run(problem, alphas, 1.0, num_iterations, rng)
 
 
-def strongly_convex_rate_bounds(k, c_tilde_sq: float, mu_f: float):
-    """(gap bound, distance bound) at iteration k; the distance bound holds for
-    the weighted average and for the iterate alike."""
+def strongly_convex_rate_bound(k, c_tilde_sq: float, mu_f: float):
+    """Gap bound for the strongly convex engine at iteration k."""
     k = np.asarray(k, dtype=float)
-    return 2.0 / (k + 1.0) * c_tilde_sq / mu_f, 4.0 / (k + 1.0) * c_tilde_sq / mu_f / mu_f
+    return 2.0 / (k + 1.0) * c_tilde_sq / mu_f
 
 
 def compact_rate_bound(k, a: float, diameter_sq: float, c_tilde_sq: float):

@@ -14,7 +14,7 @@ from ssmd.solver import (
     prox_step,
     run_compact,
     run_strongly_convex,
-    strongly_convex_rate_bounds,
+    strongly_convex_rate_bound,
 )
 from ssmd.stepsizes import InverseSqrtStepsize, NesterovStepsize, TsengStepsize
 from ssmd.utility import (default_instance, f_value, make_instance, make_problem,
@@ -74,7 +74,7 @@ def test_strongly_convex_noiseless_under_bound():
     # f(x) = 50 (x - 0.3)^2 on [0, 1]: mu_f = 100, C = 100*0.7 = 70
     problem = quadratic_problem(100.0, [0.3], UNIT_INTERVAL, [0.0])
     trace = run_strongly_convex(problem, TsengStepsize(), 200, rng_from_seed(0))
-    gap_bound, _ = strongly_convex_rate_bounds(np.arange(201), 70.0**2, 100.0)
+    gap_bound = strongly_convex_rate_bound(np.arange(201), 70.0**2, 100.0)
     assert np.all(trace.f_avg - 0.0 <= gap_bound + 1e-12)
     assert trace.f_avg[-1] < trace.f_avg[0]
 
@@ -102,7 +102,7 @@ def test_strongly_convex_noisy_mean_under_bound():
     gaps = np.vstack(gaps)
     mean = gaps.mean(axis=0)
     stderr = gaps.std(axis=0, ddof=1) / np.sqrt(gaps.shape[0])
-    bound, _ = strongly_convex_rate_bounds(np.arange(1001), c_tilde_sq, 100.0)
+    bound = strongly_convex_rate_bound(np.arange(1001), c_tilde_sq, 100.0)
     assert np.all(mean <= bound + 2.0 * stderr)
 
 
@@ -176,10 +176,10 @@ def test_euclidean_reduction_cross_check():
         return g
 
     run_compact(replace(problem, oracle=recording), 0.7, 201, rng_from_seed(3))
-    state = AverageState.empty()
+    state = AverageState()
     for k in range(200):
         alpha = InverseSqrtStepsize(0.7).alpha(k)
-        state = state.absorb(xs[k], alpha)
+        state.absorb(xs[k], alpha)
         assert box.contains(xs[k + 1]) and within_box(box, state.x_hat, 1e-8)
         alt = project_bisection(box, xs[k] - alpha * gs[k])
         assert np.allclose(xs[k + 1], alt, rtol=0.0, atol=1e-10), k
@@ -281,9 +281,9 @@ def replay_iterates(problem, a, num_iterations):
     run_compact(replace(problem, oracle=recording), a, num_iterations + 1,
                 rng_from_seed(0))
     xs = xs[:num_iterations + 1]
-    state, x_hats = AverageState.empty(), []
+    state, x_hats = AverageState(), []
     for k, x in enumerate(xs):
-        state = state.absorb(x, InverseSqrtStepsize(a).alpha(k))
+        state.absorb(x, InverseSqrtStepsize(a).alpha(k))
         x_hats.append(state.x_hat)
     return xs, x_hats
 
@@ -357,9 +357,9 @@ def test_stacked_averages_equal_per_row_replay(regime):
     run(replace(problem, oracle=recording), num_iterations + 1)
     trace = run(problem, num_iterations)
     for i, schedule in enumerate(schedules):
-        state, f_avg = AverageState.empty(), []
+        state, f_avg = AverageState(), []
         for k in range(num_iterations + 1):
-            state = state.absorb(stacks[k][i], schedule.alpha(k))
+            state.absorb(stacks[k][i], schedule.alpha(k))
             f_avg.append(f_value(inst, state.x_hat))
         assert np.array_equal(trace.f_avg[i], f_avg), i
         assert np.array_equal(trace.x_hat_final[i], state.x_hat), i
@@ -403,11 +403,11 @@ def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, runs, n
     assert sum(noise_rows) == num_iterations
 
     rng = rng_from_seed(4)
-    x, state = inst.x0.astype(float), AverageState.empty()
+    x, state = inst.x0.astype(float), AverageState()
     f_iter, f_avg = [], []
     for k in range(num_iterations + 1):
         alpha = float(InverseSqrtStepsize(a).alpha(k))
-        state = state.absorb(x, alpha)
+        state.absorb(x, alpha)
         f_iter.append(f_value(inst, x))
         f_avg.append(f_value(inst, state.x_hat))
         if k < num_iterations:
@@ -443,8 +443,10 @@ def test_scalar_valued_f_is_rejected():
 
 
 def test_rate_bound_values():
-    assert strongly_convex_rate_bounds(0, 1.0, 1.0) == (2.0, 4.0)
-    gap, dist = strongly_convex_rate_bounds(99, 4900.0, 100.0)
+    assert strongly_convex_rate_bound(0, 1.0, 1.0) == 2.0
+    # the paper's distance bound 4 Ct^2 / ((k+1) mu^2) is 2 gap / mu
+    gap = strongly_convex_rate_bound(99, 4900.0, 100.0)
+    dist = 2.0 * gap / 100.0
     assert abs(gap - 0.98) < 1e-15
     assert abs(dist - 0.0196) < 1e-17
     assert compact_rate_bound(0, 1.0, 1.0, 1.0) == 3.0
