@@ -3,12 +3,14 @@
     python perf/record.py --out BENCH_<n>.json [--skip-tier1] [CONFIG ...]
 
 Runs REPEATS fresh ``python -m ssmd.cli experiment`` processes per config,
+each followed by one ``bounds`` process (the benchmark's setup command),
 round-robin over the configs, so that drift of the machine's speed spreads
 over all of them alike.  The configs default to ``perf/configs/*.cfg``: three
 Monte-Carlo-scale ones and the four benchmark workloads as
 ``benchmarks/run.py`` writes them at seed 41.  Per config the record holds
-the median and quartiles of the wall time, the largest peak RSS that
-``os.wait4`` reports for the child, and the sha256 of every CSV and ``.meta``
+the median and quartiles of the wall time of ``experiment`` and of
+``bounds``, the largest peak RSS that ``os.wait4`` reports for an
+``experiment`` child, and the sha256 of every CSV and ``.meta``
 it wrote; outputs that differ between repeats are an error.  Unless
 ``--skip-tier1`` is given, it also times one run of the Tier-1 suite.
 
@@ -48,10 +50,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_once(config: Path, out: Path) -> tuple[float, float]:
-    """(wall seconds, peak RSS in MB) of one experiment process writing to out."""
-    argv = [sys.executable, "-m", "ssmd.cli", "experiment", "--config", str(config),
-            "--out", str(out)]
+def run_once(command: str, config: Path, *extra: str) -> tuple[float, float]:
+    """(wall seconds, peak RSS in MB) of one ``ssmd <command> --config config``
+    process, its stdout discarded."""
+    argv = [sys.executable, "-m", "ssmd.cli", command, "--config", str(config), *extra]
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=_env(), stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE)
@@ -61,7 +63,7 @@ def run_once(config: Path, out: Path) -> tuple[float, float]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     proc.stderr.close()
     if proc.returncode != 0:
-        raise RuntimeError(f"{config.name}: exit {proc.returncode}: {err.strip()}")
+        raise RuntimeError(f"{config.name}: {command} exit {proc.returncode}: {err.strip()}")
     return wall, usage.ru_maxrss / 1024.0
 
 
@@ -72,6 +74,7 @@ def quartiles(samples: list[float]) -> dict:
 
 def record_configs(configs: list[Path]) -> dict:
     walls = {c: [] for c in configs}
+    bounds = {c: [] for c in configs}
     rss = {c: [] for c in configs}
     digests: dict[Path, dict] = {}
     config_hash: dict[Path, str] = {}
@@ -79,9 +82,10 @@ def record_configs(configs: list[Path]) -> dict:
         for rep in range(REPEATS):
             for config in configs:
                 out = Path(work) / f"{config.stem}-{rep}"
-                wall, peak = run_once(config, out)
+                wall, peak = run_once("experiment", config, "--out", str(out))
                 walls[config].append(wall)
                 rss[config].append(peak)
+                bounds[config].append(run_once("bounds", config)[0])
                 got = {p.name: _sha256(p) for p in sorted(out.iterdir())}
                 if digests.setdefault(config, got) != got:
                     raise RuntimeError(f"{config.name}: outputs differ between repeats")
@@ -91,6 +95,7 @@ def record_configs(configs: list[Path]) -> dict:
         "config": config.name,
         "config_hash": config_hash[config],
         "wall_s": quartiles(walls[config]),
+        "bounds_wall_s": quartiles(bounds[config]),
         "peak_rss_mb": max(rss[config]),
         "sha256": digests[config],
     } for config in configs}

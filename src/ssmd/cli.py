@@ -109,7 +109,7 @@ def _cmd_bounds(args) -> tuple[int, list[str]]:
         if cfg.regime == COMPACT:
             lines.append(f"# a = {a!r}")
         lines.append("k,bound")
-        lines += [f"{k},{float(b)!r}" for k, b in enumerate(bound_curve(cfg, a, constants))]
+        lines += [f"{k},{b!r}" for k, b in enumerate(bound_curve(cfg, a, constants).tolist())]
     return 0, lines
 
 

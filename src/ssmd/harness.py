@@ -11,7 +11,7 @@ not the fold order of the reduction.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -59,26 +59,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message lists every violation."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    regime: str
-    instance: str = "test1"
-    n: Optional[int] = None
-    cap: Optional[float] = None
-    budget: Optional[float] = None
-    reg_weight: float = 0.0
-    schedule: str = "step-1"
-    a_values: tuple = (1.0,)
-    iterations: int = 0
-    runs: int = 100
-    base_seed: int = 0
-    eval_samples: int = 10_000
-    analytic_f: bool = True
-    workers: int = 1
-    compute_reference: bool = False
-    reference_tol: float = 1e-6
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "1", "yes"):
@@ -92,25 +72,37 @@ def _parse_reals(raw: str) -> tuple:
     return tuple(float(s) for s in raw.split(","))
 
 
+def _field(parse, default=MISSING, key=None):
+    """A config field whose value parses with parse; its key is the field name
+    unless key is given."""
+    return field(default=default, metadata={"parse": parse, "key": key})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One field per config key, in the order config_text writes them."""
+
+    regime: str = _field(str)
+    instance: str = _field(str.lower, "test1")
+    n: Optional[int] = _field(int, None)
+    cap: Optional[float] = _field(float, None)
+    budget: Optional[float] = _field(float, None)
+    reg_weight: float = _field(float, 0.0, key="lambda")
+    schedule: str = _field(str, "step-1")
+    a_values: tuple = _field(_parse_reals, (1.0,), key="a")
+    iterations: int = _field(int, 0)
+    runs: int = _field(int, 100)
+    base_seed: int = _field(int, 0, key="seed")
+    eval_samples: int = _field(int, 10_000)
+    analytic_f: bool = _field(_parse_bool, True)
+    workers: int = _field(int, 1)
+    compute_reference: bool = _field(_parse_bool, False)
+    reference_tol: float = _field(float, 1e-6)
+
+
 # key -> (ExperimentConfig field, parser), in the order config_text writes them
-_KEYS = {
-    "regime": ("regime", str),
-    "instance": ("instance", str.lower),
-    "n": ("n", int),
-    "cap": ("cap", float),
-    "budget": ("budget", float),
-    "lambda": ("reg_weight", float),
-    "schedule": ("schedule", str),
-    "a": ("a_values", _parse_reals),
-    "iterations": ("iterations", int),
-    "runs": ("runs", int),
-    "seed": ("base_seed", int),
-    "eval_samples": ("eval_samples", int),
-    "analytic_f": ("analytic_f", _parse_bool),
-    "workers": ("workers", int),
-    "compute_reference": ("compute_reference", _parse_bool),
-    "reference_tol": ("reference_tol", float),
-}
+_KEYS = {f.metadata["key"] or f.name: (f.name, f.metadata["parse"])
+         for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -320,9 +312,8 @@ def sweep_a(cfg: ExperimentConfig, workers: Optional[int] = None) -> list[tuple]
 
 def format_csv(summary: McSummary) -> str:
     # repr of a Python float is the shortest decimal string that round-trips
-    columns = (getattr(summary, name) for name in CSV_COLUMNS[1:])
-    rows = (",".join([str(k), *(repr(float(v)) for v in row)])
-            for k, row in enumerate(zip(*columns)))
+    columns = (getattr(summary, name).tolist() for name in CSV_COLUMNS[1:])
+    rows = (",".join([str(k), *map(repr, row)]) for k, row in enumerate(zip(*columns)))
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
@@ -331,12 +322,8 @@ def emit_csv(summary: McSummary, path) -> None:
     path = str(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_csv(summary))
-    meta_lines = []
-    for key, val in summary.metadata.items():
-        if key == "config":
-            continue
-        meta_lines.append(f"{key} = {val}")
-    config_echo = summary.metadata.get("config", "")
-    body = "\n".join(meta_lines) + "\n# config\n" + config_echo
+    meta = dict(summary.metadata)
+    config_echo = meta.pop("config", "")
+    body = "".join(f"{key} = {val}\n" for key, val in meta.items()) + "# config\n" + config_echo
     with open(path + ".meta", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(body)

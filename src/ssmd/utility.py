@@ -244,7 +244,11 @@ def reference_gap(instance: UtilityInstance, x: np.ndarray) -> float:
     """Frank-Wolfe duality gap at a feasible x: the max over the capped box of
     g'(x - y), g = grad_f(x) (Jaggi, ICML 2013); f is convex, so f(x) - gap <= f*.
     The minimizer y of g'y caps the most negative g_i first until the budget is spent."""
-    set_, g = instance.feasible_set, grad_f(instance, x)
+    return _fw_gap(instance.feasible_set, grad_f(instance, x), x)
+
+
+def _fw_gap(set_, g: np.ndarray, x: np.ndarray) -> float:
+    """reference_gap at x from its gradient g."""
     fill = np.clip(set_.budget - set_.cap * np.arange(set_.n), 0.0, set_.cap)
     return float(g @ x - np.minimum(np.sort(g), 0.0) @ fill)
 
@@ -262,11 +266,11 @@ def reference_solution(instance: UtilityInstance, tol: float,
     x = x_prev = set_.project(np.asarray(instance.x0 if x_init is None else x_init, dtype=float))
     fx = f_value(instance, x)
     for _ in range(REFERENCE_ITERATIONS):
-        gap = reference_gap(instance, x)
-        if gap <= tol:
-            return x, fx
         mean, (_, sigma, zero, _, _, pdf_diff) = _oracle_mean(instance, x)
         g = mean + lam * (x - instance.anchor)
+        gap = _fw_gap(set_, g, x)
+        if gap <= tol:
+            return x, fx
         c = lam if zero[0] else lam + float(instance.envelope.slopes @ pdf_diff) / sigma[0]
         step = 1.0 / c if c > 1e-8 else 1e8
         while True:

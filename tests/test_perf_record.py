@@ -32,9 +32,10 @@ def test_record_writes_the_cli_digests_without_numpy(tmp_path):
     assert {"python", "numpy", "nproc", "git_sha", "pythondontwritebytecode"} \
         <= set(record["provenance"])
     entry = record["configs"]["tiny"]
-    assert set(entry) == {"config", "config_hash", "wall_s", "peak_rss_mb", "sha256"}
-    wall = entry["wall_s"]
-    assert len(wall["samples"]) == 5 and wall["q1"] <= wall["median"] <= wall["q3"]
+    assert set(entry) == {"config", "config_hash", "wall_s", "bounds_wall_s", "peak_rss_mb",
+                          "sha256"}
+    for wall in (entry["wall_s"], entry["bounds_wall_s"]):
+        assert len(wall["samples"]) == 5 and wall["q1"] <= wall["median"] <= wall["q3"]
     assert entry["peak_rss_mb"] > 0.0
 
     ours = tmp_path / "ours"

@@ -7,9 +7,11 @@ from conftest import (STACK_FLOATS, capped_box_vertices, fd_grad, mc_estimate_f,
                       mc_estimate_f_dense, norm_cdf_interval, phi_slope,
                       piecewise_gaussian_quadrature)
 
+from ssmd import utility
 from ssmd.gaussian import norm_pdf, rng_from_seed, standard_normals
 from ssmd.utility import (
     INSTANCE_LABELS,
+    ConvergenceError,
     Envelope,
     default_envelope,
     default_instance,
@@ -448,6 +450,24 @@ def test_reference_is_certified_to_tol(label, reg):
         x_ref, f_ref = reference_solution(inst, 1e-6, x_init=x_init)
         assert inst.feasible_set.contains(x_ref) and f_ref == f_value(inst, x_ref)
         assert reference_gap(inst, x_ref) <= 1e-6
+
+
+def test_reference_takes_one_oracle_mean_per_iterate(monkeypatch):
+    # the step's gradient also gives the iterate's Frank-Wolfe gap: at an
+    # unreachable tol the solver spends its cap of 5 iterates, one call each,
+    # and at lambda = 1e5 it stops at the 2-cycle it enters within 100
+    calls, oracle_mean = [], utility._oracle_mean
+    monkeypatch.setattr(utility, "_oracle_mean",
+                        lambda inst, x: calls.append(x) or oracle_mean(inst, x))
+    monkeypatch.setattr(utility, "REFERENCE_ITERATIONS", 5)
+    with pytest.raises(ConvergenceError, match="in 5 iterations"):
+        reference_solution(default_instance("test1", reg_weight=0.0), 1e-300)
+    assert len(calls) == 5
+    calls.clear()
+    monkeypatch.setattr(utility, "REFERENCE_ITERATIONS", 20_000)
+    with pytest.raises(ConvergenceError, match="iterates cycle"):
+        reference_solution(default_instance("test1", reg_weight=1e5), 1e-12)
+    assert 0 < len(calls) < 100
 
 
 def test_reference_floor_is_below_f_on_the_box():
