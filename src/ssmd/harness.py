@@ -11,8 +11,8 @@ not the fold order of the reduction.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,37 +72,34 @@ def _parse_reals(raw: str) -> tuple:
     return tuple(float(s) for s in raw.split(","))
 
 
-def _field(parse, default=MISSING, key=None):
-    """A config field whose value parses with parse; its key is the field name
-    unless key is given."""
-    return field(default=default, metadata={"parse": parse, "key": key})
+# (ExperimentConfig field, parser, default, config key), one row per key in
+# the order config_text writes them; the key is the field name unless given
+_FIELDS = (
+    ("regime", str, None, None),
+    ("instance", str.lower, "test1", None),
+    ("n", int, None, None),
+    ("cap", float, None, None),
+    ("budget", float, None, None),
+    ("reg_weight", float, 0.0, "lambda"),
+    ("schedule", str, "step-1", None),
+    ("a_values", _parse_reals, (1.0,), "a"),
+    ("iterations", int, 0, None),
+    ("runs", int, 100, None),
+    ("base_seed", int, 0, "seed"),
+    ("eval_samples", int, 10_000, None),
+    ("analytic_f", _parse_bool, True, None),
+    ("workers", int, 1, None),
+    ("compute_reference", _parse_bool, False, None),
+    ("reference_tol", float, 1e-6, None),
+)
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One field per config key, in the order config_text writes them."""
-
-    regime: str = _field(str)
-    instance: str = _field(str.lower, "test1")
-    n: Optional[int] = _field(int, None)
-    cap: Optional[float] = _field(float, None)
-    budget: Optional[float] = _field(float, None)
-    reg_weight: float = _field(float, 0.0, key="lambda")
-    schedule: str = _field(str, "step-1")
-    a_values: tuple = _field(_parse_reals, (1.0,), key="a")
-    iterations: int = _field(int, 0)
-    runs: int = _field(int, 100)
-    base_seed: int = _field(int, 0, key="seed")
-    eval_samples: int = _field(int, 10_000)
-    analytic_f: bool = _field(_parse_bool, True)
-    workers: int = _field(int, 1)
-    compute_reference: bool = _field(_parse_bool, False)
-    reference_tol: float = _field(float, 1e-6)
-
+# regime, the first field, has no default
+ExperimentConfig = namedtuple("ExperimentConfig", [row[0] for row in _FIELDS],
+                              defaults=[row[2] for row in _FIELDS[1:]])
+ExperimentConfig.__doc__ = "One field per config key, in the order config_text writes them."
 
 # key -> (ExperimentConfig field, parser), in the order config_text writes them
-_KEYS = {f.metadata["key"] or f.name: (f.name, f.metadata["parse"])
-         for f in fields(ExperimentConfig)}
+_KEYS = {key or name: (name, parse) for name, parse, _, key in _FIELDS}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -199,8 +196,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha1(b"blob %d\0" % len(body) + body).hexdigest()
 
 
-@dataclass
-class McSummary:
+class McSummary(NamedTuple):
     """Mean/stderr aggregates over Monte-Carlo runs plus the bound curve, at
     k = 0..K."""
 

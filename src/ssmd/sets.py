@@ -18,7 +18,7 @@ projected exactly as if alone, and a stack is contained when every row is.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from math import inf, nextafter
 
 import numpy as np
@@ -58,20 +58,24 @@ def _as_rows(x, n: int) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-@dataclass(frozen=True)
-class CappedBox:
-    """{x in R^n : 0 <= x_i <= cap for all i, sum_i x_i <= budget}."""
+class CappedBox(namedtuple("CappedBox", "n cap budget")):
+    """{x in R^n : 0 <= x_i <= cap for all i, sum_i x_i <= budget}; n, cap and
+    budget are checked when a box is made, and a box is immutable."""
 
-    n: int
-    cap: float
-    budget: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, cap: float, budget: float):
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        errors = range_errors("cap", self.cap) + range_errors("budget", self.budget)
+        errors = range_errors("cap", cap) + range_errors("budget", budget)
         if errors:
             raise ValueError("; ".join(errors))
+        return super().__new__(cls, n, cap, budget)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the checks
+        return cls(*iterable)
 
     def contains(self, x) -> bool:
         x = _as_rows(x, self.n)

@@ -24,8 +24,7 @@ compact bound is the same formula at Ct^2 = C^2/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,7 +46,6 @@ def prox_step(feasible_set, x, g, alpha) -> np.ndarray:
     return feasible_set.project(x - alpha * g)
 
 
-@dataclass
 class ProblemHandle:
     """Everything an engine needs to run on one problem instance.
 
@@ -67,21 +65,21 @@ class ProblemHandle:
     a point's value does not depend on the points stacked with it.  The
     engine takes f_exact if set, and otherwise the mean of f_eval_samples
     draws from f_eval_seed, with one f_sampler call per block, on the block's
-    (B, 2, R) stack of x_k and x_hat_k as one (-1, n) array."""
+    (B, 2, R) stack of x_k and x_hat_k as one (-1, n) array.  A handle is
+    mutable, so a caller may wrap its callables in place."""
 
-    oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    feasible_set: object
-    x0: np.ndarray
-    noise: Callable[[np.random.Generator, int], np.ndarray]
-    mu_f: float = 0.0
-    f_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    f_sampler: Optional[Callable[..., np.ndarray]] = None
-    f_eval_samples: int = 10_000
-    f_eval_seed: int = 0
+    def __init__(self, oracle: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 feasible_set, x0: np.ndarray,
+                 noise: Callable[[np.random.Generator, int], np.ndarray], mu_f: float = 0.0,
+                 f_exact: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 f_sampler: Optional[Callable[..., np.ndarray]] = None,
+                 f_eval_samples: int = 10_000, f_eval_seed: int = 0):
+        self.oracle, self.feasible_set, self.x0, self.noise = oracle, feasible_set, x0, noise
+        self.mu_f, self.f_exact, self.f_sampler = mu_f, f_exact, f_sampler
+        self.f_eval_samples, self.f_eval_seed = f_eval_samples, f_eval_seed
 
 
-@dataclass
-class RunTrace:
+class RunTrace(NamedTuple):
     """Per-iteration metrics at k = 0..K of R runs, row i for run i: f_iter,
     f_avg and f_min are (R, K+1) and x_hat_final (R, n), or (K+1,) and (n,)."""
 

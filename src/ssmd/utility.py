@@ -18,9 +18,8 @@ xi vector per iteration and returns phi'(t) (a + xi) + reg_weight (x - anchor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,19 +38,14 @@ class ConvergenceError(RuntimeError):
     """Raised when the reference solver hits its iteration cap."""
 
 
-@dataclass(frozen=True, eq=False)
 class Envelope:
     """phi(t) = max_j (c_j + d_j t) on the caller's pieces: nonempty, finite,
     of strictly increasing slope d and each the maximum between its
     breakpoints; breakpoint j is where pieces j and j + 1 meet."""
 
-    intercepts: np.ndarray
-    slopes: np.ndarray
-    breakpoints: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        c, d = self.intercepts, self.slopes
-        object.__setattr__(self, "breakpoints", (c[:-1] - c[1:]) / (d[1:] - d[:-1]))
+    def __init__(self, intercepts: np.ndarray, slopes: np.ndarray):
+        self.intercepts, self.slopes = intercepts, slopes
+        self.breakpoints = (intercepts[:-1] - intercepts[1:]) / (slopes[1:] - slopes[:-1])
 
 
 def _active_piece(envelope: Envelope, t):
@@ -91,8 +85,7 @@ def _piece_sum(envelope: Envelope, mu, sigma, mass, first):
     return np.sum((c + d * mu) * mass + d * sigma * first, axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class UtilityInstance:
+class UtilityInstance(NamedTuple):
     """One benchmark instance: coefficients, envelope, regularizer, constraint set."""
 
     label: str

@@ -7,13 +7,13 @@ the engine's distances to an optimum wraps a handle's f_exact.
 """
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from ssmd.gaussian import erfc, rng_from_seed, standard_normals
+from ssmd.solver import ProblemHandle
 from ssmd.utility import _moments, _regulariser, phi
 
 # Floats per stack of n-vectors: a stack holds max(1, STACK_FLOATS // n) rows
@@ -155,7 +155,7 @@ def distance_recorder(problem, x_star, runs):
         dist = np.ascontiguousarray(np.concatenate(blocks).transpose(1, 2, 0))
         return dist[0], dist[1]
 
-    return replace(problem, f_exact=f_exact), distances
+    return ProblemHandle(**{**vars(problem), "f_exact": f_exact}), distances
 
 
 def fd_grad(f, x: np.ndarray, h: float) -> np.ndarray:

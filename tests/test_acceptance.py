@@ -6,7 +6,6 @@ deterministic; statistical tolerances (2 standard errors on mean curves,
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -505,7 +504,8 @@ def test_weighted_average_beats_the_uniform_average(schedule):
         f_uniform.append(f_value(inst, total / (len(f_uniform) + 1)))
         return problem.oracle(x, xi)
 
-    trace = run_strongly_convex(replace(problem, oracle=recording), schedule(), K_RUN + 1,
+    trace = run_strongly_convex(ProblemHandle(**{**vars(problem), "oracle": recording}),
+                                schedule(), K_RUN + 1,
                                 [rng_from_seed(41 + r) for r in range(N_SEEDS)])
     f_weighted = trace.f_avg[:, :K_RUN + 1]
     diff = (np.column_stack(f_uniform[:K_RUN + 1]) - f_weighted)[:, 100:]
@@ -529,7 +529,7 @@ def _c7_gap_stacks(setup, a, seeds):
         f_uniform.append(problem.f_exact(total / (len(f_uniform) + 1)))
         return problem.oracle(x, xi)
 
-    trace = run_compact(replace(problem, oracle=recording), a, K_RUN + 1,
+    trace = run_compact(ProblemHandle(**{**vars(problem), "oracle": recording}), a, K_RUN + 1,
                         [rng_from_seed(s) for s in seeds])
     return (trace.f_avg[:, :K_RUN + 1], np.column_stack(f_uniform[:K_RUN + 1]),
             trace.f_iter[:, :K_RUN + 1])

@@ -82,6 +82,17 @@ def test_import_cli_loads_no_scipy(prefix):
     assert _modules_loaded_by("ssmd.cli", (prefix,)) == "[]"
 
 
+def test_import_cli_loads_no_dataclasses():
+    # the records are named tuples and plain classes, so no command pays for
+    # dataclass code generation at start-up; numpy and argparse import none
+    code = "import sys, ssmd.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                                   PYTHONPATH=str(Path(ssmd.__file__).parents[1])),
+                          timeout=120)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+
+
 def test_import_package_loads_no_numpy_and_no_submodule():
     # the package root holds only __version__; each name lives in its module
     assert _modules_loaded_by("ssmd", ("numpy", "ssmd")) == "['ssmd']"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from conftest import distance_recorder, project_bisection, within_box
@@ -175,7 +173,8 @@ def test_euclidean_reduction_cross_check():
         gs.append(np.array(g[0]))
         return g
 
-    run_compact(replace(problem, oracle=recording), 0.7, 201, rng_from_seed(3))
+    run_compact(ProblemHandle(**{**vars(problem), "oracle": recording}), 0.7, 201,
+                rng_from_seed(3))
     state = AverageState()
     for k in range(200):
         alpha = InverseSqrtStepsize(0.7).alpha(k)
@@ -278,7 +277,7 @@ def replay_iterates(problem, a, num_iterations):
         xs.append(np.array(x[0]))
         return oracle(x, xi)
 
-    run_compact(replace(problem, oracle=recording), a, num_iterations + 1,
+    run_compact(ProblemHandle(**{**vars(problem), "oracle": recording}), a, num_iterations + 1,
                 rng_from_seed(0))
     xs = xs[:num_iterations + 1]
     state, x_hats = AverageState(), []
@@ -354,7 +353,7 @@ def test_stacked_averages_equal_per_row_replay(regime):
         stacks.append(np.array(x))
         return oracle(x, xi)
 
-    run(replace(problem, oracle=recording), num_iterations + 1)
+    run(ProblemHandle(**{**vars(problem), "oracle": recording}), num_iterations + 1)
     trace = run(problem, num_iterations)
     for i, schedule in enumerate(schedules):
         state, f_avg = AverageState(), []
@@ -396,8 +395,8 @@ def test_block_noise_equals_per_iteration_loop(build, a, num_iterations, runs, n
         rows.append(count)
         return problem.noise(rng, count)
 
-    trace = run_compact(replace(problem, noise=recording_noise), a, num_iterations,
-                        [rng_from_seed(4 + i) for i in range(runs)])
+    trace = run_compact(ProblemHandle(**{**vars(problem), "noise": recording_noise}), a,
+                        num_iterations, [rng_from_seed(4 + i) for i in range(runs)])
     assert len(noise_rows) == 3 and noise_rows[0] > noise_rows[-1]
     assert rows == [count for count in noise_rows for _ in range(runs)]
     assert sum(noise_rows) == num_iterations

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -41,7 +40,7 @@ ABS = envelope([0.0, 0.0], [-1.0, 1.0])  # phi(t) = |t|
 
 def with_envelope(inst, intercepts, slopes):
     """inst with phi(t) = max_j (c_j + d_j t) in place of the default envelope."""
-    return dataclasses.replace(inst, envelope=envelope(intercepts, slopes))
+    return inst._replace(envelope=envelope(intercepts, slopes))
 
 
 def test_envelope_abs_value():
@@ -434,7 +433,7 @@ def test_reference_gap_is_the_box_minimum():
                                                    reg_weight=1.0), [0.0], [0.0])
                 for _ in range(5):
                     g = rng.standard_normal(n)
-                    inst = dataclasses.replace(inst, anchor=-g)
+                    inst = inst._replace(anchor=-g)
                     assert np.array_equal(grad_f(inst, np.zeros(n)), g)
                     gap = reference_gap(inst, np.zeros(n))
                     assert gap == pytest.approx(-np.min(verts @ g), rel=1e-12, abs=1e-12)
